@@ -83,8 +83,8 @@ class MemoryController:
 
         ``line_addrs`` is ``(n,)`` and ``lines`` is ``(n, words)``; all
         lines are written at the same simulated time (within-window
-        traffic is fed span by span).  The transformation's
-        row-independent stages run once over the whole batch.
+        traffic is fed span by span).  The whole batch is encoded in
+        one pass of the codec's batched path.
         """
         line_addrs = np.asarray(line_addrs)
         lines = np.asarray(lines)
@@ -94,53 +94,29 @@ class MemoryController:
         banks = np.atleast_1d(banks)
         rows = np.atleast_1d(rows)
         lines_in_row = np.atleast_1d(lines_in_row)
-        if self.watchdog.enabled:
-            # spot-check the codec inverse pair on the batch's first line
-            sample = lines[:1]
-            row0 = int(rows[0])
-            decoded = self.codec.decode_row(
-                self.codec.encode_row(sample, row0), row0
-            )
-            self.watchdog.check(
-                "codec.round_trip",
-                bool(np.array_equal(decoded, sample)),
-                row=row0, t=round(time_s, 6),
-            )
-        transformed = lines
-        if self.codec.stages.ebdi:
-            from repro.transform.celltype import CellType
-
-            transformed = self.codec.ebdi.encode(transformed, CellType.TRUE)
-        if self.codec.stages.bitplane:
-            transformed = self.codec.bitplane.apply(transformed)
+        transformed = self.codec.transform_lines(lines, rows)
         if self.probes.enabled:
-            # zero fraction after value transformation (before the
-            # celltype complement, which flips anti rows to all-ones):
+            # zero fraction after value transformation, counted before
+            # the celltype complement (which flips anti rows to all-ones):
             # the quantity Sec. V's discharged-row detection feeds on
+            zero = self.codec.stored_zero(rows)[:, None]
             self.probes.observe(
                 "codec.encoded_zero_fraction",
-                float((transformed == 0).mean()),
+                float((transformed == zero).mean()),
             )
-        if self.codec.stages.celltype_aware:
-            anti = self.codec.predictor.predict_anti(rows)
-            if anti.any():
-                transformed = transformed.copy()
-                transformed[anti] = np.invert(transformed[anti])
-        rotation = self.codec.rotation
-        num_chips = self.geometry.num_chips
-        # Word-slot gather table per rotation class (row % num_chips).
-        slot_table = np.stack(
-            [
-                np.stack([rotation.words_of_chip(chip, rot)
-                          for chip in range(num_chips)])
-                for rot in range(num_chips)
-            ]
-        )  # (rots, chips, words_per_chip)
-        rot_of_row = rows % num_chips if rotation.rotate else np.zeros_like(rows)
+        chip_words = self.codec.rotation.scatter(transformed, rows)
+        if self.watchdog.enabled:
+            # decode the batch's first line from the words it stores
+            row0 = int(rows[0])
+            decoded = self.codec.decode_row(chip_words[:, :1], row0)
+            self.watchdog.check(
+                "codec.round_trip",
+                bool(np.array_equal(decoded, lines[:1])),
+                row=row0, t=round(time_s, 6),
+            )
         for i in range(len(line_addrs)):
-            chip_words = transformed[i, slot_table[int(rot_of_row[i])]]
             self.device.write_line(int(banks[i]), int(rows[i]),
-                                   int(lines_in_row[i]), chip_words, time_s)
+                                   int(lines_in_row[i]), chip_words[:, i], time_s)
         self.ebdi_ops += len(line_addrs)
         self.line_writes += len(line_addrs)
         self.probes.count("ctrl.ebdi_ops", len(line_addrs))

@@ -22,8 +22,12 @@ The transform is a fixed bit permutation, hence trivially invertible and
 oblivious to the true/anti complement applied by the EBDI stage
 (complementing commutes with permuting).
 
-The implementation is vectorised over batches of lines using
-``np.unpackbits``/``np.packbits`` with a precomputed permutation table.
+Read as a bit matrix, the delta region of a line is ``(D, B)`` (row w
+holds the bits of delta word w), and the plane-major layout is its
+``(B, D)`` transpose.  The kernel unpacks each line to bits, transposes
+that matrix with a reshape and ``transpose`` and packs the bits back.
+Unpacked bits take eight times the memory of the lines, so batches run
+in fixed chunks of :data:`CHUNK_LINES` lines.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ import sys
 import numpy as np
 
 from repro.transform.ebdi import word_dtype
+
+CHUNK_LINES = 1024
+"""Lines transposed per step: bounds the unpacked bits to a few hundred KB."""
 
 
 class BitPlaneTransform:
@@ -58,34 +65,20 @@ class BitPlaneTransform:
             raise ValueError("need at least one delta word")
         self.word_bits = word_bytes * 8
         self.dtype = word_dtype(word_bytes)
-        self._forward_perm, self._inverse_perm = self._build_permutations()
-
-    def _build_permutations(self) -> tuple:
-        """Precompute the plane-major permutation and its inverse.
-
-        With ``np.unpackbits(..., bitorder='little')`` on the
-        little-endian byte view, flat position ``w*B + j`` is bit ``j``
-        of delta word ``w``; the forward permutation gathers plane j of
-        all words into consecutive positions.
-        """
-        d, b = self.delta_words, self.word_bits
-        planes, words = np.meshgrid(np.arange(b), np.arange(d), indexing="ij")
-        forward = (words * b + planes).ravel()  # out[j*D + w] = in[w*B + j]
-        inverse = np.empty_like(forward)
-        inverse[forward] = np.arange(d * b)
-        return forward, inverse
 
     # ------------------------------------------------------------------
     def apply(self, lines: np.ndarray) -> np.ndarray:
         """Return lines with delta bit planes transposed (base untouched)."""
-        return self._permute(lines, self._forward_perm)
+        return self._transpose(lines, self.delta_words, self.word_bits)
 
     def invert(self, lines: np.ndarray) -> np.ndarray:
         """Invert :meth:`apply`."""
-        return self._permute(lines, self._inverse_perm)
+        return self._transpose(lines, self.word_bits, self.delta_words)
 
     # ------------------------------------------------------------------
-    def _permute(self, lines: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    def _transpose(self, lines: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        """Transpose every line's delta bits, read as a ``(rows, cols)``
+        matrix in ``np.unpackbits(..., bitorder='little')`` order."""
         lines = np.asarray(lines)
         if lines.ndim != 2 or lines.shape[1] != self.words_per_line:
             raise ValueError(
@@ -93,14 +86,17 @@ class BitPlaneTransform:
             )
         if lines.dtype != self.dtype:
             raise TypeError(f"expected dtype {self.dtype}, got {lines.dtype}")
-        deltas = np.ascontiguousarray(lines[:, 1:])
-        raw = deltas.view(np.uint8).reshape(len(lines), -1)
-        bits = np.unpackbits(raw, axis=1, bitorder="little")
-        shuffled = bits[:, perm]
-        packed = np.ascontiguousarray(np.packbits(shuffled, axis=1, bitorder="little"))
-        out = np.empty_like(lines)
-        out[:, 0] = lines[:, 0]
-        out[:, 1:] = packed.view(self.dtype).reshape(len(lines), self.delta_words)
+        out = lines.copy()
+        for start in range(0, len(lines), CHUNK_LINES):
+            deltas = np.ascontiguousarray(lines[start:start + CHUNK_LINES, 1:])
+            bits = np.unpackbits(deltas.view(np.uint8), bitorder="little")
+            planes = bits.reshape(-1, rows, cols).transpose(0, 2, 1)
+            # packbits flattens the transposed view; every line's bit
+            # count is a multiple of 8, so lines stay byte-aligned
+            packed = np.packbits(planes, bitorder="little")
+            out[start:start + len(deltas), 1:] = packed.view(self.dtype).reshape(
+                deltas.shape
+            )
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

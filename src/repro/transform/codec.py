@@ -17,6 +17,12 @@ Stage order on the write path (LLC eviction -> DRAM):
 Reads apply the exact inverse, using the *same* cell-type prediction,
 so the round trip is exact even under misprediction (paper Sec. V-B).
 
+There is one batched path each way:
+:meth:`ValueTransformCodec.transform_lines` (steps 1-3) plus
+:meth:`RotationMapper.scatter` (step 4) over ``(n, words)`` lines and a
+vector of their rows, and its inverse.  Every other entry point (one
+row, many rows, grouped requests) reshapes onto it.
+
 :class:`StageSelection` switches stages off individually, which is what
 the stage-contribution and cell-type ablation experiments use.
 """
@@ -100,102 +106,61 @@ class ValueTransformCodec:
         self.line_bytes = line_bytes
         self.num_chips = num_chips
         self.dtype = self.ebdi.dtype
+        self._all_ones = ~self.dtype.type(0)
 
     # ------------------------------------------------------------------
-    def transform_lines(self, lines: np.ndarray, row_index: int) -> np.ndarray:
-        """Apply the per-line stages (EBDI, bit-plane, complement) only.
+    # the batched path: (n, words) lines, one row per line (or one int)
+    # ------------------------------------------------------------------
+    def transform_lines(self, lines: np.ndarray, rows) -> np.ndarray:
+        """Apply the per-line stages (EBDI, bit-plane, complement).
 
-        Returns the transformed lines *before* chip distribution; useful
-        for content analysis and tests.
+        ``lines`` has shape ``(n, words_per_line)``; ``rows`` is the
+        target row of every line (an ``(n,)`` vector) or of all of them
+        (one int).  Returns the transformed lines *before* chip
+        distribution.
         """
         out = lines
         if self.stages.ebdi:
             out = self.ebdi.encode(out, CellType.TRUE)
         if self.stages.bitplane:
             out = self.bitplane.apply(out)
-        if self._store_complemented(row_index):
-            out = np.invert(out)
-        return out
+        return self._complement(out, rows)
 
-    def untransform_lines(self, encoded: np.ndarray, row_index: int) -> np.ndarray:
+    def untransform_lines(self, encoded: np.ndarray, rows) -> np.ndarray:
         """Invert :meth:`transform_lines`."""
-        out = encoded
-        if self._store_complemented(row_index):
-            out = np.invert(out)
+        out = self._complement(encoded, rows)
         if self.stages.bitplane:
             out = self.bitplane.invert(out)
         if self.stages.ebdi:
             out = self.ebdi.decode(out, CellType.TRUE)
         return out
 
-    # ------------------------------------------------------------------
-    # grouped interface (vectorised over many independent requests)
-    # ------------------------------------------------------------------
-    def transform_lines_many(
-        self, line_groups: "list[np.ndarray]", row_indices: "list[int]"
-    ) -> "list[np.ndarray]":
-        """Vectorised :meth:`transform_lines` over several line groups.
+    def stored_zero(self, rows) -> np.ndarray:
+        """How a transformed zero word is stored in each of ``rows``: all
+        ones where the row is stored complemented (predicted anti-cell,
+        with cell-type awareness on), else 0."""
+        if not self.stages.celltype_aware:
+            return np.zeros(np.shape(rows), dtype=self.dtype)
+        return np.where(self.predictor.predict_anti(rows), self._all_ones,
+                        self.dtype.type(0))
 
-        ``line_groups[i]`` is a ``(n_i, words_per_line)`` array bound
-        for row ``row_indices[i]``.  The row-independent stages (EBDI,
-        bit-plane) run in one pass over the concatenation of every
-        group — this is the micro-batching fast path of the serving
-        layer — and the per-row anti-cell complement is then applied
-        group by group, so each returned group is bit-identical to
-        ``transform_lines(line_groups[i], row_indices[i])``.
-        """
-        if not line_groups:
-            return []
-        counts = [len(group) for group in line_groups]
-        flat = np.concatenate(line_groups, axis=0)
-        if self.stages.ebdi:
-            flat = self.ebdi.encode(flat, CellType.TRUE)
-        if self.stages.bitplane:
-            flat = self.bitplane.apply(flat)
-        out = []
-        offset = 0
-        for count, row_index in zip(counts, row_indices):
-            group = flat[offset:offset + count]
-            if self._store_complemented(row_index):
-                group = np.invert(group)
-            out.append(group)
-            offset += count
-        return out
-
-    def untransform_lines_many(
-        self, encoded_groups: "list[np.ndarray]", row_indices: "list[int]"
-    ) -> "list[np.ndarray]":
-        """Invert :meth:`transform_lines_many` (grouped decode path)."""
-        if not encoded_groups:
-            return []
-        counts = [len(group) for group in encoded_groups]
-        prepared = [
-            np.invert(group) if self._store_complemented(row_index) else group
-            for group, row_index in zip(encoded_groups, row_indices)
-        ]
-        flat = np.concatenate(prepared, axis=0)
-        if self.stages.bitplane:
-            flat = self.bitplane.invert(flat)
-        if self.stages.ebdi:
-            flat = self.ebdi.decode(flat, CellType.TRUE)
-        out = []
-        offset = 0
-        for count in counts:
-            out.append(flat[offset:offset + count])
-            offset += count
-        return out
+    def _complement(self, lines: np.ndarray, rows) -> np.ndarray:
+        flip = self.stored_zero(rows)
+        return lines ^ flip[..., None] if flip.any() else lines
 
     # ------------------------------------------------------------------
-    def encode_row(self, lines: np.ndarray, row_index: int) -> np.ndarray:
-        """Encode a logical row's lines into per-chip stored words.
+    def encode_row(self, lines: np.ndarray, row_index) -> np.ndarray:
+        """Encode lines into per-chip stored words.
 
-        ``lines`` has shape ``(n_lines, words_per_line)``; returns shape
-        ``(num_chips, n_lines, words_per_chip)`` of stored (bus-level)
-        words, ready to be written into chip row ``row_index``.
+        ``lines`` has shape ``(n_lines, words_per_line)`` and
+        ``row_index`` is their row (or an ``(n_lines,)`` vector of
+        rows); returns shape ``(num_chips, n_lines, words_per_chip)``
+        of stored (bus-level) words, ready to be written into chip row
+        ``row_index``.
         """
         return self.rotation.scatter(self.transform_lines(lines, row_index), row_index)
 
-    def decode_row(self, chip_data: np.ndarray, row_index: int) -> np.ndarray:
+    def decode_row(self, chip_data: np.ndarray, row_index) -> np.ndarray:
         """Invert :meth:`encode_row`, recovering the original lines."""
         return self.untransform_lines(
             self.rotation.gather(chip_data, row_index), row_index
@@ -211,80 +176,52 @@ class ValueTransformCodec:
         and ``row_indices`` the matching row numbers.  Returns shape
         ``(n_rows, num_chips, lines_per_row, words_per_chip)`` — the
         layout banks store rows in.
-
-        The per-line stages are row-independent, so they run in one pass
-        over every line; the anti-cell complement and the rotation are
-        then applied per equivalence class (there are only
-        ``2 * num_chips`` of them), keeping population of large memories
-        fast.
         """
         lines = np.asarray(lines)
-        row_indices = np.asarray(row_indices)
         n_rows, lines_per_row, words = lines.shape
-        flat = lines.reshape(n_rows * lines_per_row, words)
-        if self.stages.ebdi:
-            flat = self.ebdi.encode(flat, CellType.TRUE)
-        if self.stages.bitplane:
-            flat = self.bitplane.apply(flat)
-        transformed = flat.reshape(n_rows, lines_per_row, words)
-        if self.stages.celltype_aware:
-            anti = self.predictor.predict_anti(row_indices)
-            if anti.any():
-                transformed = transformed.copy()
-                transformed[anti] = np.invert(transformed[anti])
-        out = np.empty(
-            (n_rows, self.num_chips, lines_per_row, self.rotation.words_per_chip),
-            dtype=self.dtype,
-        )
-        rotations = (
-            row_indices % self.num_chips
-            if self.rotation.rotate
-            else np.zeros(n_rows, dtype=np.int64)
-        )
-        for rot in np.unique(rotations):
-            idx = np.flatnonzero(rotations == rot)
-            for chip in range(self.num_chips):
-                word_slots = self.rotation.words_of_chip(chip, int(rot))
-                out[idx, chip] = transformed[idx][:, :, word_slots]
-        return out
+        rows = np.repeat(row_indices, lines_per_row)
+        chips = self.encode_row(lines.reshape(-1, words), rows)
+        return chips.reshape(
+            self.num_chips, n_rows, lines_per_row, self.rotation.words_per_chip
+        ).swapaxes(0, 1)
 
     def decode_rows(self, chip_data: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
         """Invert :meth:`encode_rows`."""
         chip_data = np.asarray(chip_data)
-        row_indices = np.asarray(row_indices)
-        n_rows, _, lines_per_row, _ = chip_data.shape
-        words = self.rotation.words_per_line
-        gathered = np.empty((n_rows, lines_per_row, words), dtype=self.dtype)
-        rotations = (
-            row_indices % self.num_chips
-            if self.rotation.rotate
-            else np.zeros(n_rows, dtype=np.int64)
+        n_rows, chips, lines_per_row, words_per_chip = chip_data.shape
+        rows = np.repeat(row_indices, lines_per_row)
+        lines = self.decode_row(
+            chip_data.swapaxes(0, 1).reshape(chips, -1, words_per_chip), rows
         )
-        for rot in np.unique(rotations):
-            idx = np.flatnonzero(rotations == rot)
-            for chip in range(self.num_chips):
-                word_slots = self.rotation.words_of_chip(chip, int(rot))
-                gathered[np.ix_(idx, np.arange(lines_per_row), word_slots)] = (
-                    chip_data[idx, chip]
-                )
-        if self.stages.celltype_aware:
-            anti = self.predictor.predict_anti(row_indices)
-            if anti.any():
-                gathered[anti] = np.invert(gathered[anti])
-        flat = gathered.reshape(n_rows * lines_per_row, words)
-        if self.stages.bitplane:
-            flat = self.bitplane.invert(flat)
-        if self.stages.ebdi:
-            flat = self.ebdi.decode(flat, CellType.TRUE)
-        return flat.reshape(n_rows, lines_per_row, words)
+        return lines.reshape(n_rows, lines_per_row, self.rotation.words_per_line)
 
     # ------------------------------------------------------------------
-    def _store_complemented(self, row_index: int) -> bool:
-        """Whether lines bound for ``row_index`` are stored complemented."""
-        return (
-            self.stages.celltype_aware
-            and self.predictor.predict(row_index) is CellType.ANTI
-        )
+    # grouped interface (the serving layer's micro-batches)
+    # ------------------------------------------------------------------
+    def transform_lines_many(
+        self, line_groups: "list[np.ndarray]", row_indices: "list[int]"
+    ) -> "list[np.ndarray]":
+        """:meth:`transform_lines` over several line groups in one pass.
+
+        ``line_groups[i]`` is a ``(n_i, words_per_line)`` array bound
+        for row ``row_indices[i]``; each returned group is bit-identical
+        to ``transform_lines(line_groups[i], row_indices[i])``.
+        """
+        return self._grouped(self.transform_lines, line_groups, row_indices)
+
+    def untransform_lines_many(
+        self, encoded_groups: "list[np.ndarray]", row_indices: "list[int]"
+    ) -> "list[np.ndarray]":
+        """Invert :meth:`transform_lines_many` (grouped decode path)."""
+        return self._grouped(self.untransform_lines, encoded_groups, row_indices)
+
+    @staticmethod
+    def _grouped(batched, groups, row_indices):
+        if not groups:
+            return []
+        counts = [len(group) for group in groups]
+        flat = batched(np.concatenate(groups), np.repeat(row_indices, counts))
+        return np.split(flat, np.cumsum(counts)[:-1])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -59,6 +59,23 @@ def word_dtype(word_bytes: int) -> np.dtype:
         ) from None
 
 
+def _bit_length(values: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of every unsigned integer in ``values``.
+
+    A binary search with integer shifts, because a ``log2`` goes through
+    float64, which rounds some values above 2^53 up to a power of two.
+    """
+    width = np.zeros(values.shape, dtype=np.int64)
+    shift = values.dtype.itemsize * 4
+    while shift:
+        high = values >> values.dtype.type(shift)
+        wide = high != 0
+        values = np.where(wide, high, values)
+        width += wide * shift
+        shift //= 2
+    return width + (values != 0)
+
+
 def zigzag_encode(values: np.ndarray) -> np.ndarray:
     """Map signed deltas to the EBDI true-cell code (Fig. 11b).
 
@@ -155,13 +172,7 @@ class EbdiCodec:
         lines = self._check(lines)
         base = lines[:, :1]
         deltas = (lines[:, 1:] - base).astype(self._signed, copy=False)
-        coded = zigzag_encode(deltas)
-        width = np.zeros(len(lines), dtype=np.int64)
-        maxed = coded.max(axis=1)
-        nonzero = maxed > 0
-        # bit_length of the max coded delta
-        width[nonzero] = np.floor(np.log2(maxed[nonzero].astype(np.float64))).astype(np.int64) + 1
-        return width
+        return _bit_length(zigzag_encode(deltas).max(axis=1))
 
     # ------------------------------------------------------------------
     def _check(self, lines: np.ndarray) -> np.ndarray:

@@ -26,6 +26,11 @@ words on an 8-chip rank give 16 words), each chip receives
 ``words_per_line / num_chips`` words per line; the rotation acts on word
 indices modulo the chip count, preserving the homogeneity property per
 chip row.
+
+A row's assignment depends only on its rotation class ``R mod
+num_chips``, so :class:`RotationMapper` builds every class's
+word-slot table once; scatter and gather are one indexing step through
+it, for one row or for a vector of rows.
 """
 
 from __future__ import annotations
@@ -77,6 +82,17 @@ class RotationMapper:
         self.words_per_chip = words_per_line // num_chips
         self.rotate = rotate
         self.dtype = word_dtype(word_bytes)
+        # slot_table[r, chip]: the word positions (ascending) that ``chip``
+        # stores for rows of rotation class r; without rotation every
+        # class holds the identity assignment.  Read-only, because
+        # words_of_chip hands out views of it.
+        words = np.arange(words_per_line)
+        shifts = np.arange(num_chips) if rotate else np.zeros(num_chips, int)
+        chip_of = (words[None, :] + shifts[:, None]) % num_chips
+        self.slot_table = np.argsort(chip_of, axis=1, kind="stable").reshape(
+            num_chips, num_chips, self.words_per_chip
+        )
+        self.slot_table.setflags(write=False)
 
     # ------------------------------------------------------------------
     def rotation_amount(self, row_index: int) -> int:
@@ -88,30 +104,26 @@ class RotationMapper:
         return (word + self.rotation_amount(row_index)) % self.num_chips
 
     def words_of_chip(self, chip: int, row_index: int) -> np.ndarray:
-        """Word positions that chip ``chip`` stores for ``row_index`` (ascending)."""
-        words = np.arange(self.words_per_line)
-        mask = (words + self.rotation_amount(row_index)) % self.num_chips == chip
-        return words[mask]
+        """Word positions that chip ``chip`` stores for ``row_index``
+        (ascending; a read-only view of :attr:`slot_table`)."""
+        return self.slot_table[row_index % self.num_chips, chip]
 
     # ------------------------------------------------------------------
-    def scatter(self, lines: np.ndarray, row_index: int) -> np.ndarray:
-        """Distribute a logical row's lines onto chips.
+    def scatter(self, lines: np.ndarray, rows) -> np.ndarray:
+        """Distribute lines onto chips.
 
-        ``lines`` has shape ``(n_lines, words_per_line)``; the result
-        has shape ``(num_chips, n_lines, words_per_chip)`` where
-        ``result[j]`` is the data chip ``j`` stores in its physical row,
-        in (line, word-slot) order.
+        ``lines`` has shape ``(n_lines, words_per_line)`` and ``rows``
+        is the logical row of every line: one int, or an ``(n_lines,)``
+        vector.  The result has shape ``(num_chips, n_lines,
+        words_per_chip)`` where ``result[j]`` is the data chip ``j``
+        stores, in (line, word-slot) order.
         """
         lines = self._check(lines)
-        out = np.empty(
-            (self.num_chips, len(lines), self.words_per_chip), dtype=self.dtype
-        )
-        for chip in range(self.num_chips):
-            out[chip] = lines[:, self.words_of_chip(chip, row_index)]
-        return out
+        slots = self._slots(rows, len(lines))
+        return lines[np.arange(len(lines))[:, None, None], slots].transpose(1, 0, 2)
 
-    def gather(self, chip_data: np.ndarray, row_index: int) -> np.ndarray:
-        """Invert :meth:`scatter`: rebuild lines from per-chip row data."""
+    def gather(self, chip_data: np.ndarray, rows) -> np.ndarray:
+        """Invert :meth:`scatter`: rebuild lines from per-chip data."""
         chip_data = np.asarray(chip_data)
         expected = (self.num_chips, chip_data.shape[1], self.words_per_chip)
         if chip_data.ndim != 3 or chip_data.shape != expected:
@@ -120,9 +132,20 @@ class RotationMapper:
             )
         n_lines = chip_data.shape[1]
         lines = np.empty((n_lines, self.words_per_line), dtype=self.dtype)
-        for chip in range(self.num_chips):
-            lines[:, self.words_of_chip(chip, row_index)] = chip_data[chip]
+        lines[np.arange(n_lines)[:, None, None], self._slots(rows, n_lines)] = (
+            chip_data.transpose(1, 0, 2)
+        )
         return lines
+
+    def _slots(self, rows, n_lines: int) -> np.ndarray:
+        """Slot tables for ``rows``: ``(chips, words_per_chip)`` for one
+        row, ``(n_lines, chips, words_per_chip)`` for a row vector."""
+        rows = np.asarray(rows)
+        if rows.ndim and rows.shape != (n_lines,):
+            raise ValueError(
+                f"expected one row or {n_lines} rows, got shape {rows.shape}"
+            )
+        return self.slot_table[rows % self.num_chips]
 
     # ------------------------------------------------------------------
     def _check(self, lines: np.ndarray) -> np.ndarray:

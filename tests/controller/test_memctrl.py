@@ -6,6 +6,9 @@ import pytest
 from repro.controller.memctrl import MemoryController
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
+from repro.obs.invariants import InvariantWatchdog, use_watchdog
+from repro.obs.probes import ProbeBus
+from repro.transform.celltype import CellType
 from repro.transform.celltype import CellTypeLayout, CellTypePredictor
 from repro.transform.codec import StageSelection, ValueTransformCodec
 
@@ -70,11 +73,61 @@ class TestLineInterface:
         for addr, line in zip(addrs, lines):
             np.testing.assert_array_equal(ctrl.read_line(int(addr)), line)
 
+    def test_zero_fraction_is_counted_before_the_complement(self):
+        """Anti rows store their zero words as all-ones; the histogram
+        still counts them as zero."""
+        plain = make_controller()
+        bus = ProbeBus()
+        ctrl = MemoryController(plain.device, plain.codec, probes=bus)
+        candidates = np.arange(0, ctrl.geometry.total_lines, 997)
+        _, rows, _ = ctrl.mapper.line_location(candidates)
+        anti = ctrl.codec.predictor.predict_anti(rows)
+        addrs = np.concatenate([candidates[anti][:3], candidates[~anti][:3]])
+        rng = np.random.default_rng(9)
+        lines = (rng.integers(0, 2**40, size=(6, 1), dtype=np.uint64)
+                 + rng.integers(0, 64, size=(6, 8), dtype=np.uint64))
+        ctrl.write_lines(addrs, lines)
+        transformed = ctrl.codec.bitplane.apply(
+            ctrl.codec.ebdi.encode(lines, CellType.TRUE))
+        histogram = bus.histograms["codec.encoded_zero_fraction"]
+        assert histogram.count == 1
+        assert histogram.sum == float((transformed == 0).mean()) > 0
+
     def test_empty_batch_is_noop(self):
         ctrl = make_controller()
         ctrl.write_lines(np.array([], dtype=np.int64),
                          np.empty((0, 8), dtype=np.uint64))
         assert ctrl.line_writes == 0
+
+
+class TestRoundTripWatchdog:
+    """write_lines decodes the first line of each batch from the words
+    it stores and checks it against the input."""
+
+    def armed_controller(self):
+        watchdog = InvariantWatchdog()
+        with use_watchdog(watchdog):
+            ctrl = make_controller()
+        rng = np.random.default_rng(8)
+        lines = rng.integers(1, 2**64, size=(4, 8), dtype=np.uint64)
+        return ctrl, watchdog, np.array([5, 900, 4100, 9000]), lines
+
+    def test_clean_batch_counts_the_check(self):
+        ctrl, watchdog, addrs, lines = self.armed_controller()
+        ctrl.write_lines(addrs, lines)
+        assert watchdog.checks_run == 1
+        assert watchdog.violation_count == 0
+
+    def test_broken_decode_records_a_violation(self, monkeypatch):
+        ctrl, watchdog, addrs, lines = self.armed_controller()
+        monkeypatch.setattr(ctrl.codec, "decode_row",
+                            lambda chip_data, row: np.zeros((1, 8), np.uint64))
+        ctrl.write_lines(addrs, lines)
+        assert watchdog.checks_run == 1
+        assert watchdog.violation_count == 1
+        assert watchdog.violations[0]["check"] == "codec.round_trip"
+        _, row, _ = ctrl.mapper.line_location(addrs[0])
+        assert watchdog.violations[0]["row"] == int(row)
 
 
 class TestPageInterface:

@@ -22,19 +22,22 @@ class TestPopulate:
                                                                     abs=0.07)
 
     def test_zero_fill_matches_codec_path(self):
-        """The fast idle-page zero fill must equal encoding zero lines."""
+        """The closed-form idle-page zero fill must equal the batched
+        encode of zero lines."""
         system = make_system()
         system.populate(benchmark_profile("gcc"), allocated_fraction=0.5)
-        free_pages = system.allocator.free_pages[:8]
-        zero = np.zeros((system.config.geometry.lines_per_page, 8),
-                        dtype=np.uint64)
-        for page in free_pages:
-            banks, rows = system.controller.mapper.page_rows(int(page))
-            bank, row = int(np.ravel(banks)[0]), int(np.ravel(rows)[0])
-            expected = system.codec.encode_row(zero, row)
-            np.testing.assert_array_equal(
-                system.device.banks[bank].data[row], expected
-            )
+        banks, rows = system.controller.mapper.page_rows(
+            system.allocator.free_pages)
+        banks, rows = np.ravel(banks), np.ravel(rows)
+        anti = system.predictor.predict_anti(rows)
+        assert anti.any() and not anti.all()
+        geometry = system.config.geometry
+        zero = np.zeros((len(rows), geometry.lines_per_row,
+                         geometry.words_per_line), dtype=np.uint64)
+        stored = np.stack([system.device.banks[bank].data[row]
+                           for bank, row in zip(banks, rows)])
+        np.testing.assert_array_equal(stored,
+                                      system.codec.encode_rows(zero, rows))
 
     def test_page_content_reads_back(self):
         system = make_system()

@@ -9,6 +9,14 @@ from repro.transform.celltype import CellType
 from repro.transform.ebdi import EbdiCodec, word_dtype, zigzag_decode, zigzag_encode
 
 
+def line_with_coded_delta(word_bytes, coded):
+    """A line whose widest true-cell-coded delta is ``coded``."""
+    dtype = word_dtype(word_bytes)
+    lines = np.zeros((1, 64 // word_bytes), dtype=dtype)
+    lines[0, 1] = zigzag_decode(np.array([coded], dtype=dtype)).view(dtype)[0]
+    return lines
+
+
 class TestZigzag:
     def test_small_values_map_to_small_codes(self):
         values = np.array([0, -1, 1, -2, 2, -3, 3], dtype=np.int64)
@@ -147,6 +155,20 @@ class TestEbdiCodec:
         lines[0, 1] = 103  # delta 3 -> zigzag 6 -> 3 bits
         lines[0, 2:] = 100
         assert codec.delta_bit_width(lines)[0] == 3
+
+    @pytest.mark.parametrize("coded, width", [(2**64 - 1, 64), (2**54 - 2, 54)])
+    def test_delta_bit_width_exact_above_2_pow_53(self, codec, coded, width):
+        assert codec.delta_bit_width(line_with_coded_delta(8, coded))[0] == width
+
+    @settings(max_examples=100)
+    @given(st.sampled_from([2, 4, 8]).flatmap(lambda word_bytes: st.tuples(
+        st.just(word_bytes),
+        st.integers(min_value=0, max_value=2**(8 * word_bytes) - 1))))
+    def test_delta_bit_width_is_int_bit_length(self, case):
+        word_bytes, coded = case
+        codec = EbdiCodec(word_bytes=word_bytes)
+        lines = line_with_coded_delta(word_bytes, coded)
+        assert codec.delta_bit_width(lines)[0] == coded.bit_length()
 
     @settings(max_examples=50)
     @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1),

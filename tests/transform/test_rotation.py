@@ -90,6 +90,18 @@ class TestRotationMapper:
         with pytest.raises(ValueError, match="expected chip data"):
             mapper.gather(np.zeros((4, 4, 1), dtype=np.uint64), 0)
 
+    def test_rejects_row_vector_of_wrong_length(self, mapper):
+        with pytest.raises(ValueError, match="expected one row or 3 rows"):
+            mapper.scatter(np.zeros((3, 8), dtype=np.uint64), np.arange(2))
+
+    def test_slot_table_is_read_only(self, mapper):
+        """words_of_chip hands out views of the table every encode reads."""
+        with pytest.raises(ValueError, match="read-only"):
+            mapper.words_of_chip(3, 5)[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            mapper.slot_table[5, 3] = 0
+        assert mapper.words_of_chip(3, 5).tolist() == [6]  # (6 + 5) % 8 == 3
+
     @settings(max_examples=25)
     @given(
         row=st.integers(min_value=0, max_value=1000),
