@@ -28,31 +28,18 @@ relocate the store (default: ``$REPRO_CACHE_DIR`` or ``.repro-cache``).
 Retry/timeout policy, fault injection for chaos tests, and resume
 tokens are all fields on :class:`RunRequest` — see
 :mod:`repro.experiments.lifecycle` for the field-by-field contract.
-
-**Deprecated paths.**  The pre-redesign kwarg entry points —
-:func:`run_experiment` and :func:`run_all` — still work but are thin
-shims over :func:`run`: they build the equivalent :class:`RunRequest`
-and emit a :class:`DeprecationWarning`.  New code should construct
-:class:`RunRequest` directly.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Dict, List, Optional, Union
 
 from repro.experiments import REGISTRY, SCENARIOS
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import Experiment, RetryPolicy, Runner
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.lifecycle import (
-    RunRequest,
-    build_runner,
-    execute,
-    execute_all,
-    resolve_jobs,
-)
+from repro.experiments.lifecycle import RunRequest, build_runner, execute
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
 from repro.scenarios.executor import adhoc_sweep_spec
 from repro.scenarios.spec import ScenarioSpec, SweepAxis, spec_digest
@@ -80,8 +67,6 @@ __all__ = [
     "make_server",
     "quick_settings",
     "run",
-    "run_all",
-    "run_experiment",
     "settings_from_dict",
     "spec_digest",
     "version",
@@ -278,94 +263,8 @@ def inspect_run(run_id: str,
 def run(request: RunRequest, *, runner: Optional[Runner] = None) -> ExperimentResult:
     """Run one experiment described by a :class:`RunRequest`.
 
-    The blessed entry point: the CLI, the serving layer and the
-    deprecated kwarg shims below all land here.  Pass a shared
-    ``runner`` to reuse one cache/manifest across several requests.
+    The blessed entry point.  Pass a shared ``runner`` to reuse one
+    cache/manifest across several requests.
     """
     return execute(request, runner=runner)
 
-
-def _deprecated_kwargs_request(
-    experiment_id: str,
-    settings: Optional[ExperimentSettings],
-    jobs: Optional[int],
-    cache: Union[bool, ResultCache],
-    cache_dir: Optional[os.PathLike],
-    probes,
-    watchdog: bool,
-) -> RunRequest:
-    return RunRequest(
-        experiment_id=experiment_id,
-        settings=settings,
-        jobs=resolve_jobs(jobs, probes),
-        cache=cache,
-        cache_dir=cache_dir,
-        probes=probes,
-        watchdog=watchdog,
-    )
-
-
-def run_experiment(
-    experiment_id: str,
-    settings: Optional[ExperimentSettings] = None,
-    *,
-    jobs: Optional[int] = None,
-    cache: Union[bool, ResultCache] = True,
-    cache_dir: Optional[os.PathLike] = None,
-    runner: Optional[Runner] = None,
-    probes=None,
-    watchdog: bool = False,
-) -> ExperimentResult:
-    """Deprecated kwarg shim over :func:`run`.
-
-    .. deprecated::
-        Build a :class:`RunRequest` and call :func:`run` instead —
-        the request object also carries the resume/retry/timeout
-        policy this signature never grew.  Note the ``probes`` rule:
-        an instrumented run executes in-process (``jobs`` is coerced
-        to ``1``, with a :class:`RuntimeWarning` when that overrides
-        an explicit value); per-job metric snapshots survive fan-out
-        either way (see ``Runner.metrics_manifest``).
-    """
-    warnings.warn(
-        "repro.api.run_experiment(**kwargs) is deprecated; build a "
-        "repro.api.RunRequest and call repro.api.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    request = _deprecated_kwargs_request(
-        experiment_id, settings, jobs, cache, cache_dir, probes, watchdog
-    )
-    return execute(request, runner=runner)
-
-
-def run_all(
-    settings: Optional[ExperimentSettings] = None,
-    *,
-    jobs: Optional[int] = None,
-    cache: Union[bool, ResultCache] = True,
-    cache_dir: Optional[os.PathLike] = None,
-    runner: Optional[Runner] = None,
-    probes=None,
-    watchdog: bool = False,
-) -> Dict[str, ExperimentResult]:
-    """Deprecated kwarg shim: run every experiment; results keyed by id.
-
-    .. deprecated::
-        Use ``repro.experiments.lifecycle.execute_all(RunRequest(...))``
-        (or :func:`run` per experiment with a shared ``runner``).  One
-        shared :class:`Runner` — honoring ``watchdog``, ``cache_dir``
-        and the rest of the policy — executes the whole sweep, so the
-        cache and metrics manifest are resolved once, not per call.
-    """
-    warnings.warn(
-        "repro.api.run_all(**kwargs) is deprecated; use "
-        "repro.experiments.lifecycle.execute_all(RunRequest(...)) or "
-        "repro.api.run() with a shared runner",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    defaults = _deprecated_kwargs_request(
-        next(iter(REGISTRY)), settings, jobs, cache, cache_dir, probes, watchdog
-    )
-    return execute_all(defaults, runner=runner)

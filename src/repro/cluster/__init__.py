@@ -18,7 +18,8 @@ Layout
 :mod:`repro.cluster.worker`
     The worker side: connect, heartbeat, run jobs, ship results.
 :mod:`repro.cluster.backend`
-    :class:`ClusterBackend`, the engine-facing adapter.
+    :class:`ClusterBackend`, the transport the engine's scheduling
+    loop drives.
 """
 
 from repro.cluster.backend import ClusterBackend

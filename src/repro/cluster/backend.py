@@ -1,34 +1,30 @@
 """:class:`ClusterBackend`: the engine-facing side of ``repro.cluster``.
 
-Implements the :class:`~repro.experiments.backends.ExecutionBackend`
-protocol over a :class:`~repro.cluster.coordinator.Coordinator`.  The
-scheduling loop mirrors the pool backend's bookkeeping call-for-call —
-``_armed_fault`` then ``_attempt_args`` per submission, ``_complete`` /
-``_note_failure`` / crash-and-quarantine per outcome — which is the
-determinism argument: the runner observes the same sequence of
-decisions in plan order whatever transport carried the job, so results,
-journal lines, merged metrics and span trees come out byte-identical
-to ``--jobs 1``.
+A transport for :func:`repro.experiments.backends.run_pending` over a
+:class:`~repro.cluster.coordinator.Coordinator`: a free slot is an idle
+worker, a submission leases one task to it, and coordinator events
+become the loop's ``done``/``error``/``lost`` events.  Retry, crash,
+timeout, quarantine and stall policy all live in the loop, so the
+runner makes the same bookkeeping calls in plan order as under
+``--jobs 1`` and results, journal lines, merged metrics and span trees
+come out byte-identical.
 
-Worker loss (EOF or lease expiry) is accounted exactly like a pool
-``BrokenProcessPool``: the orphaned job takes a worker-crash on its
-record (``engine.worker_crashes``) and is requeued
-(``cluster.requeues``) — usually onto a *different* worker, counted as
-``cluster.steals`` — until :attr:`RetryPolicy.max_worker_crashes`
-quarantines it with the same error string the pool would have used.
-Remote exceptions are rebuilt with their original type name so the
-failure strings the journal and spans record match serial execution
-byte for byte.
+Worker loss (EOF or lease expiry) reports the dead worker's job as
+lost.  When the loop requeues it, it usually lands on a *different*
+worker: each resubmission after a loss counts as ``cluster.requeues``
+and, on another worker, ``cluster.steals``.  Remote exceptions are
+rebuilt with their original type name so the failure strings the
+journal and spans record match serial execution byte for byte.
 
-The coordinator (and its spawned fleet) persists across ``execute``
-calls — a sweep reuses warm workers — and is released by
-:meth:`close` (``Runner.close()`` / the CLI's ``finally``).
+The coordinator (and its spawned fleet) persists across batches — a
+sweep reuses warm workers — and is released by :meth:`close`
+(``Runner.close()`` / the CLI's ``finally``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.coordinator import Coordinator
 from repro.cluster.protocol import decode_payload, encode_payload
@@ -53,190 +49,93 @@ def _rebuild_exception(error_type: str, message: str) -> RemoteJobError:
 
 
 class ClusterBackend:
-    """Schedule the pending jobs over a worker fleet."""
+    """Lease jobs to a worker fleet, one job per worker."""
 
     name = "cluster"
+    in_process = False
 
-    _TICK_S = 0.05
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        address: Optional[str] = None,
-        *,
-        heartbeat_s: float = 0.2,
-        lease_timeout_s: Optional[float] = None,
-        stall_timeout_s: float = 60.0,
-    ):
+    def __init__(self, workers: Optional[int] = None,
+                 address: Optional[str] = None):
         self.workers = max(1, workers if workers is not None else 2)
         self.address = address
-        self.heartbeat_s = heartbeat_s
-        self.lease_timeout_s = lease_timeout_s
-        self.stall_timeout_s = stall_timeout_s
         self._coordinator: Optional[Coordinator] = None
         self._task_seq = itertools.count(1)
+        self._tasks: Dict[str, Tuple[str, int]] = {}
+        self._lost_on: Dict[str, int] = {}
 
-    # ------------------------------------------------------------------
     def _ensure_coordinator(self) -> Coordinator:
         if self._coordinator is None:
             coordinator = Coordinator(
                 self.address,
                 spawn_target=0 if self.address is not None else self.workers,
-                heartbeat_s=self.heartbeat_s,
-                lease_timeout_s=self.lease_timeout_s,
             )
             coordinator.start()
             self._coordinator = coordinator
         return self._coordinator
 
+    def free_slots(self) -> int:
+        return len(self._ensure_coordinator().idle_workers())
+
+    def submit(self, key, args) -> bool:
+        coordinator = self._ensure_coordinator()
+        idle = coordinator.idle_workers()
+        if not idle:
+            return False
+        settings, job, watchdog, fault, wire, attempt = args
+        task = str(next(self._task_seq))
+        frame = {
+            "type": "job",
+            "task": task,
+            "settings": encode_payload(settings),
+            "job": encode_payload(job),
+            "watchdog": bool(watchdog),
+            "fault": encode_payload(fault) if fault else None,
+            "span_wire": wire,
+            "attempt": attempt,
+        }
+        if not coordinator.send_job(idle[0], frame):
+            return False
+        if key in self._lost_on:
+            bus = get_probes()
+            bus.count("cluster.requeues")
+            if self._lost_on.pop(key) != idle[0]:
+                bus.count("cluster.steals")
+        self._tasks[task] = (key, idle[0])
+        return True
+
+    def poll(self, timeout: float) -> list:
+        coordinator = self._ensure_coordinator()
+        events = []
+        for event in coordinator.poll(timeout):
+            # joins, idle workers' deaths and evicted tasks need nothing
+            if event[0] == "joined" or event[2] not in self._tasks:
+                continue
+            key, worker_id = self._tasks.pop(event[2])
+            if event[0] == "result":
+                events.append(
+                    ("done", key, decode_payload(event[3]["payload"])))
+            elif event[0] == "error":
+                events.append(
+                    ("error", key, _rebuild_exception(event[3], event[4])))
+            else:
+                self._lost_on[key] = worker_id
+                events.append(("lost", key, None))
+        get_probes().gauge("cluster.workers",
+                           float(coordinator.worker_count()))
+        return events
+
+    def evict(self, key) -> list:
+        """Drop the stuck worker (a spawned replacement joins via the
+        respawn loop); no other job is stopped with it."""
+        for task, (held, worker_id) in list(self._tasks.items()):
+            if held == key:
+                del self._tasks[task]
+                self._coordinator.drop_worker(worker_id)
+        return []
+
     def close(self) -> None:
         if self._coordinator is not None:
             self._coordinator.close()
             self._coordinator = None
-
-    # ------------------------------------------------------------------
-    def execute(self, runner, settings, pending, results, metrics,
-                timings) -> None:
-        coordinator = self._ensure_coordinator()
-        bus = get_probes()
-        jobs = dict(pending)
-        settings_payload = encode_payload(settings)
-        queue: List[str] = list(jobs)
-        not_before: Dict[str, float] = {}
-        assigned: Dict[str, Tuple[str, int, float]] = {}
-        last_worker: Dict[str, int] = {}
-        stolen_candidates: set = set()
-        last_progress = runner._clock()
-
-        while queue or assigned:
-            now = runner._clock()
-            for worker_id in coordinator.idle_workers():
-                key = self._pop_ready(queue, not_before, now)
-                if key is None:
-                    break
-                fault = runner._armed_fault(key, in_process=False)
-                wire, attempt = runner._attempt_args(key)
-                task = str(next(self._task_seq))
-                frame = {
-                    "type": "job",
-                    "task": task,
-                    "settings": settings_payload,
-                    "job": encode_payload(jobs[key]),
-                    "watchdog": bool(runner.watchdog),
-                    "fault": encode_payload(fault) if fault else None,
-                    "span_wire": wire,
-                    "attempt": attempt,
-                }
-                if not coordinator.send_job(worker_id, frame):
-                    # the send itself failed: the attempt never started,
-                    # so hand the consumed try back (the pool's dead-
-                    # submit path does the same)
-                    runner._tries[key] -= 1
-                    queue.insert(0, key)
-                    continue
-                if key in stolen_candidates and \
-                        last_worker.get(key) != worker_id:
-                    bus.count("cluster.steals")
-                stolen_candidates.discard(key)
-                last_worker[key] = worker_id
-                assigned[task] = (key, worker_id, now)
-
-            bus.gauge("cluster.queue_depth", float(len(queue)))
-            bus.gauge("cluster.workers", float(coordinator.worker_count()))
-
-            for event in coordinator.poll(self._TICK_S):
-                kind = event[0]
-                if kind == "joined":
-                    last_progress = runner._clock()
-                    continue
-                if kind == "result":
-                    _, _, task, frame = event
-                    entry = assigned.pop(task, None)
-                    if entry is None:
-                        continue  # a task we already timed out
-                    key = entry[0]
-                    result, snapshot, wall_s, worker_pid, spans = (
-                        decode_payload(frame["payload"])
-                    )
-                    runner._complete(key, result, snapshot, wall_s,
-                                     worker_pid, results, metrics, timings,
-                                     spans)
-                    last_progress = runner._clock()
-                elif kind == "error":
-                    _, _, task, error_type, message = event
-                    entry = assigned.pop(task, None)
-                    if entry is None:
-                        continue
-                    key = entry[0]
-                    exc = _rebuild_exception(error_type, message)
-                    backoff = runner._note_failure(key, jobs[key], exc)
-                    if backoff is not None:
-                        not_before[key] = runner._clock() + backoff
-                        queue.append(key)
-                    last_progress = runner._clock()
-                elif kind == "lost":
-                    _, worker_id, task = event
-                    entry = assigned.pop(task, None) if task else None
-                    if entry is None:
-                        continue  # an idle worker died; respawn handles it
-                    key = entry[0]
-                    runner.stats.worker_crashes += 1
-                    bus.count("engine.worker_crashes")
-                    runner._record_failed_attempt(
-                        key, "worker process crashed")
-                    crashes = runner._crashes[key] = (
-                        runner._crashes.get(key, 0) + 1
-                    )
-                    if crashes >= runner.retry.max_worker_crashes:
-                        runner._quarantine(
-                            key, jobs[key],
-                            error=(f"worker process crashed {crashes}x "
-                                   f"running this job"),
-                        )
-                    else:
-                        bus.count("cluster.requeues")
-                        stolen_candidates.add(key)
-                        queue.append(key)
-                    last_progress = runner._clock()
-
-            if runner.timeout_s is not None:
-                now = runner._clock()
-                for task, (key, worker_id, t0) in list(assigned.items()):
-                    if now - t0 <= runner.timeout_s:
-                        continue
-                    del assigned[task]
-                    runner.stats.timeouts += 1
-                    bus.count("engine.job_timeouts")
-                    exc = TimeoutError(
-                        f"job exceeded per-job timeout of "
-                        f"{runner.timeout_s}s"
-                    )
-                    backoff = runner._note_failure(key, jobs[key], exc)
-                    # the worker is stuck past its budget; evict it (a
-                    # spawned replacement joins via the respawn loop)
-                    coordinator.drop_worker(worker_id)
-                    if backoff is not None:
-                        not_before[key] = runner._clock() + backoff
-                        queue.append(key)
-                    last_progress = runner._clock()
-
-            if runner._clock() - last_progress > self.stall_timeout_s:
-                raise RuntimeError(
-                    f"cluster made no progress for "
-                    f"{self.stall_timeout_s:.0f}s "
-                    f"({coordinator.worker_count()} workers connected, "
-                    f"{len(queue)} queued, {len(assigned)} assigned)"
-                )
-
-        bus.gauge("cluster.queue_depth", 0.0)
-        bus.gauge("cluster.workers", float(coordinator.worker_count()))
-
-    @staticmethod
-    def _pop_ready(queue: List[str], not_before: Dict[str, float],
-                   now: float) -> Optional[str]:
-        """The first queued key whose backoff window has passed."""
-        for index, key in enumerate(queue):
-            if not_before.get(key, 0.0) <= now:
-                del queue[index]
-                return key
-        return None
+        self._tasks.clear()
+        self._lost_on.clear()

@@ -2,7 +2,9 @@
 
 This is deliberately *transport and liveness only*.  Scheduling policy
 — which job goes next, retry/backoff bookkeeping, quarantine — lives in
-:class:`repro.cluster.backend.ClusterBackend`, which drives this class
+the engine's one scheduling loop
+(:func:`repro.experiments.backends.run_pending`);
+:class:`repro.cluster.backend.ClusterBackend` drives this class for it
 through three calls: :meth:`poll` (pump sockets, collect events),
 :meth:`send_job` (lease one task to one worker) and :meth:`drop_worker`
 (evict a stuck one).  Events come back as plain tuples:
@@ -17,7 +19,7 @@ through three calls: :meth:`poll` (pump sockets, collect events),
 ``("lost", worker_id, task_or_None)``
     The worker died (EOF, protocol garbage) or its lease expired —
     no heartbeat within ``lease_timeout_s``.  Its task, if any, needs
-    requeueing; that decision is the backend's.
+    requeueing; that decision is the scheduling loop's.
 
 **Leases.**  Every frame a worker sends — results, errors, dedicated
 heartbeats — renews its lease.  A worker that goes silent for

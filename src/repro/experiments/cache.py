@@ -170,12 +170,6 @@ class ResultCache:
         """Digest for one simulation job under ``settings``."""
         return stable_digest("job", CACHE_SCHEMA, code_version(), settings, job)
 
-    def experiment_key(self, experiment_id: str, settings) -> str:
-        """Digest for a whole legacy-``run()`` experiment result."""
-        return stable_digest(
-            "experiment", CACHE_SCHEMA, code_version(), experiment_id, settings
-        )
-
     # -- storage -------------------------------------------------------
     def path_for(self, key: str) -> Path:
         return self.root / f"v{CACHE_SCHEMA}" / key[:2] / f"{key}.pkl"

@@ -13,15 +13,12 @@ and used one core.  This module splits experiments into *planning* and
     printable table.
 
 Between the two, :class:`Runner` executes jobs — deduplicated, cache
-checked via :class:`~repro.experiments.cache.ResultCache`, and fanned
-out over a ``ProcessPoolExecutor`` when ``jobs > 1``.  Jobs are fully
-deterministic (seeds are explicit in the job description), so parallel
-and serial execution produce identical results.
-
-Experiments that still expose only the legacy ``run(settings)``
-callable are wrapped by :class:`Experiment` with a shim: they execute
-in-process as one opaque job whose *whole* :class:`ExperimentResult`
-is cached.
+checked via :class:`~repro.experiments.cache.ResultCache`, and run
+by the one scheduling loop over an execution backend
+(:mod:`repro.experiments.backends`): in-process, a process pool when
+``jobs > 1``, or a worker cluster.  Jobs are fully deterministic (seeds
+are explicit in the job description), so every backend produces
+identical results.
 
 Every executed or cache-served job appends an entry to the runner's
 manifest (experiment id, settings digest, cache hit/miss, wall time,
@@ -47,11 +44,11 @@ digest plus one line per completed job.  ``run_experiment(resume=...)``
 replays journaled-done jobs from the cache (counted as
 ``engine.journal_replays`` on the bus) and executes only the rest —
 which is what makes a run killed 90% through a sweep cheap to finish.
-Failures are bounded rather than fatal: a job exception retries with
-exponential backoff up to :class:`RetryPolicy.max_attempts`; a job that
-keeps breaking its worker process (``BrokenProcessPool``) is re-run
-alone and quarantined after ``max_worker_crashes`` incidents; per-job
-timeouts recycle the stuck pool.  Quarantined jobs become
+Failures are bounded rather than fatal: a job exception or timeout
+retries with exponential backoff up to
+:class:`RetryPolicy.max_attempts`; a job whose worker process dies
+under it is re-run alone and quarantined after ``max_worker_crashes``
+incidents.  Quarantined jobs become
 :class:`JobFailure` records and the run returns a partial-failure
 :class:`ExperimentResult` carrying the resume token — the rest of the
 plan still completes and is journaled.  Deterministic chaos tests
@@ -74,11 +71,11 @@ from repro.experiments.backends import (
     PoolBackend,
     SerialBackend,
     resolve_backend,
+    run_pending,
 )
 from repro.experiments.cache import ResultCache, stable_digest
 from repro.experiments.faults import FaultPlan
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
-from repro.experiments.worker import captured_call
 from repro.obs import empty_snapshot, get_probes, merge_snapshots
 from repro.obs.probes import JsonlTraceSink
 from repro.obs.spans import (
@@ -193,38 +190,23 @@ def _unpack_cached(payload):
 
 
 class Experiment:
-    """A registered experiment: ``plan``/``reduce`` or a legacy ``run``.
+    """A registered experiment: its ``plan`` and its ``reduce``.
 
     Calling the experiment directly (``REGISTRY[name](settings)``) runs
-    it serially with no cache — exactly the pre-engine behaviour — so
-    existing callers and tests are untouched.  The engine-aware paths
-    (:mod:`repro.api`, the CLI) construct a :class:`Runner` instead.
+    it serially with no cache.  The engine-aware paths (:mod:`repro.api`,
+    the CLI) construct a :class:`Runner` instead.
     """
 
     def __init__(
         self,
         experiment_id: str,
         *,
-        plan: Optional[Callable[[ExperimentSettings], List[SimJob]]] = None,
-        reduce: Optional[Callable[[ExperimentSettings, list], ExperimentResult]] = None,
-        run: Optional[Callable[[ExperimentSettings], ExperimentResult]] = None,
+        plan: Callable[[ExperimentSettings], List[SimJob]],
+        reduce: Callable[[ExperimentSettings, list], ExperimentResult],
     ):
-        if run is None and (plan is None or reduce is None):
-            raise ValueError(
-                f"experiment {experiment_id!r} needs plan+reduce or a legacy run"
-            )
-        if run is not None and (plan is not None or reduce is not None):
-            raise ValueError(
-                f"experiment {experiment_id!r}: give plan+reduce or run, not both"
-            )
         self.experiment_id = experiment_id
         self.plan = plan
         self.reduce = reduce
-        self.legacy_run = run
-
-    @property
-    def is_legacy(self) -> bool:
-        return self.legacy_run is not None
 
     def __call__(
         self, settings: Optional[ExperimentSettings] = None
@@ -232,8 +214,7 @@ class Experiment:
         return Runner(jobs=1, cache=None).run_experiment(self, settings)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "legacy" if self.is_legacy else "plan/reduce"
-        return f"Experiment({self.experiment_id!r}, {kind})"
+        return f"Experiment({self.experiment_id!r})"
 
 
 @dataclass
@@ -289,8 +270,9 @@ class Runner:
         :class:`~repro.obs.invariants.InvariantWatchdog`; check and
         violation totals land in the merged metrics manifest.
     timeout_s:
-        Per-job wall-clock budget in pool mode; a job over budget
-        counts as a failed attempt and its stuck pool is recycled.
+        Per-job wall-clock budget, counted from submission; a job over
+        budget counts as a failed attempt and is evicted (a pool is
+        recycled).  It cannot stop a job that runs in-process.
     retry:
         The :class:`RetryPolicy` (default: 3 attempts, 2 worker
         crashes, exponential backoff).
@@ -388,21 +370,7 @@ class Runner:
         if settings is None:
             settings = ExperimentSettings()
         failures_before = len(self.failures)
-        t_run0 = time.time()
-        if experiment.is_legacy:
-            key = (
-                self.cache.experiment_key(experiment.experiment_id, settings)
-                if self.cache
-                else stable_digest((experiment.experiment_id, settings))
-            )
-            self._open_journal(experiment.experiment_id, settings, [key],
-                               run_id, resume)
-            try:
-                return self._run_legacy(experiment, settings, key)
-            finally:
-                self._finish_run(experiment.experiment_id, 1,
-                                 failures_before, t_run0)
-        t_plan0 = time.time()
+        t_run0 = t_plan0 = time.time()
         plan = experiment.plan(settings)
         keys = self._plan_keys(settings, plan)
         t_plan1 = time.time()
@@ -655,7 +623,7 @@ class Runner:
         return [results.get(key) for key in keys]
 
     # ------------------------------------------------------------------
-    # execution: every backend shares the retry bookkeeping below
+    # execution: the one scheduling loop over the batch's backend
     # ------------------------------------------------------------------
     def _execute_pending(
         self,
@@ -664,21 +632,28 @@ class Runner:
         results: Dict[str, object],
         metrics: Dict[str, Optional[dict]],
     ) -> Dict[str, tuple]:
-        """Run the cache misses through the configured backend.
+        """Run the cache misses through :func:`run_pending`.
 
         With no explicit backend, a pending batch of more than one job
         fans out over a process pool when ``jobs > 1``; otherwise it
-        runs serially in-process — the historical behaviour, now two
-        named backends.
+        runs serially in-process.  A pool is built for one batch,
+        ``min(jobs, pending)`` workers wide, and closed after it.
         """
         timings: Dict[str, tuple] = {}
         if not pending:
             return timings
         backend = self.backend
-        if backend is None:
-            backend = (PoolBackend() if self.jobs > 1 and len(pending) > 1
+        if backend is None or isinstance(backend, PoolBackend):
+            pooled = backend is not None or (
+                self.jobs > 1 and len(pending) > 1)
+            backend = (PoolBackend(min(self.jobs, len(pending))) if pooled
                        else SerialBackend())
-        backend.execute(self, settings, pending, results, metrics, timings)
+        try:
+            run_pending(self, backend, settings, pending, results, metrics,
+                        timings)
+        finally:
+            if backend is not self.backend:
+                backend.close()
         return timings
 
     def close(self) -> None:
@@ -762,6 +737,27 @@ class Runner:
         ambient.count("engine.retries")
         return self.retry.backoff_s(fails)
 
+    def _note_timeout(self, key: str, job: SimJob):
+        """Record an over-budget attempt; returns as :meth:`_note_failure`."""
+        self.stats.timeouts += 1
+        get_probes().count("engine.job_timeouts")
+        return self._note_failure(key, job, TimeoutError(
+            f"job exceeded per-job timeout of {self.timeout_s}s"))
+
+    def _note_crash(self, key: str, job: SimJob) -> bool:
+        """Record that the worker died under ``key``; ``True`` to
+        requeue it, ``False`` once it has crashed too often and has
+        been quarantined."""
+        self.stats.worker_crashes += 1
+        get_probes().count("engine.worker_crashes")
+        self._record_failed_attempt(key, "worker process crashed")
+        crashes = self._crashes[key] = self._crashes.get(key, 0) + 1
+        if crashes < self.retry.max_worker_crashes:
+            return True
+        self._quarantine(key, job, error=(
+            f"worker process crashed {crashes}x running this job"))
+        return False
+
     def _quarantine(self, key: str, job: SimJob, error: str) -> None:
         failure = JobFailure(
             digest=key,
@@ -821,8 +817,10 @@ class Runner:
                 faults_mod.abort_run()
 
     # ------------------------------------------------------------------
-    def _complete(self, key, result, snapshot, wall_s, worker,
-                  results, metrics, timings, span_records=()) -> None:
+    def _complete(self, key, outcome, results, metrics, timings) -> None:
+        """Land one finished job; ``outcome`` is the 5-tuple
+        :func:`~repro.experiments.worker.run_job_in_worker` returns."""
+        result, snapshot, wall_s, worker, span_records = outcome
         results[key] = result
         metrics[key] = snapshot
         timings[key] = (wall_s, worker)
@@ -865,76 +863,6 @@ class Runner:
                 self.metrics_entries.append(
                     {"digest": key, "metrics": snapshot}
                 )
-
-    # ------------------------------------------------------------------
-    def _run_legacy(
-        self, experiment: Experiment, settings: ExperimentSettings,
-        key: Optional[str] = None,
-    ) -> ExperimentResult:
-        """The unmigrated-``run()`` shim: whole-result caching, serial."""
-        if key is None:
-            key = (
-                self.cache.experiment_key(experiment.experiment_id, settings)
-                if self.cache
-                else stable_digest((experiment.experiment_id, settings))
-            )
-        cached = self.cache.get(key) if self.cache else None
-        if cached is not None:
-            result, snapshot = _unpack_cached(cached)
-            ambient = get_probes()
-            if key in self._resume_keys:
-                self.stats.journal_replays += 1
-                ambient.count("engine.journal_replays")
-            if self._journal is not None:
-                self._journal.record_done(key)
-            if ambient.enabled and snapshot:
-                ambient.merge_snapshot(snapshot)
-            self._merge_metrics([key], {key: snapshot})
-            self._record(
-                experiment_id=experiment.experiment_id,
-                job_index=0,
-                fn="legacy:run",
-                benchmark="",
-                allocated_fraction=1.0,
-                digest=key,
-                settings_digest=stable_digest(settings),
-                cache_hit=True,
-                wall_s=0.0,
-                worker=None,
-            )
-            return result
-        start = time.perf_counter()
-        t0_wall = time.time()
-        result, snapshot = captured_call(
-            lambda: experiment.legacy_run(settings), self.watchdog
-        )
-        wall_s = time.perf_counter() - start
-        if self.tracer is not None:
-            self.tracer.record_span(
-                "job", parent=self._span_root, qualifier=key,
-                t0=t0_wall, dur_s=wall_s, digest=key, status="done",
-                legacy=True)
-        ambient = get_probes()
-        if ambient.enabled and snapshot:
-            ambient.merge_snapshot(snapshot, include_phases=True)
-        self._merge_metrics([key], {key: snapshot})
-        if self.cache:
-            self.cache.put(key, _pack_cached(result, snapshot))
-        if self._journal is not None:
-            self._journal.record_done(key)
-        self._record(
-            experiment_id=experiment.experiment_id,
-            job_index=0,
-            fn="legacy:run",
-            benchmark="",
-            allocated_fraction=1.0,
-            digest=key or "",
-            settings_digest=stable_digest(settings),
-            cache_hit=False,
-            wall_s=wall_s,
-            worker=os.getpid(),
-        )
-        return result
 
     # ------------------------------------------------------------------
     def _record(self, *, cache_hit: bool, wall_s: float, **entry) -> None:

@@ -1,13 +1,11 @@
 """The unified run lifecycle: one request object, one runner recipe.
 
-There used to be three slightly different ways to ask for a run —
-``repro.api.run_experiment`` kwargs, the CLI's flag soup, and the
-serving layer's :class:`~repro.experiments.engine.ExperimentRequest` —
-each re-resolving cache config and each with its own idea of what
-``probes`` or ``jobs`` meant.  :class:`RunRequest` collapses them:
-every entry point builds one of these, and the policy knobs (cache,
-journal, timeout, retry, resume, fault injection) are defined exactly
-once, here.
+Every way to ask for a run — :func:`repro.api.run`, the CLI's flags
+and the serving layer's
+:class:`~repro.experiments.engine.ExperimentRequest` — builds one
+:class:`RunRequest`, so the policy knobs (cache, journal, timeout,
+retry, resume, fault injection) and what ``probes`` or ``jobs`` mean
+are defined exactly once, here.
 
 The functions below are the whole lifecycle:
 
@@ -179,10 +177,10 @@ def build_runner(
     """Assemble a :class:`Runner` from policy knobs.
 
     The single runner-construction recipe shared by ``repro.api``
-    (``make_runner``, ``run_experiment``, ``run_all``), the CLI and
-    the serving layer.  A runner whose backend holds long-lived
-    machinery (a cluster fleet) should be released with
-    ``Runner.close()`` when the caller is done with it.
+    (``make_runner``, ``run``), the CLI and the serving layer.  A
+    runner whose backend holds long-lived machinery (a cluster fleet)
+    should be released with ``Runner.close()`` when the caller is done
+    with it.
     """
     from repro.experiments.backends import resolve_backend
 
@@ -228,7 +226,7 @@ def execute(request: RunRequest, runner: Optional[Runner] = None) -> ExperimentR
     """Run one :class:`RunRequest` to completion.
 
     Pass a shared ``runner`` to reuse one cache/manifest across several
-    requests (``repro.api.run_all`` and the CLI's ``all`` do); it is
+    requests (:func:`execute_all` and the CLI's ``all`` do); it is
     built from the request otherwise — and an internally-built runner
     is closed before returning, so its backend machinery and the run's
     advisory lock are released the moment the run ends rather than at

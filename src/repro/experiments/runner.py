@@ -1,9 +1,8 @@
 """Shared experiment harness.
 
-Experiment modules either describe their work to the engine as
+Experiment modules describe their work to the engine as
 ``plan(settings) -> list[SimJob]`` / ``reduce(settings, results)``
-(see :mod:`repro.experiments.engine`) or expose the legacy
-``run(settings) -> ExperimentResult``; :class:`ExperimentSettings`
+(see :mod:`repro.experiments.engine`); :class:`ExperimentSettings`
 fixes the simulation scale so the same code serves quick benchmark
 runs (small memory, few benchmarks) and full paper-scale sweeps.
 

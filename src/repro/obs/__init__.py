@@ -5,7 +5,7 @@ so instrumentation normally flows in one of two ways:
 
 * explicitly — build a :class:`ProbeBus` and hand it to
   :class:`~repro.core.zero_refresh.ZeroRefreshSystem` (or
-  ``repro.api.run_experiment(probes=...)``);
+  ``repro.api.run(RunRequest(..., probes=...))``);
 * ambiently — ``with repro.obs.instrument(trace="run.jsonl") as bus:``
   installs the bus as the process default picked up by every system
   constructed inside the block (what the ``--trace``/``--profile`` CLI

@@ -31,8 +31,8 @@ class TestFacade:
         assert api.quick_settings(seed=9).seed == 9
 
     def test_run_experiment(self, tmp_path):
-        result = api.run_experiment("sram", MICRO, cache=True,
-                                    cache_dir=tmp_path, jobs=1)
+        result = api.run(api.RunRequest("sram", settings=MICRO, cache=True,
+                                        cache_dir=tmp_path, jobs=1))
         assert result.experiment_id == "sram"
         parsed = json.loads(result.to_json())
         assert parsed["headers"] == result.headers
@@ -40,8 +40,8 @@ class TestFacade:
 
     def test_shared_runner_accumulates_manifest(self, tmp_path):
         runner = api.make_runner(jobs=1, cache=True, cache_dir=tmp_path)
-        api.run_experiment("sram", MICRO, runner=runner)
-        api.run_experiment("tab01", MICRO, runner=runner)
+        api.run(api.RunRequest("sram", settings=MICRO), runner=runner)
+        api.run(api.RunRequest("tab01", settings=MICRO), runner=runner)
         ids = {entry["experiment_id"] for entry in runner.manifest}
         assert ids == {"sram", "tab01"}
 
@@ -54,8 +54,8 @@ class TestFacade:
 
     def test_run_experiment_uses_engine_cache(self, tmp_path):
         runner = api.make_runner(jobs=1, cache=True, cache_dir=tmp_path)
-        api.run_experiment("fig17", MICRO, runner=runner)
+        api.run(api.RunRequest("fig17", settings=MICRO), runner=runner)
         warm = api.make_runner(jobs=1, cache=True, cache_dir=tmp_path)
-        api.run_experiment("fig17", MICRO, runner=warm)
+        api.run(api.RunRequest("fig17", settings=MICRO), runner=warm)
         assert warm.stats.cache_hits == len(MICRO.benchmarks)
         assert warm.stats.cache_misses == 0

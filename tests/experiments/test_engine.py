@@ -31,6 +31,10 @@ JOB = SimJob(benchmark="gemsFDTD", allocated_fraction=0.7,
              config_overrides={"celltype_error_rate": 0.05}, seed_offset=2)
 
 
+def toy_job(settings, job):
+    return job.params["value"]
+
+
 class TestCacheKeys:
     def test_key_is_deterministic(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -91,11 +95,6 @@ class TestCacheKeys:
     def test_canonicalize_rejects_opaque_objects(self):
         with pytest.raises(TypeError, match="stable cache key"):
             canonicalize(object())
-
-    def test_experiment_key_distinct_from_job_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert (cache.experiment_key("fig14", MICRO)
-                != cache.experiment_key("fig15", MICRO))
 
 
 class TestResultCacheStore:
@@ -174,43 +173,29 @@ class TestEngineExecution:
 
 
 class TestLegacyShim:
-    def _experiment(self, calls):
-        from repro.experiments.runner import ExperimentResult
-
-        def legacy_run(settings):
-            calls.append(settings)
-            return ExperimentResult("toy", "toy", ["a"], [[1]])
-
-        return Experiment("toy", run=legacy_run)
+    """What outlived the legacy ``run()`` shim: direct calls, and every
+    registered module as a plan/reduce experiment."""
 
     def test_direct_call_still_works(self):
-        calls = []
-        result = self._experiment(calls)(MICRO)
-        assert result.rows == [[1]] and calls == [MICRO]
+        from repro.experiments.runner import ExperimentResult
 
-    def test_whole_result_caching(self, tmp_path):
-        calls = []
-        experiment = self._experiment(calls)
-        cache = ResultCache(tmp_path)
-        runner = Runner(jobs=1, cache=cache)
-        runner.run_experiment(experiment, MICRO)
-        runner.run_experiment(experiment, MICRO)
-        assert len(calls) == 1  # second run served from cache
-        assert runner.stats.cache_hits == 1
-        hit_entry = runner.manifest[-1]
-        assert hit_entry["cache_hit"] and hit_entry["fn"] == "legacy:run"
+        plans = []
+
+        def plan(settings):
+            plans.append(settings)
+            return [SimJob(fn="tests.experiments.test_engine:toy_job",
+                           params={"value": 1})]
+
+        def reduce(settings, results):
+            return ExperimentResult("toy", "toy", ["a"], [results])
+
+        result = Experiment("toy", plan=plan, reduce=reduce)(MICRO)
+        assert result.rows == [[1]] and plans == [MICRO]
 
     def test_registry_wraps_every_legacy_module(self):
         for experiment in REGISTRY.values():
             assert isinstance(experiment, Experiment)
-            assert experiment.is_legacy or (experiment.plan and experiment.reduce)
-
-    def test_experiment_requires_plan_or_run(self):
-        with pytest.raises(ValueError, match="plan"):
-            Experiment("bad")
-        with pytest.raises(ValueError, match="not both"):
-            Experiment("bad", plan=lambda s: [], reduce=lambda s, r: None,
-                       run=lambda s: None)
+            assert callable(experiment.plan) and callable(experiment.reduce)
 
 
 class TestManifest:

@@ -72,11 +72,18 @@ def register_tiny(monkeypatch):
 
 
 class FakeSleep:
+    """An injected sleep that advances its own injected clock."""
+
     def __init__(self):
         self.calls = []
+        self.now = 0.0
+
+    def clock(self):
+        return self.now
 
     def __call__(self, seconds):
         self.calls.append(round(seconds, 6))
+        self.now += seconds
 
 
 class TestRunRequestRouting:
@@ -122,24 +129,6 @@ class TestRunRequestRouting:
 
 
 class TestDeprecatedShims:
-    def test_run_experiment_warns_and_still_works(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="RunRequest"):
-            result = api.run_experiment(
-                "_lifecycle_tiny", settings=MICRO,
-                cache_dir=tmp_path / "cache", jobs=1,
-            )
-        assert result.rows[0] == ["alpha", 5]
-
-    def test_run_all_warns_and_still_works(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(
-            "repro.experiments.REGISTRY", {"_lifecycle_tiny": TINY}
-        )
-        with pytest.warns(DeprecationWarning, match="run_all"):
-            results = api.run_all(
-                settings=MICRO, cache_dir=tmp_path / "cache", jobs=1
-            )
-        assert list(results) == ["_lifecycle_tiny"]
-
     def test_blessed_path_does_not_warn(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -193,7 +182,7 @@ class TestRetryBackoff:
         runner = Runner(
             jobs=1, cache=None,
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.05),
-            sleep=sleep, journal=False,
+            sleep=sleep, clock=sleep.clock, journal=False,
         )
         results = runner.run_jobs(
             "_t", MICRO, [SimJob(benchmark="doomed", fn=FAILING_FN)]
@@ -213,7 +202,7 @@ class TestRetryBackoff:
             jobs=1, cache=None,
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.02),
             faults=FaultPlan((FaultSpec(job_index=0, kind="crash", times=1),)),
-            sleep=sleep, journal=False,
+            sleep=sleep, clock=sleep.clock, journal=False,
         )
         results = runner.run_jobs(
             "_t", MICRO, [SimJob(benchmark="alpha", fn=TINY_FN)]

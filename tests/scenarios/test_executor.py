@@ -183,7 +183,6 @@ class TestAsExperiment:
         )
         experiment = as_experiment(spec)
         assert experiment.experiment_id == "s"
-        assert not experiment.is_legacy
         assert len(experiment.plan(SETTINGS)) == 2
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import REGISTRY
-from repro.experiments.engine import Experiment
+from repro.experiments.engine import Experiment, SimJob
 from repro.experiments.runner import ExperimentResult
 from repro.serve import ReproServer, ServeConfig
 from repro.serve.http import ClientConnection
@@ -52,21 +52,36 @@ def transform_payload(lines, row_index, op="encode"):
     ).encode()
 
 
+_FAKE_RUNS = {}
+"""Experiment id -> (calls, delay_s) for :func:`fake_job`."""
+
+
+def fake_job(settings, job):
+    """The one job of a fake experiment: record the call, then sleep."""
+    calls, delay_s = _FAKE_RUNS[job.params["experiment_id"]]
+    calls.append(time.perf_counter())
+    if delay_s:
+        time.sleep(delay_s)
+    return 42
+
+
 def fake_experiment(experiment_id, calls, delay_s=0.0):
     """A registrable experiment recording executions (thread mode only)."""
+    _FAKE_RUNS[experiment_id] = (calls, delay_s)
 
-    def run(settings):
-        calls.append(time.perf_counter())
-        if delay_s:
-            time.sleep(delay_s)
+    def plan(settings):
+        return [SimJob(fn="tests.serve.test_server:fake_job",
+                       params={"experiment_id": experiment_id})]
+
+    def reduce(settings, results):
         return ExperimentResult(
             experiment_id=experiment_id,
             title="Fake serving-test experiment",
             headers=["metric", "value"],
-            rows=[["answer", 42]],
+            rows=[["answer", results[0]]],
         )
 
-    return Experiment(experiment_id, run=run)
+    return Experiment(experiment_id, plan=plan, reduce=reduce)
 
 
 class TestControlPlane:
