@@ -171,8 +171,6 @@ def make_runner(
     timeout_s: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
-    journal: bool = True,
-    span_flush_every: Optional[int] = None,
     backend=None,
     workers: Optional[int] = None,
     worker_address: Optional[str] = None,
@@ -192,8 +190,7 @@ def make_runner(
     """
     return build_runner(
         jobs=jobs, cache=cache, cache_dir=cache_dir, watchdog=watchdog,
-        timeout_s=timeout_s, retry=retry, faults=faults, journal=journal,
-        span_flush_every=span_flush_every, backend=backend,
+        timeout_s=timeout_s, retry=retry, faults=faults, backend=backend,
         workers=workers, worker_address=worker_address,
     )
 

@@ -60,7 +60,7 @@ def _run_one(frame: dict) -> dict:
             settings, job,
             watchdog=bool(frame.get("watchdog")),
             fault=fault,
-            span_wire=frame.get("span_wire"),
+            span_wire=frame["span_wire"],
             attempt=int(frame.get("attempt", 1)),
         )
     except BaseException as exc:  # noqa: BLE001 - ships to the runner

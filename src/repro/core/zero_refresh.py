@@ -38,10 +38,11 @@ from repro.core.metrics import RunResult
 from repro.cpu.core import AnalyticalCoreModel
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
-from repro.dram.refresh import RefreshEngine, RefreshStats
+from repro.dram.refresh import RefreshEngine
 from repro.dram.retention import RetentionTracker
 from repro.energy.accounting import EnergyAccountant
 from repro.obs import get_probes
+from repro.obs.spans import get_tracer
 from repro.osmodel.pages import PageAllocator
 from repro.sim.kernel import SimKernel
 from repro.transform.celltype import CellTypeLayout, CellTypePredictor
@@ -146,7 +147,7 @@ class ZeroRefreshSystem:
         for :meth:`run_windows`; ``accesses_per_window`` defaults to a
         value proportional to the profile's MPKI.
         """
-        with self.probes.phase("populate"):
+        with get_tracer().span("populate"):
             self._populate(profile, allocated_fraction, working_set_fraction,
                            accesses_per_window, write_fraction)
         self.probes.gauge("sys.allocated_fraction",

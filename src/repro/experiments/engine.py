@@ -279,13 +279,6 @@ class Runner:
     faults:
         A :class:`~repro.experiments.faults.FaultPlan` for
         deterministic chaos testing; ``None`` in production.
-    journal:
-        Set ``False`` to suppress the per-run journal even with a
-        cache attached.
-    span_flush_every:
-        Flush the on-disk span store after every N records so spans
-        survive a crash (``None`` buffers until close; the chaos
-        driver and kill→resume tests arm ``1``).
     backend:
         An :class:`~repro.experiments.backends.ExecutionBackend` name
         (``"serial"`` | ``"pool"`` | ``"cluster"``) or instance.
@@ -307,8 +300,6 @@ class Runner:
         timeout_s: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
-        journal: bool = True,
-        span_flush_every: Optional[int] = None,
         backend=None,
         clock: Optional[Callable[[], float]] = None,
         sleep: Optional[Callable[[float], None]] = None,
@@ -320,8 +311,6 @@ class Runner:
         self.timeout_s = timeout_s
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults if faults else None
-        self.journal_enabled = journal
-        self.span_flush_every = span_flush_every
         self._clock = clock if clock is not None else time.monotonic
         self._sleep = sleep if sleep is not None else time.sleep
         self.manifest: List[dict] = []
@@ -420,7 +409,7 @@ class Runner:
         rid = resume or run_id or journal_mod.default_run_id(
             experiment_id, settings
         )
-        if self.cache is None or not self.journal_enabled:
+        if self.cache is None:
             # no cache → no on-disk stores, but the trace still exists
             # in memory (--trace-chrome without a cache, direct calls)
             self._mint_trace(rid)
@@ -467,11 +456,11 @@ class Runner:
         self.last_run_id = rid
         # span store mirrors the journal: truncate on a fresh run,
         # append when resuming (the trace id is the same either way,
-        # so dedup-by-span-id folds both runs into one tree)
+        # so dedup-by-span-id folds both runs into one tree), and flush
+        # every record so a killed run stays inspectable
         sink = JsonlTraceSink(
             span_path(self.cache.root, rid),
-            flush_every=self.span_flush_every, append=prior is not None,
-            checksum=True,
+            flush_every=1, append=prior is not None, checksum=True,
         )
         self._mint_trace(rid, sink=sink)
 
@@ -681,7 +670,7 @@ class Runner:
         get_probes().count("engine.faults_injected")
         return spec
 
-    def _attempt_args(self, key: str) -> Tuple[Optional[dict], int]:
+    def _attempt_args(self, key: str) -> Tuple[dict, int]:
         """Span wire + attempt number for one submission of ``key``.
 
         The job span context is minted on the first submission (its
@@ -689,8 +678,6 @@ class Runner:
         :meth:`_emit_job_span`); the attempt number is whatever
         :meth:`_armed_fault` just counted the try up to.
         """
-        if self._span_root is None:
-            return None, self._tries.get(key, 1)
         ctx = self._span_ctx.get(key)
         if ctx is None:
             ctx = self._span_ctx[key] = self._span_root.child(
@@ -824,10 +811,9 @@ class Runner:
         results[key] = result
         metrics[key] = snapshot
         timings[key] = (wall_s, worker)
-        if self.tracer is not None and span_records:
-            # the worker's attempt + kernel-phase spans, recorded under
-            # the job context we shipped it
-            self.tracer.add_records(span_records)
+        # the worker's attempt + phase spans, recorded under the job
+        # context we shipped it
+        self.tracer.add_records(span_records)
         self._emit_job_span(key, status="done")
         if self.cache:
             self.cache.put(key, _pack_cached(result, snapshot))
@@ -836,10 +822,10 @@ class Runner:
             # promise the cache can keep
             self._journal.record_done(key)
         # freshly executed jobs fold into the ambient bus so --profile
-        # and --trace runs see their counters and phase times live
+        # and --trace runs see their counters live
         ambient = get_probes()
         if ambient.enabled and snapshot:
-            ambient.merge_snapshot(snapshot, include_phases=True)
+            ambient.merge_snapshot(snapshot)
         if self.faults is not None:
             self._apply_runner_faults(key)
 

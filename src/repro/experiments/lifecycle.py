@@ -94,12 +94,6 @@ class RunRequest:
         Override the journal's (otherwise deterministic) run id.
     faults:
         A :class:`FaultPlan` for deterministic chaos testing.
-    journal:
-        Set ``False`` to suppress the per-run journal.
-    span_flush_every:
-        Flush the run's span store every N records so the trace
-        survives a crash (``None``: buffer until close; the chaos
-        driver arms ``1``).
     backend:
         Execution backend name — ``"serial"``, ``"pool"`` or
         ``"cluster"`` — or a ready
@@ -130,8 +124,6 @@ class RunRequest:
     resume: Optional[str] = None
     run_id: Optional[str] = None
     faults: Optional[FaultPlan] = None
-    journal: bool = True
-    span_flush_every: Optional[int] = None
     backend: Optional[object] = None
     workers: Optional[int] = None
     worker_address: Optional[str] = None
@@ -168,8 +160,6 @@ def build_runner(
     timeout_s: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
-    journal: bool = True,
-    span_flush_every: Optional[int] = None,
     backend=None,
     workers: Optional[int] = None,
     worker_address: Optional[str] = None,
@@ -197,8 +187,6 @@ def build_runner(
         timeout_s=timeout_s,
         retry=retry,
         faults=faults,
-        journal=journal,
-        span_flush_every=span_flush_every,
         backend=resolve_backend(backend, workers=workers,
                                 worker_address=worker_address),
     )
@@ -214,8 +202,6 @@ def runner_for(request: RunRequest) -> Runner:
         timeout_s=request.timeout_s,
         retry=request.retry,
         faults=request.faults,
-        journal=request.journal,
-        span_flush_every=request.span_flush_every,
         backend=request.backend,
         workers=request.workers,
         worker_address=request.worker_address,

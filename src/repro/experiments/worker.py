@@ -12,8 +12,8 @@ other processes or hosts.  They all need the same per-job environment:
 * an optional **invariant watchdog**, whose findings ride along in
   the snapshot;
 * the runner's **span wire context**, under which the worker opens an
-  ``attempt`` span so kernel phases nest below the exact job span the
-  runner minted — deterministic ids keep serial, pool and cluster
+  ``attempt`` span so the job's phases nest below the exact job span
+  the runner minted — deterministic ids keep serial, pool and cluster
   trees identical;
 * an optional armed :class:`~repro.experiments.faults.FaultSpec`,
   fired *before* the probe-scoped body so injected faults never
@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from repro.experiments import faults as faults_mod
 from repro.obs import ProbeBus, get_probes, use_probes
@@ -45,8 +45,8 @@ def captured_call(fn: Callable[[], object],
 
     With an ambient bus installed the scoped bus is a fork of it, so
     trace events still stream to the live sink while counters,
-    histograms, gauges and phase times accumulate separately for the
-    per-job snapshot.  In workers (no ambient bus) a fresh bus captures
+    histograms and gauges accumulate separately for the per-job
+    snapshot.  In workers (no ambient bus) a fresh bus captures
     the same metrics, which is what makes fan-out transparent to the
     metrics manifest.  ``watchdog=True`` also installs a fresh
     :class:`InvariantWatchdog` and attaches its findings to the
@@ -63,8 +63,8 @@ def captured_call(fn: Callable[[], object],
     return result, snapshot
 
 
-def run_job_in_worker(settings, job, watchdog: bool = False, fault=None,
-                      span_wire: Optional[dict] = None, attempt: int = 1):
+def run_job_in_worker(settings, job, watchdog: bool, fault,
+                      span_wire: dict, attempt: int):
     """Worker entry point: result, snapshot, wall time, pid, spans.
 
     The one bootstrap every execution backend funnels jobs through.
@@ -76,7 +76,7 @@ def run_job_in_worker(settings, job, watchdog: bool = False, fault=None,
     ``span_wire`` is the runner's job-span :class:`SpanContext` in wire
     form: the worker opens an ``attempt`` span under it (qualified by
     the attempt number so retries get distinct, deterministic ids) and
-    installs an ambient tracer so kernel phases nest underneath.  Spans
+    installs an ambient tracer so the job's phases nest underneath.  Spans
     ship back only on success — a failed attempt's records are
     discarded here and the runner fabricates the failed-attempt span
     instead, which keeps ``--jobs 1``, pool and cluster trees identical.
@@ -86,11 +86,6 @@ def run_job_in_worker(settings, job, watchdog: bool = False, fault=None,
     if fault is not None:
         faults_mod.apply_worker_fault(fault)
     start = time.perf_counter()
-    if span_wire is None:
-        result, snapshot = captured_call(
-            lambda: execute_job(settings, job), watchdog
-        )
-        return result, snapshot, time.perf_counter() - start, os.getpid(), []
     parent = SpanContext.from_wire(span_wire)
     tracer = SpanTracer(parent.trace_id)
     with use_tracer(tracer):

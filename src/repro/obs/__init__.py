@@ -1,4 +1,4 @@
-"""Observability: probe bus, metrics, watchdogs — process-wide activation.
+"""Observability — probe bus, spans, metrics, watchdogs — ambient activation.
 
 Components accept a ``probes`` argument and default to the ambient bus,
 so instrumentation normally flows in one of two ways:
@@ -17,8 +17,11 @@ each job's :meth:`ProbeBus.snapshot` back with the result, and merges
 the snapshots (``repro.obs.metrics.merge_snapshots``) into a run-level
 metrics manifest — counters, histograms and gauges from a ``jobs=4``
 run merge to exactly the ``jobs=1`` numbers, and cached jobs replay
-their stored metrics.  Tooling on top of the bus:
+their stored metrics.  Snapshots hold no wall-clock time: where the
+time went is recorded only as spans.  Tooling around the bus:
 
+* :mod:`repro.obs.spans` — deterministic wall-clock span trees, the
+  one timing mechanism (``phase_seconds`` feeds ``--profile``);
 * :mod:`repro.obs.metrics` — histogram/gauge types and the snapshot
   algebra;
 * :mod:`repro.obs.invariants` — opt-in runtime invariant watchdogs;
@@ -110,7 +113,7 @@ def instrument(trace: Optional[Union[str, object]] = None) -> Iterator[ProbeBus]
     """Build, install and (on exit) close an instrumentation bus.
 
     ``trace`` may be a path or open file for the JSONL event stream;
-    ``None`` keeps counters and phase timings without event output.
+    ``None`` keeps counters, histograms and gauges without event output.
     """
     sink = None
     if trace is not None:

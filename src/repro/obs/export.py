@@ -178,13 +178,30 @@ def chrome_trace(records: Iterable[dict],
 
 
 def read_jsonl(path: Union[str, Path]) -> List[dict]:
-    """Parse a probe-trace JSONL file into event records."""
+    """Parse a probe-trace or span-store JSONL file into records.
+
+    Every line goes through :func:`repro.store.envelope.open_record`,
+    the check :func:`repro.obs.spans.read_spans` makes: a sealed line is
+    verified and loses its ``"_sha"`` seal, an unsealed ``--trace`` line
+    loads as it is, and a damaged line (the torn tail a killed run
+    leaves, a flipped bit) is dropped and counted on the ambient
+    ``store.corrupt.<class>`` counter.
+    """
+    from repro.store.envelope import count_corruption, open_record
+
+    path = Path(path)
     records = []
-    with Path(path).open(encoding="utf-8") as fh:
+    # errors="replace": a flipped byte must classify as damage, not raise
+    with path.open(encoding="utf-8", errors="replace") as fh:
         for line in fh:
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            record, damage = open_record(line)
+            if record is None:
+                count_corruption(damage, store="trace", path=path)
+            else:
+                records.append(record)
     return records
 
 

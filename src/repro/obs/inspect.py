@@ -67,6 +67,7 @@ def inspect_run(cache_root: Union[str, Path], run_id: str) -> dict:
     from repro.experiments import journal as journal_mod
     from repro.obs.spans import (
         dedupe_spans,
+        phase_seconds,
         read_spans,
         span_path,
         span_tree,
@@ -100,16 +101,14 @@ def inspect_run(cache_root: Union[str, Path], run_id: str) -> dict:
         "hit_ratio": round(hits / attempted, 4) if attempted else None,
     }
 
-    phases: dict = {}
-    for name in ("warmup", "measure"):
-        records = by_name.get(name, [])
-        if records:
-            total = sum(s.get("dur_s", 0.0) for s in records)
-            phases[name] = {
-                "count": len(records),
-                "total_s": round(total, 6),
-                "mean_s": round(total / len(records), 6),
-            }
+    phases = {
+        name: {
+            "count": len(by_name[name]),
+            "total_s": total,
+            "mean_s": round(total / len(by_name[name]), 6),
+        }
+        for name, total in phase_seconds(spans).items()
+    }
 
     retries = sorted(
         (

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -194,8 +194,7 @@ class Gauge:
 # ----------------------------------------------------------------------
 def empty_snapshot() -> dict:
     """The identity element of :func:`merge_snapshots`."""
-    return {"counters": {}, "phases": {}, "events": 0,
-            "histograms": {}, "gauges": {}}
+    return {"counters": {}, "events": 0, "histograms": {}, "gauges": {}}
 
 
 MAX_RECORDED_VIOLATIONS = 100
@@ -205,7 +204,7 @@ MAX_RECORDED_VIOLATIONS = 100
 def merge_snapshots(*snapshots: dict) -> dict:
     """Fold probe-bus snapshots into one (none of the inputs mutated).
 
-    Counters, phases, event counts and histogram buckets add; gauges
+    Counters, event counts and histogram buckets add; gauges
     combine their envelopes keeping the later last value; the optional
     ``invariants`` section sums check/violation counts and concatenates
     recorded violations up to :data:`MAX_RECORDED_VIOLATIONS`.
@@ -219,10 +218,6 @@ def merge_snapshots(*snapshots: dict) -> dict:
             continue
         for name, value in snap.get("counters", {}).items():
             out["counters"][name] = out["counters"].get(name, 0) + value
-        for name, seconds in snap.get("phases", {}).items():
-            out["phases"][name] = round(
-                out["phases"].get(name, 0.0) + seconds, 6
-            )
         out["events"] += snap.get("events", 0)
         for name, hist_snap in snap.get("histograms", {}).items():
             incoming = Histogram.from_snapshot(hist_snap)
@@ -249,7 +244,6 @@ def merge_snapshots(*snapshots: dict) -> dict:
                     part.get("violations", [])[:room]
                 )
     out["counters"] = dict(sorted(out["counters"].items()))
-    out["phases"] = dict(sorted(out["phases"].items()))
     out["histograms"] = {name: histograms[name].snapshot()
                          for name in sorted(histograms)}
     out["gauges"] = {name: gauges[name].snapshot()
@@ -281,22 +275,17 @@ def _prom_value(value: Number) -> str:
     return repr(float(value))
 
 
-def _prom_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
 def prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
     """Render a probe-bus snapshot in Prometheus text exposition format.
 
     Counters become ``<prefix>_<name>_total`` counters, gauges expose
     their last value (plus ``_min``/``_max`` companion gauges when an
     envelope exists), histograms follow the cumulative ``le`` bucket
-    convention with a ``+Inf`` bucket, ``_sum`` and ``_count`` series.
-    Phase wall times land in one ``<prefix>_phase_seconds_total``
-    family labelled by phase, and the optional ``invariants`` section
-    exports check/violation counters.  Output is deterministic (sorted
-    within each section) so identical snapshots render identical text —
-    the ``/metrics`` endpoint of :mod:`repro.serve` serves exactly this.
+    convention with a ``+Inf`` bucket, ``_sum`` and ``_count`` series,
+    and the optional ``invariants`` section exports check/violation
+    counters.  Output is deterministic (sorted within each section) so
+    identical snapshots render identical text — the ``/metrics``
+    endpoint of :mod:`repro.serve` serves exactly this.
     """
     lines: List[str] = []
 
@@ -304,15 +293,6 @@ def prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
         metric = _prom_name(name, prefix) + "_total"
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_prom_value(value)}")
-
-    phases = snapshot.get("phases", {})
-    if phases:
-        metric = _prom_name("phase_seconds", prefix) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        for name, seconds in sorted(phases.items()):
-            lines.append(
-                f'{metric}{{phase="{_prom_label(name)}"}} {_prom_value(seconds)}'
-            )
 
     events = snapshot.get("events", 0)
     metric = _prom_name("events", prefix) + "_total"
@@ -354,35 +334,3 @@ def prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
             lines.append(f"{metric} {_prom_value(value)}")
 
     return "\n".join(lines) + "\n"
-
-
-def snapshot_totals(snapshot: dict) -> Dict[str, Number]:
-    """Flat ``{counter: value}`` view of a snapshot's counters."""
-    return dict(snapshot.get("counters", {}))
-
-
-def iter_snapshot_metrics(snapshot: dict) -> Iterable[Tuple[str, Number]]:
-    """Dotted-path numeric view over every metric in a snapshot.
-
-    Used by the bench-regression reporter to diff two snapshots without
-    caring about the section a number lives in.
-    """
-    for name, value in snapshot.get("counters", {}).items():
-        yield f"counters.{name}", value
-    for name, value in snapshot.get("phases", {}).items():
-        yield f"phases.{name}", value
-    yield "events", snapshot.get("events", 0)
-    for name, hist in snapshot.get("histograms", {}).items():
-        yield f"histograms.{name}.count", hist["count"]
-        yield f"histograms.{name}.sum", hist["sum"]
-        for i, count in enumerate(hist["counts"]):
-            yield f"histograms.{name}.bucket.{i}", count
-    for name, gauge in snapshot.get("gauges", {}).items():
-        for field in ("last", "min", "max", "n"):
-            value = gauge.get(field)
-            if value is not None:
-                yield f"gauges.{name}.{field}", value
-    inv = snapshot.get("invariants")
-    if inv is not None:
-        yield "invariants.checks", inv.get("checks", 0)
-        yield "invariants.violation_count", inv.get("violation_count", 0)

@@ -1,4 +1,4 @@
-"""Probe bus: counters, histograms, gauges, phase profiling, tracing.
+"""Probe bus: counters, histograms, gauges and trace events.
 
 Instrumentation in this codebase is *observational by construction*: a
 :class:`ProbeBus` only ever records what the simulation tells it and
@@ -8,7 +8,7 @@ assert).  Components take a bus at construction time and default to
 :data:`NULL_PROBES`, a no-op singleton cheap enough to leave the calls
 in hot paths.
 
-Five facilities share the bus:
+Four facilities share the bus:
 
 * **counters** — ``bus.count("refresh.groups_skipped", n)``; dotted
   names, ``<subsystem>.<quantity>``, accumulated over the bus lifetime;
@@ -17,9 +17,6 @@ Five facilities share the bus:
   bounds registry) for quantities whose *shape* matters;
 * **gauges** — ``bus.gauge("sys.allocated_fraction", 0.7)``; last
   value plus a min/max envelope;
-* **phases** — ``with bus.phase("measure"): ...`` accumulates wall time
-  per phase name (the ``--profile`` CLI view and the CI benchmark
-  artifact);
 * **events** — ``bus.event("refresh.ar", bank=0, ...)`` appends one
   JSON line to the attached :class:`JsonlTraceSink` (the ``--trace``
   stream).  Events carry *simulated* time where available, never wall
@@ -27,23 +24,24 @@ Five facilities share the bus:
   them.  Guard construction of expensive event payloads with
   ``bus.tracing``.
 
-:meth:`ProbeBus.snapshot` returns the bus state as a JSON-able dict;
-snapshots merge via :func:`repro.obs.metrics.merge_snapshots`, which is
-how per-worker metrics captured by the experiment engine become one
-run-level manifest.  :meth:`ProbeBus.fork` creates a child bus for
-per-job capture whose events still flow to this bus's sink;
-:meth:`ProbeBus.absorb` folds the child back in.
+The bus holds no wall-clock time at all: where the time went is the
+job of spans (:mod:`repro.obs.spans`), so a snapshot is a pure function
+of the simulation.  :meth:`ProbeBus.snapshot` returns the bus state as a
+JSON-able dict; snapshots merge via
+:func:`repro.obs.metrics.merge_snapshots`, which is how per-worker
+metrics captured by the experiment engine become one run-level
+manifest.  :meth:`ProbeBus.fork` creates a child bus for per-job
+capture whose events still flow to this bus's sink;
+``bus.merge_snapshot(child.snapshot())`` folds the child back in.
 """
 
 from __future__ import annotations
 
 import json
-import time
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Optional, TextIO, Union
+from typing import Dict, List, Optional, TextIO, Union
 
 from repro.obs.metrics import Gauge, Histogram, bounds_for
 
@@ -53,8 +51,8 @@ class JsonlTraceSink:
 
     ``flush_every=N`` flushes the underlying file after every N records
     so a trace survives a worker crash (off by default: flushing every
-    line costs syscalls the happy path doesn't need — the chaos driver
-    and the engine's span store arm it).  ``append=True`` opens an
+    line costs syscalls a ``--trace`` stream doesn't need — the
+    engine's span store arms ``1``).  ``append=True`` opens an
     owned path in append mode, for stores shared across resumes.
     ``checksum=True`` seals each line with an embedded record digest
     (:func:`repro.store.envelope.seal_record`) so readers can detect
@@ -154,13 +152,12 @@ class ListTraceSink:
 
 
 class ProbeBus:
-    """Collects counters, histograms, gauges, phase times, trace events."""
+    """Collects counters, histograms, gauges and trace events."""
 
     enabled = True
 
     def __init__(self, trace=None):
         self.counters: Dict[str, float] = {}
-        self.wall_times: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.trace = trace
@@ -214,70 +211,32 @@ class ProbeBus:
         self.trace.emit(record)
         self.events_emitted += 1
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Accumulate the wall time spent inside the block under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.wall_times[name] = self.wall_times.get(name, 0.0) + elapsed
-
     # ------------------------------------------------------------------
     # composition: per-job capture
     # ------------------------------------------------------------------
     def fork(self) -> "ProbeBus":
-        """A child bus for scoped capture (one engine job, one phase).
+        """A child bus for scoped capture (one engine job).
 
-        The child accumulates counters, histograms, gauges and phase
-        times separately — snapshot it for the per-job record — while
-        its events still flow to this bus's sink with this bus's
-        sequence numbers, so the trace stream stays ordered and whole.
-        Fold the child back with :meth:`absorb`.
+        The child accumulates counters, histograms and gauges
+        separately — snapshot it for the per-job record — while its
+        events still flow to this bus's sink with this bus's sequence
+        numbers, so the trace stream stays ordered and whole.  Fold the
+        child back with ``merge_snapshot(child.snapshot())``.
         """
         child = ProbeBus()
         child._delegate = self
         return child
 
-    def absorb(self, other: "ProbeBus") -> None:
-        """Fold another bus's metrics into this one.
+    def merge_snapshot(self, snap: dict) -> None:
+        """Fold a snapshot dict into the live bus (a finished job, a
+        cache-hit replay, a forked child).
 
-        Events are *not* transferred: a forked child already delivered
-        them to this bus's sink as they happened.
-        """
-        for name, value in other.counters.items():
-            self.count(name, value)
-        for name, seconds in other.wall_times.items():
-            self.wall_times[name] = self.wall_times.get(name, 0.0) + seconds
-        for name, hist in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = Histogram.from_snapshot(hist.snapshot())
-            else:
-                mine.merge(hist)
-        for name, gauge in other.gauges.items():
-            mine = self.gauges.get(name)
-            if mine is None:
-                self.gauges[name] = Gauge.from_snapshot(gauge.snapshot())
-            else:
-                mine.merge(gauge)
-
-    def merge_snapshot(self, snap: dict, include_phases: bool = False) -> None:
-        """Fold a snapshot dict into the live bus (cache-hit replay).
-
-        Counters, histograms and gauges merge; phase wall times are
-        skipped by default because a replayed snapshot's timings belong
-        to the run that produced it, not this one.  Events are never
-        replayed.
+        Counters, histograms and gauges merge.  Events are never
+        replayed: a forked child already delivered them to this bus's
+        sink as they happened.
         """
         for name, value in snap.get("counters", {}).items():
             self.count(name, value)
-        if include_phases:
-            for name, seconds in snap.get("phases", {}).items():
-                self.wall_times[name] = (
-                    self.wall_times.get(name, 0.0) + seconds
-                )
         for name, hist_snap in snap.get("histograms", {}).items():
             incoming = Histogram.from_snapshot(hist_snap)
             mine = self.histograms.get(name)
@@ -294,21 +253,11 @@ class ProbeBus:
                 mine.merge(incoming)
 
     # ------------------------------------------------------------------
-    def profile_report(self) -> str:
-        """One-line per-phase timing summary (the ``--profile`` output)."""
-        if not self.wall_times:
-            return "profile: no phases recorded"
-        parts = [f"{name} {seconds:.3f}s"
-                 for name, seconds in sorted(self.wall_times.items())]
-        return "profile: " + ", ".join(parts)
-
     def snapshot(self) -> dict:
-        """JSON-able, mergeable state: counters, phases, event volume,
-        histograms and gauges (see :func:`repro.obs.metrics.merge_snapshots`)."""
+        """JSON-able, mergeable state: counters, event volume, histograms
+        and gauges (see :func:`repro.obs.metrics.merge_snapshots`)."""
         return {
             "counters": dict(sorted(self.counters.items())),
-            "phases": {k: round(v, 6)
-                       for k, v in sorted(self.wall_times.items())},
             "events": self.events_emitted,
             "histograms": {name: self.histograms[name].snapshot()
                            for name in sorted(self.histograms)},
@@ -327,10 +276,10 @@ _EMPTY_MAPPING = MappingProxyType({})
 class _NullProbes:
     """No-op bus: the default wired into every component.
 
-    Must stay allocation-free on the hot paths — ``phase`` reuses one
-    shared context manager and the other methods return immediately.
-    The mapping attributes are read-only views so an accidental write
-    through :data:`NULL_PROBES` raises instead of leaking global state.
+    Must stay allocation-free on the hot paths: every method returns
+    immediately.  The mapping attributes are read-only views so an
+    accidental write through :data:`NULL_PROBES` raises instead of
+    leaking global state.
     """
 
     enabled = False
@@ -339,10 +288,6 @@ class _NullProbes:
 
     @property
     def counters(self):
-        return _EMPTY_MAPPING
-
-    @property
-    def wall_times(self):
         return _EMPTY_MAPPING
 
     @property
@@ -369,19 +314,8 @@ class _NullProbes:
     def event(self, name: str, **fields) -> None:
         pass
 
-    @contextmanager
-    def _null_phase(self) -> Iterator[None]:
-        yield
-
-    def phase(self, name: str):
-        return self._null_phase()
-
-    def profile_report(self) -> str:
-        return "profile: disabled"
-
     def snapshot(self) -> dict:
-        return {"counters": {}, "phases": {}, "events": 0,
-                "histograms": {}, "gauges": {}}
+        return {"counters": {}, "events": 0, "histograms": {}, "gauges": {}}
 
     def close(self) -> None:
         pass

@@ -3,10 +3,11 @@
 Probe events (:mod:`repro.obs.probes`) answer *what happened* on the
 simulated clock; spans answer *where the wall time went* across the real
 stack: serve request → lifecycle attempt → engine job → pool worker →
-sim-kernel phase.  A :class:`SpanContext` carries ``(trace_id, span_id,
-parent_id)`` across process boundaries as a plain dict, so a pool worker
-can attach its kernel phases under the exact attempt span the runner
-opened for it.
+simulation phase (:data:`PHASE_NAMES`).  Spans are the only wall-clock
+record: the probe bus holds none.  A :class:`SpanContext` carries
+``(trace_id, span_id, parent_id)`` across process boundaries as a plain
+dict, so a pool worker can attach its phases under the exact attempt
+span the runner opened for it.
 
 Determinism is the load-bearing design decision.  ``trace_id`` is a pure
 function of the run id, and every span id is a pure function of
@@ -22,10 +23,12 @@ function of the run id, and every span id is a pure function of
   on completion), so crash debris cannot corrupt the tree.
 
 Qualifiers disambiguate repeats: a job span is qualified by its digest,
-an attempt span by its attempt number, a kernel phase by its occurrence
-index within the enclosing span.  :func:`span_tree` rebuilds the nested
-structure from records and :func:`tree_signature` reduces it to the
-timing-free shape used for equality properties.
+an attempt span by its attempt number, a phase by its occurrence index
+within the enclosing span.  :func:`span_tree` rebuilds the nested
+structure from records, :func:`tree_signature` reduces it to the
+timing-free shape used for equality properties and
+:func:`phase_seconds` totals the phases (``--profile``,
+``BENCH_sim.json``, ``repro inspect``).
 
 Like the probe bus, the tracer is ambient per process
 (:func:`get_tracer`/:func:`use_tracer`) and defaults to
@@ -35,7 +38,6 @@ Like the probe bus, the tracer is ambient per process
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -45,6 +47,11 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 ID_WIDTH = 16
 ROOT_PARENT = ""
 """``parent_id`` of a root span."""
+
+PHASE_NAMES = ("populate", "warmup", "measure")
+"""The spans that time a simulation's phases: writing the allocated
+pages through the value transformation, the unmeasured warmup windows
+and the measured windows."""
 
 
 def _digest(payload: str) -> str:
@@ -335,6 +342,20 @@ def dedupe_spans(records) -> List[dict]:
     for record in records:
         by_id[record["span_id"]] = record
     return list(by_id.values())
+
+
+def phase_seconds(records) -> Dict[str, float]:
+    """Wall seconds per phase, summed over the spans in :data:`PHASE_NAMES`.
+
+    Other spans are ignored and a span re-emitted under one id counts
+    once.  Keys are sorted; a phase that never ran is absent.
+    """
+    totals: Dict[str, float] = {}
+    for record in dedupe_spans(records):
+        name = record.get("name")
+        if name in PHASE_NAMES:
+            totals[name] = totals.get(name, 0.0) + record.get("dur_s", 0.0)
+    return {name: round(totals[name], 6) for name in sorted(totals)}
 
 
 def span_tree(records) -> List[dict]:

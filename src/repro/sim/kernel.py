@@ -55,8 +55,9 @@ class SimKernel:
         counters (e.g. the controller's EBDI op count).
     probes:
         A :class:`~repro.obs.probes.ProbeBus` (default: the ambient bus,
-        :func:`repro.obs.get_probes`); phases ``warmup`` and ``measure``
-        are timed, and each window emits a ``sim.window`` trace event.
+        :func:`repro.obs.get_probes`); each window emits a
+        ``sim.window`` trace event.  The ``warmup`` and ``measure``
+        phases are timed as spans on the ambient tracer.
     name:
         Label carried on this kernel's probe events (e.g. ``"rank0"``).
     """
@@ -94,11 +95,8 @@ class SimKernel:
         """
         if n_windows <= 0:
             return
-        # span + phase: the phase totals wall time per name on the
-        # probe bus, the span places it in the run's causal tree
-        with self.probes.phase("warmup"), \
-                get_tracer().span("warmup", kernel=self.name,
-                                  windows=n_windows):
+        with get_tracer().span("warmup", kernel=self.name,
+                               windows=n_windows):
             for _ in range(n_windows):
                 self.scheme.run_window(self.time_s)
                 self.probes.event("sim.window", kernel=self.name,
@@ -163,9 +161,8 @@ class SimKernel:
         """
         self.run_warmup(warmup_windows)
         self.begin_measurement()
-        with self.probes.phase("measure"), \
-                get_tracer().span("measure", kernel=self.name,
-                                  windows=n_windows):
+        with get_tracer().span("measure", kernel=self.name,
+                               windows=n_windows):
             for _ in range(n_windows):
                 self.step()
         self.probes.gauge("sim.time_s", self.time_s)
@@ -188,8 +185,9 @@ def run_concurrent(
     for kernel in kernels:
         kernel.run_warmup(warmup_windows)
         kernel.begin_measurement()
-    for _ in range(n_windows):
-        for kernel in kernels:
-            with kernel.probes.phase("measure"):
+    with get_tracer().span("measure", kernels=len(kernels),
+                           windows=n_windows):
+        for _ in range(n_windows):
+            for kernel in kernels:
                 kernel.step()
     return [kernel.stats for kernel in kernels]

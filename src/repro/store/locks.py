@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 try:  # pragma: no cover - import guard exercised only off-POSIX
     import fcntl

@@ -3,11 +3,8 @@
 The acceptance bar from the distributed-execution work: a run scheduled
 over a spawned two-worker fleet — including one whose worker is
 SIGKILLed mid-job — must reproduce the serial run's result JSON, span
-tree signature and merged metrics (modulo the wall-clock ``phases``
-section, the same tolerance the pool backend is held to).
+tree signature and whole metrics manifest, as the pool backend must.
 """
-
-import json
 
 import pytest
 
@@ -36,16 +33,6 @@ def run_fig17(cache_dir, **request_overrides):
     return result, runner
 
 
-def deterministic_metrics(manifest):
-    """The manifest minus wall-clock sections (the pool-parity rule)."""
-    doc = json.loads(json.dumps(manifest))
-    doc["merged"].pop("phases", None)
-    doc.pop("runs", None)
-    for entry in doc["jobs"]:
-        entry["metrics"].pop("phases", None)
-    return doc
-
-
 def stored_signature(cache_dir, runner):
     spans = dedupe_spans(read_spans(
         span_path(cache_dir, runner.last_run_id)))
@@ -61,8 +48,7 @@ class TestClusterParity:
             tmp_path / "cluster", backend="cluster", workers=2)
 
         assert cluster_result.to_json() == serial_result.to_json()
-        assert (deterministic_metrics(cluster.metrics_manifest())
-                == deterministic_metrics(serial.metrics_manifest()))
+        assert cluster.metrics_manifest() == serial.metrics_manifest()
         assert (stored_signature(tmp_path / "cluster", cluster)
                 == stored_signature(tmp_path / "serial", serial))
         # the work actually went over the wire: every executed job ran

@@ -1,5 +1,7 @@
 """Tests for the python -m repro.experiments command line."""
 
+import re
+
 import pytest
 
 from repro.experiments.__main__ import main
@@ -121,8 +123,11 @@ class TestInstrumentationFlags:
         assert main(self.BASE + ["--profile"]) == 0
         profiled = capsys.readouterr()
         assert profiled.out == plain.out
-        assert "profile:" in profiled.err
-        assert "measure" in profiled.err
+        (line,) = [ln for ln in profiled.err.splitlines()
+                   if ln.startswith("profile:")]
+        assert re.fullmatch(
+            r"profile: measure \d+\.\d{3}s, populate \d+\.\d{3}s, "
+            r"warmup \d+\.\d{3}s", line), line
 
     def test_trace_writes_jsonl(self, tmp_path, capsys):
         import json
@@ -145,7 +150,7 @@ class TestInstrumentationFlags:
         assert main(self.BASE + ["--profile",
                                  "--bench-json", str(bench)]) == 0
         payload = json.loads(bench.read_text())
-        assert "measure" in payload["phases"]
+        assert set(payload["phases"]) == {"populate", "warmup", "measure"}
         assert payload["counters"]["sim.windows"] >= 1
         assert {"cache_hits", "cache_misses",
                 "cache_hit_rate"} <= payload["engine"].keys()
@@ -196,19 +201,12 @@ class TestInstrumentationFlags:
         assert len(run["trace_id"]) == 16
 
     def test_metrics_json_identical_across_fan_out(self, tmp_path):
-        import json
-
         base = ["fig19", "--memory-mb", "4", "--windows", "1", "--no-cache"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(base + ["--jobs", "1", "--metrics-json", str(a)]) == 0
         assert main(base + ["--jobs", "4", "--metrics-json", str(b)]) == 0
-        da, db = json.loads(a.read_text()), json.loads(b.read_text())
-        # wall-clock phases are machine- and schedule-dependent; every
-        # simulated quantity must be exactly equal
-        da["merged"].pop("phases"), db["merged"].pop("phases")
-        for entry in da["jobs"] + db["jobs"]:
-            entry["metrics"].pop("phases")
-        assert da == db
+        # snapshots hold only simulated quantities: the files are equal
+        assert a.read_bytes() == b.read_bytes()
 
     def test_watchdog_summary_and_stdout_unchanged(self, capsys):
         assert main(self.BASE) == 0

@@ -182,7 +182,7 @@ class TestRetryBackoff:
         runner = Runner(
             jobs=1, cache=None,
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.05),
-            sleep=sleep, clock=sleep.clock, journal=False,
+            sleep=sleep, clock=sleep.clock,
         )
         results = runner.run_jobs(
             "_t", MICRO, [SimJob(benchmark="doomed", fn=FAILING_FN)]
@@ -202,7 +202,7 @@ class TestRetryBackoff:
             jobs=1, cache=None,
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.02),
             faults=FaultPlan((FaultSpec(job_index=0, kind="crash", times=1),)),
-            sleep=sleep, clock=sleep.clock, journal=False,
+            sleep=sleep, clock=sleep.clock,
         )
         results = runner.run_jobs(
             "_t", MICRO, [SimJob(benchmark="alpha", fn=TINY_FN)]
@@ -349,13 +349,3 @@ class TestJournal:
         result, _ = self._run(tmp_path, resume="never-written", bus=bus)
         assert result.rows[0] == ["alpha", 5]
         assert bus.snapshot()["counters"]["engine.journal_missing"] == 1
-
-    def test_journal_disabled_skips_tokens(self, tmp_path):
-        request = RunRequest(
-            "_lifecycle_tiny", settings=MICRO,
-            cache_dir=tmp_path / "cache", journal=False,
-        )
-        runner = runner_for(request)
-        execute(request, runner=runner)
-        assert runner.last_run_id is None
-        assert not (tmp_path / "cache" / "journal").exists()

@@ -2,9 +2,8 @@
 
 The acceptance bar for the metrics pipeline: the merged manifest is a
 property of the *plan*, not of how it executed — fan-out width, cache
-warmth and completion order must not change a single deterministic
-number.  Only the ``phases`` section (wall-clock) may differ between
-fresh runs.
+warmth and completion order must not change a single number.  Snapshots
+hold no wall-clock time, so whole manifests compare equal.
 """
 
 import json
@@ -13,6 +12,7 @@ from repro.experiments import REGISTRY, ExperimentSettings
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import Runner, SimJob
 from repro.obs import ProbeBus, use_probes
+from repro.obs.spans import phase_seconds
 
 MICRO = ExperimentSettings(
     memory_bytes=4 << 20,
@@ -24,13 +24,10 @@ MICRO = ExperimentSettings(
 
 
 def _deterministic(manifest):
-    """The manifest minus machine-dependent wall-clock sections (and
-    the runs section, whose run ids differ across resume scenarios)."""
+    """The manifest minus its runs section, whose run ids differ across
+    resume scenarios."""
     doc = json.loads(json.dumps(manifest))
-    doc["merged"].pop("phases", None)
     doc.pop("runs", None)
-    for entry in doc["jobs"]:
-        entry["metrics"].pop("phases", None)
     return doc
 
 
@@ -41,8 +38,8 @@ class TestFanOutTransparency:
         experiment = REGISTRY["fig17"]
         serial.run_experiment(experiment, MICRO)
         parallel.run_experiment(experiment, MICRO)
-        a = _deterministic(serial.metrics_manifest())
-        b = _deterministic(parallel.metrics_manifest())
+        a = serial.metrics_manifest()
+        b = parallel.metrics_manifest()
         assert a == b
         # and the metrics are real, not empty shells
         assert a["merged"]["counters"]["sim.windows"] > 0
@@ -59,8 +56,7 @@ class TestFanOutTransparency:
         assert len(manifest["jobs"]) == 1
         single = Runner(jobs=1, cache=None)
         single.run_jobs("dup", MICRO, [job])
-        assert (_deterministic(manifest)["merged"]
-                == _deterministic(single.metrics_manifest())["merged"])
+        assert manifest["merged"] == single.metrics_manifest()["merged"]
 
 
 class TestCacheReplay:
@@ -72,8 +68,7 @@ class TestCacheReplay:
         warm = Runner(jobs=1, cache=cache)
         warm.run_experiment(experiment, MICRO)
         assert warm.stats.cache_hits == len(MICRO.benchmarks)
-        # stored snapshots replay verbatim: the full manifests match,
-        # including phases, because hits reuse the original measurement
+        # stored snapshots replay verbatim: the full manifests match
         assert warm.metrics_manifest() == cold.metrics_manifest()
 
     def test_watchdog_findings_survive_the_cache(self, tmp_path):
@@ -104,20 +99,20 @@ class TestAmbientReplay:
         cache = ResultCache(tmp_path)
         experiment = REGISTRY["fig17"]
 
-        cold_bus = ProbeBus()
+        cold_bus, cold = ProbeBus(), Runner(jobs=1, cache=cache)
         with use_probes(cold_bus):
-            Runner(jobs=1, cache=cache).run_experiment(experiment, MICRO)
-        warm_bus = ProbeBus()
+            cold.run_experiment(experiment, MICRO)
+        warm_bus, warm = ProbeBus(), Runner(jobs=1, cache=cache)
         with use_probes(warm_bus):
-            Runner(jobs=1, cache=cache).run_experiment(experiment, MICRO)
+            warm.run_experiment(experiment, MICRO)
 
         assert warm_bus.counters == cold_bus.counters
         assert (warm_bus.snapshot()["histograms"]
                 == cold_bus.snapshot()["histograms"])
-        # executed jobs replay phases (profile support); cache hits do
-        # not pretend to have spent the original wall time
-        assert "measure" in cold_bus.wall_times
-        assert "measure" not in warm_bus.wall_times
+        # executed jobs leave phase spans (the --profile source); cache
+        # hits do not pretend to have spent the original wall time
+        assert "measure" in phase_seconds(cold.span_records)
+        assert phase_seconds(warm.span_records) == {}
 
     def test_fork_streams_events_to_live_sink(self):
         from repro.obs import ListTraceSink

@@ -83,7 +83,7 @@ class TestKillAndResume:
 
         reference, pristine = run_fig17(tmp_path / "pristine-cache", jobs=1)
         assert resumed.to_json() == reference.to_json()
-        # the metrics manifest matches too, minus wall-clock phases
+        # the metrics manifest matches too, minus the run ids
         assert (_deterministic(runner.metrics_manifest())
                 == _deterministic(pristine.metrics_manifest()))
 

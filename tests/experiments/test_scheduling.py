@@ -119,7 +119,7 @@ class ScriptedBackend:
 
 
 def scripted_runner(backend, fake_time, **kwargs):
-    return Runner(jobs=2, cache=None, journal=False, backend=backend,
+    return Runner(jobs=2, cache=None, backend=backend,
                   clock=fake_time.clock, sleep=fake_time.sleep, **kwargs)
 
 
@@ -266,7 +266,7 @@ class TestTransports:
             "repro.experiments.backends.ProcessPoolExecutor",
             lambda max_workers: FlakyExecutor(breaks, submissions))
         # the timeout bounds the run should a held job be orphaned
-        runner = Runner(jobs=2, cache=None, journal=False, timeout_s=10.0,
+        runner = Runner(jobs=2, cache=None, timeout_s=10.0,
                         backend=PoolBackend())
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -290,8 +290,7 @@ class TestTransports:
             self, monkeypatch):
         monkeypatch.setattr("repro.experiments.backends.ProcessPoolExecutor",
                             BrokenExecutor)
-        runner = Runner(jobs=2, cache=None, journal=False,
-                        backend=PoolBackend())
+        runner = Runner(jobs=2, cache=None, backend=PoolBackend())
         with pytest.warns(RuntimeWarning, match="pool backend stalled") \
                 as caught:
             results = runner.run_jobs("_sched", MICRO,
@@ -305,7 +304,7 @@ class TestTransports:
     def test_pool_job_waiting_for_a_worker_does_not_time_out(self):
         """Only a job a worker is free for is submitted, so a job does
         not spend its timeout waiting in the pool's call queue."""
-        runner = Runner(jobs=2, cache=None, journal=False, timeout_s=1.0,
+        runner = Runner(jobs=2, cache=None, timeout_s=1.0,
                         backend=PoolBackend())
         jobs = [SimJob(benchmark=f"sleep{i}", fn=SLEEP_FN,
                        params={"sleep_s": 0.6}) for i in range(4)]
@@ -320,11 +319,10 @@ class TestTransports:
         backend = ClusterBackend(workers=1)
         try:
             # let the fleet join on the real clock first
-            Runner(jobs=1, cache=None, journal=False, backend=backend) \
+            Runner(jobs=1, cache=None, backend=backend) \
                 .run_jobs("_warm", MICRO, [SimJob(
                     benchmark="warm", fn=SLEEP_FN, params={"sleep_s": 0.0})])
-            runner = Runner(jobs=1, cache=None, journal=False,
-                            backend=backend,
+            runner = Runner(jobs=1, cache=None, backend=backend,
                             clock=lambda: 20 * time.monotonic())
             results = runner.run_jobs("_sched", MICRO, [SimJob(
                 benchmark="long", fn=SLEEP_FN, params={"sleep_s": 4.0})])

@@ -204,3 +204,31 @@ class TestMain:
         out = tmp_path / "custom.json"
         assert main([str(src), "-o", str(out)]) == 0
         assert json.loads(out.read_text())["otherData"]["clock"] == "simulated"
+
+
+class TestSpanStoreExport:
+    def test_torn_span_store_exports_without_seals(self, tmp_path):
+        """A killed run leaves a torn last line in its span store: the
+        exporter drops it as damage and strips every other line's seal."""
+        import repro.api as api
+        from repro.obs import ProbeBus, use_probes
+        from repro.obs.spans import span_path
+
+        cache = tmp_path / "cache"
+        runner = api.make_runner(jobs=1, cache_dir=cache)
+        api.run(api.RunRequest("ext-vrt", settings=api.quick_settings(),
+                               cache_dir=cache), runner=runner)
+        store = span_path(cache, runner.last_run_id)
+        lines = store.read_text().splitlines()
+        assert all('"_sha"' in line for line in lines)
+        store.write_bytes(store.read_bytes()[:-40])
+
+        out = tmp_path / "spans.chrome.json"
+        bus = ProbeBus()
+        with use_probes(bus):
+            assert main([str(store), "-o", str(out)]) == 0
+        slices = [e for e in json.loads(out.read_text())["traceEvents"]
+                  if e["ph"] == "X"]
+        assert len(slices) == len(lines) - 1
+        assert not any("_sha" in e["args"] for e in slices)
+        assert bus.counters == {"store.corrupt.truncated": 1}

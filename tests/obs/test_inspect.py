@@ -22,6 +22,7 @@ def synthetic_store(tmp_path, run_id="synth-run"):
     att1a = job1.child("attempt", "1")
     att1b = job1.child("attempt", "2")
     att2 = job2.child("attempt", "1")
+    populate = att1b.child("populate", "0")
     measure = att1b.child("measure", "0")
 
     def rec(ctx, t0, dur_s, **attrs):
@@ -35,6 +36,7 @@ def synthetic_store(tmp_path, run_id="synth-run"):
         rec(job1, 1.0, 8.0, digest="d1", status="done", attempts=2),
         rec(att1a, 1.0, 2.0, error="SimCrash: injected"),
         rec(att1b, 3.5, 5.5),
+        rec(populate, 3.5, 0.5),
         rec(measure, 4.0, 3.0, kernel=""),
         rec(job2, 1.0, 3.0, digest="d2", status="done", attempts=1),
         rec(att2, 1.0, 3.0),
@@ -69,7 +71,10 @@ class TestInspectSynthetic:
 
     def test_phases_slowest_and_critical_path(self, tmp_path):
         doc = inspect_run(tmp_path, synthetic_store(tmp_path))
-        assert doc["phases"]["measure"]["count"] == 1
+        assert doc["phases"] == {
+            "measure": {"count": 1, "total_s": 3.0, "mean_s": 3.0},
+            "populate": {"count": 1, "total_s": 0.5, "mean_s": 0.5},
+        }
         assert doc["slowest_jobs"][0]["digest"] == "d1"
         assert doc["slowest_jobs"][0]["attempts"] == 2
         chain = [n["name"] for n in doc["critical_path"]]

@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     Histogram,
     bounds_for,
     empty_snapshot,
-    iter_snapshot_metrics,
     merge_snapshots,
     register_histogram,
 )
@@ -172,26 +171,3 @@ class TestMergeSnapshots:
     def test_no_invariants_section_when_absent(self):
         assert "invariants" not in merge_snapshots(self._snap(1), self._snap(2))
 
-
-class TestIterSnapshotMetrics:
-    def test_dotted_paths(self):
-        snap = self._build()
-        paths = dict(iter_snapshot_metrics(snap))
-        assert paths["counters.c"] == 3
-        assert paths["histograms.h.count"] == 1
-        assert paths["histograms.h.bucket.0"] == 1
-        assert paths["gauges.g.last"] == 2.0
-        assert paths["invariants.checks"] == 4
-
-    def _build(self):
-        snap = empty_snapshot()
-        snap["counters"]["c"] = 3
-        hist = Histogram((1.0,))
-        hist.observe(0.5)
-        snap["histograms"]["h"] = hist.snapshot()
-        gauge = Gauge()
-        gauge.set(2.0)
-        snap["gauges"]["g"] = gauge.snapshot()
-        snap["invariants"] = {"checks": 4, "violation_count": 0,
-                              "violations": []}
-        return snap

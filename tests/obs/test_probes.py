@@ -34,33 +34,6 @@ class TestCounters:
         assert snap["events"] == 0
 
 
-class TestPhases:
-    def test_wall_time_accumulates_per_name(self):
-        bus = ProbeBus()
-        with bus.phase("measure"):
-            pass
-        with bus.phase("measure"):
-            pass
-        with bus.phase("populate"):
-            pass
-        assert set(bus.wall_times) == {"measure", "populate"}
-        assert bus.wall_times["measure"] >= 0.0
-
-    def test_accumulates_on_exception(self):
-        bus = ProbeBus()
-        with pytest.raises(RuntimeError):
-            with bus.phase("measure"):
-                raise RuntimeError
-        assert "measure" in bus.wall_times
-
-    def test_profile_report(self):
-        bus = ProbeBus()
-        assert bus.profile_report() == "profile: no phases recorded"
-        with bus.phase("measure"):
-            pass
-        assert bus.profile_report().startswith("profile: measure ")
-
-
 class TestTrace:
     def test_events_only_reach_an_attached_sink(self):
         bus = ProbeBus()
@@ -160,37 +133,40 @@ class TestForkAbsorb:
         # parent's seq numbering stays monotone across the fork
         assert [rec["seq"] for rec in sink.records] == [0, 1, 2]
         assert "sim.windows" not in parent.counters
-        parent.absorb(child)
+        parent.merge_snapshot(child.snapshot())
         assert parent.counters["sim.windows"] == 1
 
     def test_absorb_merges_all_metric_kinds(self):
-        parent, child = ProbeBus(), ProbeBus()
+        parent = ProbeBus()
         parent.count("c", 1)
+        parent.observe("h", 2.0, bounds=(1.0,))
+        parent.gauge("g", 1)
+        child = parent.fork()
         child.count("c", 2)
         child.observe("h", 0.5, bounds=(1.0,))
         child.gauge("g", 3)
-        with child.phase("measure"):
-            pass
-        parent.absorb(child)
-        assert parent.counters["c"] == 3
-        assert parent.histograms["h"].count == 1
-        assert parent.gauges["g"].last == 3.0
-        assert "measure" in parent.wall_times
+        parent.merge_snapshot(child.snapshot())
+        # every metric kind folds into what the parent already held
+        assert parent.counters == {"c": 3}
+        assert parent.histograms["h"].counts == [1, 1]
+        assert parent.gauges["g"].snapshot() == {
+            "last": 3.0, "min": 1.0, "max": 3.0, "n": 2}
 
     def test_merge_snapshot_replays_without_phases_or_events(self):
-        source = ProbeBus()
+        source = ProbeBus(trace=ListTraceSink())
         source.count("c", 2)
         source.observe("h", 0.5, bounds=(1.0,))
         source.gauge("g", 4)
-        with source.phase("measure"):
-            pass
+        source.event("sim.window")
         target = ProbeBus()
         target.merge_snapshot(source.snapshot())
         assert target.counters == {"c": 2}
         assert target.histograms["h"].count == 1
         assert target.gauges["g"].last == 4.0
-        assert target.wall_times == {}
-        assert target.snapshot()["events"] == 0
+        # events are never replayed, and no snapshot holds wall time
+        snap = target.snapshot()
+        assert snap["events"] == 0
+        assert set(snap) == {"counters", "events", "histograms", "gauges"}
 
 
 class TestNullProbes:
@@ -200,22 +176,17 @@ class TestNullProbes:
         NULL_PROBES.observe("x", 1.0)
         NULL_PROBES.observe_many("x", [1.0, 2.0])
         NULL_PROBES.gauge("x", 1.0)
-        with NULL_PROBES.phase("measure"):
-            pass
         assert NULL_PROBES.counters == {}
-        assert NULL_PROBES.wall_times == {}
         assert NULL_PROBES.histograms == {}
         assert NULL_PROBES.gauges == {}
         assert not NULL_PROBES.tracing
-        assert NULL_PROBES.snapshot()["counters"] == {}
+        assert NULL_PROBES.snapshot() == ProbeBus().snapshot()
 
     def test_mappings_are_read_only(self):
         # an accidental write through NULL_PROBES must raise instead of
         # leaking state into every later reader of the shared singleton
         with pytest.raises(TypeError):
             NULL_PROBES.counters["x"] = 1
-        with pytest.raises(TypeError):
-            NULL_PROBES.wall_times["x"] = 1.0
         with pytest.raises(TypeError):
             NULL_PROBES.histograms["x"] = None
         with pytest.raises(TypeError):

@@ -8,12 +8,14 @@ from repro.obs.probes import JsonlTraceSink
 from repro.obs.spans import (
     ID_WIDTH,
     NULL_TRACER,
+    PHASE_NAMES,
     ROOT_PARENT,
     SpanContext,
     SpanTracer,
     append_spans,
     dedupe_spans,
     get_tracer,
+    phase_seconds,
     read_spans,
     root_context,
     span_id_for,
@@ -226,6 +228,34 @@ class TestTree:
         recs = self._records()
         pruned = [r for r in recs if r["name"] != "attempt"]
         assert tree_signature(recs) != tree_signature(pruned)
+
+
+class TestPhaseSeconds:
+    def _span(self, span_id, name, dur_s):
+        return {"span_id": span_id, "name": name, "dur_s": dur_s}
+
+    def test_sums_per_phase_name_sorted(self):
+        records = [self._span("a", "measure", 0.25),
+                   self._span("b", "populate", 1.5),
+                   self._span("c", "measure", 0.5),
+                   self._span("d", "warmup", 0.125)]
+        totals = phase_seconds(records)
+        assert totals == {"measure": 0.75, "populate": 1.5, "warmup": 0.125}
+        assert list(totals) == sorted(PHASE_NAMES)
+
+    def test_ignores_spans_that_are_not_phases(self):
+        records = [self._span("a", "run", 9.0),
+                   self._span("b", "attempt", 4.0),
+                   self._span("c", "measure", 0.5)]
+        assert phase_seconds(records) == {"measure": 0.5}
+        assert phase_seconds([]) == {}
+
+    def test_re_emitted_span_id_counts_once(self):
+        # a resumed run appends a second record under the same id
+        records = [self._span("a", "populate", 1.0),
+                   self._span("a", "populate", 1.0),
+                   self._span("b", "populate", 2.0)]
+        assert phase_seconds(records) == {"populate": 3.0}
 
 
 class TestJsonlTraceSinkFlushEvery:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dram.refresh import RefreshStats
-from repro.obs import ProbeBus
+from repro.obs import ProbeBus, SpanTracer, use_tracer
 from repro.sim import SchemeCapabilities, SimKernel, run_concurrent
 
 
@@ -72,9 +72,12 @@ class TestSimKernel:
     def test_probes_count_measured_windows_only(self):
         bus = ProbeBus()
         kernel = SimKernel(RecordingScheme(), window_s=0.064, probes=bus)
-        kernel.run(3, warmup_windows=2)
+        tracer = SpanTracer("t")
+        with use_tracer(tracer):
+            kernel.run(3, warmup_windows=2)
         assert bus.counters["sim.windows"] == 3
-        assert set(bus.wall_times) == {"warmup", "measure"}
+        assert [(r["name"], r["windows"]) for r in tracer.records] == [
+            ("warmup", 2), ("measure", 3)]
 
 
 class TestRunConcurrent:
@@ -95,6 +98,16 @@ class TestRunConcurrent:
         # window w of every kernel runs before window w+1 of any
         assert order == [("a", 0.0), ("b", 0.0), ("a", 1.0), ("b", 1.0)]
         assert [s.windows for s in stats] == [2, 2]
+
+    def test_one_measure_span_around_the_lockstep_loop(self):
+        kernels = [SimKernel(RecordingScheme(), window_s=1.0)
+                   for _ in range(2)]
+        tracer = SpanTracer("t")
+        with use_tracer(tracer):
+            run_concurrent(kernels, 3, warmup_windows=1)
+        assert [r["name"] for r in tracer.records] == [
+            "warmup", "warmup", "measure"]
+        assert tracer.records[-1]["kernels"] == 2
 
     def test_matches_sequential_execution(self):
         seq = SimKernel(RecordingScheme(), window_s=1.0).run(3, warmup_windows=1)
