@@ -15,12 +15,12 @@ describe a run the same way, with a :class:`RunRequest`:
 Execution goes through the parallel, cache-aware, fault-tolerant
 engine (:mod:`repro.experiments.engine`): work fans out over ``jobs``
 worker processes, every simulation point is memoised in a
-content-addressed on-disk cache, and every run journals its progress
+content-addressed on-disk cache, and every run records its progress
 so a killed run resumes instead of re-simulating::
 
     >>> result = api.run(api.RunRequest("fig17", jobs=4))
     >>> # ... the process dies 90% through ...
-    >>> token = api.make_runner().last_run_id  # or read it off the journal
+    >>> token = api.make_runner().last_run_id  # or repro inspect --list
     >>> result = api.run(api.RunRequest("fig17", jobs=4, resume=token))
 
 Pass ``cache=False`` to force fresh simulation, or a ``cache_dir`` to
@@ -199,11 +199,11 @@ def fsck_store(cache_dir: Optional[os.PathLike] = None, *,
                repair: bool = False) -> dict:
     """Verify every durable artifact under the cache dir.
 
-    Walks cache entries, journals, span stores and the serve-inflight
+    Walks cache entries, run (span) stores and the serve-inflight
     snapshot, classifying damage (``truncated`` / ``bit_flipped`` /
     ``wrong_schema`` / ``orphan_tmp``).  With ``repair=True`` damaged
-    files are quarantined to ``<cache>/lost+found/`` (JSONL stores
-    with intact records are rewritten to just those records) so the
+    files are quarantined to ``<cache>/lost+found/`` (run stores are
+    rewritten to just their verified lines) so the
     next run regenerates what was lost.  Returns the report dict the
     ``repro fsck`` CLI prints; ``report["ok"]`` is ``False`` while
     unrepaired damage remains.
@@ -223,7 +223,7 @@ def gc_store(cache_dir: Optional[os.PathLike] = None, *,
     """Apply a retention policy to the durable store.
 
     Prunes cache entries (by age, then oldest-first to ``max_bytes``),
-    run journals and span stores (by age and ``keep_runs``), and stale
+    run (span) stores (by age and ``keep_runs``), and stale
     lock files — never touching state referenced by an in-progress
     run's advisory lock.  Returns the sweep report dict the
     ``repro gc`` CLI prints.
@@ -241,14 +241,14 @@ def inspect_run(run_id: str,
                 cache_dir: Optional[os.PathLike] = None) -> dict:
     """Everything recorded about one run, as a JSON-able document.
 
-    Joins the run's journal, span store and cached per-job metrics
-    into the ``repro inspect`` document (state, job counts, cache hit
+    Joins the run's span store and cached per-job metrics into the
+    ``repro inspect`` document (state, job counts, cache hit
     ratio, per-phase breakdown, retries, slowest jobs, critical path,
     timeline).  ``run_id`` is the resume token printed on stderr after
     every cached run (also in ``--json`` output and the serving
     layer's ``X-Repro-Run-Id`` header).  Raises
-    :class:`repro.obs.inspect.UnknownRunError` for ids with no journal
-    and no span store.
+    :class:`repro.obs.inspect.UnknownRunError` for ids with no span
+    store.
     """
     from repro.experiments.cache import default_cache_dir
     from repro.obs.inspect import inspect_run as _inspect

@@ -4,7 +4,7 @@ The engine's third :class:`~repro.experiments.backends.ExecutionBackend`:
 a coordinator schedules :class:`~repro.experiments.engine.SimJob`\\ s to
 N worker processes — spawned locally or connected over TCP/unix sockets
 via ``repro worker --connect`` — with lease-based heartbeats and
-requeue/work-stealing when a worker dies mid-job.  Results, journals,
+requeue/work-stealing when a worker dies mid-job.  Results, run stores,
 merged metrics and span trees come out byte-identical to ``--jobs 1``;
 see DESIGN.md's "Distributed execution" section for the protocol and
 the determinism argument.

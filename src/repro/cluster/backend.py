@@ -6,7 +6,7 @@ worker, a submission leases one task to it, and coordinator events
 become the loop's ``done``/``error``/``lost`` events.  Retry, crash,
 timeout, quarantine and stall policy all live in the loop, so the
 runner makes the same bookkeeping calls in plan order as under
-``--jobs 1`` and results, journal lines, merged metrics and span trees
+``--jobs 1`` and results, merged metrics and span trees
 come out byte-identical.
 
 Worker loss (EOF or lease expiry) reports the dead worker's job as
@@ -14,7 +14,7 @@ lost.  When the loop requeues it, it usually lands on a *different*
 worker: each resubmission after a loss counts as ``cluster.requeues``
 and, on another worker, ``cluster.steals``.  Remote exceptions are
 rebuilt with their original type name so the failure strings the
-journal and spans record match serial execution byte for byte.
+spans record match serial execution byte for byte.
 
 The coordinator (and its spawned fleet) persists across batches — a
 sweep reuses warm workers — and is released by :meth:`close`
@@ -38,7 +38,7 @@ class RemoteJobError(RuntimeError):
 
     Subclasses are synthesized per incoming type name, so
     ``type(exc).__name__`` — which the retry bookkeeping embeds in
-    journal lines and span attributes — matches what an in-process
+    span attributes — matches what an in-process
     execution of the same failure would have produced.
     """
 

@@ -20,7 +20,7 @@ Examples::
 
 ``list`` prints every registered scenario with its description.
 ``inspect`` reconstructs a finished (or interrupted) run's timeline
-from its journal and span store (``--list`` enumerates every recorded
+from its span store (``--list`` enumerates every recorded
 run, newest first) — see :mod:`repro.obs.inspect`.
 ``worker`` joins a cluster coordinator (``repro run/sweep --backend
 cluster --bind ADDR`` on the scheduling side) and executes its jobs —
@@ -34,7 +34,7 @@ adds a sweep dimension (settings fields, config overrides, dotted
 ``stages.<flag>`` keys, ``allocated_fraction`` ...), ``--set`` pins an
 override for every cell, and a benchmark axis is appended innermost
 unless given.  The sweep runs through the same engine, cache and
-journal as the registered figures — repeating an identical sweep is
+run store as the registered figures — repeating an identical sweep is
 served from the cache.
 
 Simulation points fan out over ``--jobs`` worker processes and land in
@@ -136,10 +136,11 @@ def main(argv=None) -> int:
                              "--connect ADDR' processes instead of "
                              "spawning local ones")
     parser.add_argument("--resume", metavar="RUN_ID", default=None,
-                        help="resume a journaled run: completed jobs "
-                             "replay from the cache, only the remainder "
-                             "executes (tokens print on stderr at the "
-                             "end of every cached run)")
+                        help="resume a recorded run: the jobs its span "
+                             "store marks done replay from the cache, "
+                             "only the remainder executes (run ids "
+                             "print on stderr at the end of every "
+                             "cached run)")
     parser.add_argument("--job-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-job wall-clock budget; a job over "
@@ -187,11 +188,12 @@ def main(argv=None) -> int:
     if args.bench_json is not None and not args.profile:
         parser.error("--bench-json requires --profile")
     if args.resume is not None and args.experiment == "all":
-        parser.error("--resume names one run's journal; use it with a "
+        parser.error("--resume names one recorded run; use it with a "
                      "single experiment id")
     if args.resume is not None and args.no_cache:
-        parser.error("--resume needs the cache (journal replays are "
-                     "served from it); drop --no-cache")
+        parser.error("--resume needs the cache (the run store lives "
+                     "in it and replays are served from it); drop "
+                     "--no-cache")
     if (args.experiment != "sweep"
             and (args.axis or args.sets or args.benchmarks is not None)):
         parser.error("--axis/--set/--benchmarks only apply to 'sweep'")

@@ -1,7 +1,7 @@
 """Execution backends and the one scheduling loop that drives them.
 
 The :class:`~repro.experiments.engine.Runner` owns *policy* — cache
-lookups, the journal, retry/backoff bookkeeping, quarantine, span
+lookups, the run store, retry/backoff bookkeeping, quarantine, span
 minting.  :func:`run_pending` is the one scheduling loop: it decides
 what runs when and feeds every outcome back into that bookkeeping.  A
 backend is only the transport the loop drives (:class:`ExecutionBackend`):
@@ -18,7 +18,7 @@ backend is only the transport the loop drives (:class:`ExecutionBackend`):
     protocol with lease-based heartbeats.
 
 The loop makes the same bookkeeping calls in plan order whatever
-carried the job, which keeps results, journals, merged metrics and
+carried the job, which keeps results, run stores, merged metrics and
 span trees byte-identical across backends.  Every transport funnels the
 job body through one bootstrap,
 :func:`repro.experiments.worker.run_job_in_worker`.

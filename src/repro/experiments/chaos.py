@@ -9,8 +9,8 @@ A. **retry-through-crash** — one worker crash plus one delayed job on a
 B. **quarantine** — a job that kills its worker on every attempt; the
    run must finish the *rest* of the plan and return the partial-failure
    report carrying a resume token.
-C. **resume** — re-run phase B's journaled run id with the fault gone;
-   the journal must replay the completed jobs and the final result must
+C. **resume** — re-run phase B's run id with the fault gone; its span
+   store must replay the completed jobs and the final result must
    be byte-identical to an undisturbed run in a pristine cache.
 D. **cluster worker death** — SIGKILL a live ``--backend cluster``
    worker mid-job via a kill fault; the coordinator must detect the
@@ -180,7 +180,7 @@ def phase_b_quarantine(report: ChaosReport, root: Path) -> Optional[str]:
 
 def phase_c_resume(report: ChaosReport, root: Path,
                    run_id: Optional[str]) -> None:
-    """Resume phase B's run with the fault gone: journal replays the
+    """Resume phase B's run with the fault gone: the span store replays the
     completed jobs, and the result matches an undisturbed run."""
     if not run_id:
         report.check("C", "resume token from phase B", False,
@@ -190,7 +190,7 @@ def phase_c_resume(report: ChaosReport, root: Path,
     result, runner = _run(root / "phase-bc", resume=run_id, probes=bus)
     counters = bus.snapshot().get("counters", {})
     replays = counters.get("engine.journal_replays", 0)
-    report.check("C", "journal replayed the completed jobs", replays >= 2,
+    report.check("C", "span store replayed the completed jobs", replays >= 2,
                  f"journal_replays={replays}")
     report.check("C", "resumed run completed cleanly",
                  not runner.failures and "PARTIAL FAILURE" not in result.title,

@@ -39,11 +39,14 @@ a per-job :class:`~repro.obs.invariants.InvariantWatchdog` whose
 findings ride along in the snapshot's ``invariants`` section.
 
 **Run lifecycle.**  With a cache attached, every ``run_experiment``
-writes a per-run journal (:mod:`repro.experiments.journal`): a plan
-digest plus one line per completed job.  ``run_experiment(resume=...)``
-replays journaled-done jobs from the cache (counted as
-``engine.journal_replays`` on the bus) and executes only the rest —
-which is what makes a run killed 90% through a sweep cheap to finish.
+streams its span tree to the run's store
+(``<cache>/spans/<run-id>.jsonl``, see :func:`repro.obs.spans.load_run`):
+a ``plan`` span carrying the plan digest, then one job span per job as
+it lands in the cache (``done``), is served from it (``cached``) or is
+quarantined.  ``run_experiment(resume=...)`` replays the store's done
+jobs from the cache (counted as ``engine.journal_replays`` on the bus)
+and executes only the rest — which is what makes a run killed 90%
+through a sweep cheap to finish.
 Failures are bounded rather than fatal: a job exception or timeout
 retries with exponential backoff up to
 :class:`RetryPolicy.max_attempts`; a job whose worker process dies
@@ -51,7 +54,7 @@ under it is re-run alone and quarantined after ``max_worker_crashes``
 incidents.  Quarantined jobs become
 :class:`JobFailure` records and the run returns a partial-failure
 :class:`ExperimentResult` carrying the resume token — the rest of the
-plan still completes and is journaled.  Deterministic chaos tests
+plan still completes and is recorded.  Deterministic chaos tests
 script all of this through a
 :class:`~repro.experiments.faults.FaultPlan`.
 """
@@ -66,7 +69,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments import faults as faults_mod
-from repro.experiments import journal as journal_mod
 from repro.experiments.backends import (
     PoolBackend,
     SerialBackend,
@@ -81,6 +83,7 @@ from repro.obs.probes import JsonlTraceSink
 from repro.obs.spans import (
     SpanContext,
     SpanTracer,
+    load_run,
     root_context,
     span_path,
     trace_id_for_run,
@@ -153,6 +156,12 @@ class JobFailure:
     error: str
     attempts: int
     worker_crashes: int = 0
+
+
+def default_run_id(experiment_id: str, settings) -> str:
+    """Deterministic resume token for one (experiment, settings) pair,
+    so "resume the run I just lost" is just re-issuing the request."""
+    return f"{experiment_id}-{stable_digest('run', experiment_id, settings)[:12]}"
 
 
 def resolve_job_fn(spec: str) -> Callable:
@@ -263,7 +272,7 @@ class Runner:
         ``os.cpu_count()``; ``1`` runs everything in-process.
     cache:
         A :class:`ResultCache`, or ``None`` to disable caching (which
-        also disables journaling — the journal lives under the cache
+        also disables the on-disk run store — it lives under the cache
         root and promises only cache-backed replays).
     watchdog:
         When true, every job runs under its own
@@ -324,9 +333,9 @@ class Runner:
         self.span_records: List[dict] = []
         self.run_records: List[dict] = []
         self._metric_keys: set = set()
-        self._journal: Optional[journal_mod.RunJournal] = None
         self._run_lock = None
         self._resume_keys: Set[str] = set()
+        self._stored_keys: Set[str] = set()
         self._job_index: Dict[str, int] = {}
         self._tries: Dict[str, int] = {}
         self._failcount: Dict[str, int] = {}
@@ -347,14 +356,14 @@ class Runner:
         run_id: Optional[str] = None,
         resume: Optional[str] = None,
     ) -> ExperimentResult:
-        """Run one experiment; journal progress; survive job failures.
+        """Run one experiment; record progress; survive job failures.
 
-        ``resume`` names a previous run's journal: its completed jobs
+        ``resume`` names a previous run: the done jobs of its store
         replay from the cache and only the remainder executes.
-        ``run_id`` overrides the journal's (otherwise deterministic)
-        name for this run.  When jobs were quarantined the returned
-        result is a partial-failure report instead of the experiment's
-        reduction; completed work is cached and journaled either way.
+        ``run_id`` overrides the run's (otherwise deterministic) id.
+        When jobs were quarantined the returned result is a
+        partial-failure report instead of the experiment's reduction;
+        completed work is cached and recorded either way.
         """
         if settings is None:
             settings = ExperimentSettings()
@@ -362,14 +371,18 @@ class Runner:
         t_run0 = t_plan0 = time.time()
         plan = experiment.plan(settings)
         keys = self._plan_keys(settings, plan)
+        plan_digest = stable_digest("plan", list(keys))
         t_plan1 = time.time()
-        self._open_journal(experiment.experiment_id, settings, keys,
-                           run_id, resume)
+        self._open_run(experiment.experiment_id, settings, plan_digest,
+                       run_id, resume)
         # the plan ran before the trace existed (planning feeds the run
-        # id); fabricate its span now so /v1/runs sees the plan size
+        # id); fabricate its span now.  It binds the store to the plan:
+        # a resume reads the digests back from it
         self.tracer.record_span(
             "plan", parent=self._span_root, qualifier="",
-            t0=t_plan0, dur_s=t_plan1 - t_plan0, planned=len(plan))
+            t0=t_plan0, dur_s=t_plan1 - t_plan0, planned=len(plan),
+            plan_digest=plan_digest, settings_digest=stable_digest(settings),
+            experiment_id=experiment.experiment_id, run_id=self.last_run_id)
         try:
             results = self.run_jobs(
                 experiment.experiment_id, settings, plan, keys=keys
@@ -390,7 +403,7 @@ class Runner:
                              failures_before, t_run0)
 
     # ------------------------------------------------------------------
-    # journal lifecycle
+    # run and trace lifecycle
     # ------------------------------------------------------------------
     def _plan_keys(self, settings: ExperimentSettings,
                    jobs: Sequence[SimJob]) -> List[str]:
@@ -400,33 +413,28 @@ class Runner:
             for job in jobs
         ]
 
-    def _open_journal(self, experiment_id: str, settings: ExperimentSettings,
-                      keys: Sequence[str], run_id: Optional[str],
-                      resume: Optional[str]) -> None:
-        self._journal = None
+    def _open_run(self, experiment_id: str, settings: ExperimentSettings,
+                  plan_digest: str, run_id: Optional[str],
+                  resume: Optional[str]) -> None:
         self._resume_keys = set()
         self.last_run_id = None
-        rid = resume or run_id or journal_mod.default_run_id(
-            experiment_id, settings
-        )
+        rid = resume or run_id or default_run_id(experiment_id, settings)
         if self.cache is None:
-            # no cache → no on-disk stores, but the trace still exists
+            # no cache → no on-disk store, but the trace still exists
             # in memory (--trace-chrome without a cache, direct calls)
             self._mint_trace(rid)
             return
-        plan_digest = stable_digest("plan", list(keys))
-        settings_digest = stable_digest(settings)
         ambient = get_probes()
         prior = None
         if resume is not None:
-            prior = journal_mod.load_state(self.cache.root, resume)
+            prior = load_run(self.cache.root, resume)
             if prior is None:
                 ambient.count("engine.journal_missing")
             else:
-                if prior.truncated:
+                if prior.damaged:
                     ambient.count("engine.journal_corrupt")
                 if prior.plan_digest != plan_digest:
-                    # a journal for a different plan (code or settings
+                    # a store for a different plan (code or settings
                     # changed underneath the token): start clean
                     ambient.count("engine.journal_stale")
                     prior = None
@@ -436,51 +444,44 @@ class Runner:
                     ambient.count("engine.journal_resumes")
         # claim the run id under an advisory lock: a concurrent run
         # sharing this cache dir holding `rid` pushes us to `rid.2`,
-        # `rid.3`, ... so two processes can never interleave a journal
+        # `rid.3`, ... so two processes can never interleave a store
         rid, self._run_lock, conflicts = store_locks.acquire_run_id(
             self.cache.root, rid
         )
         if conflicts:
             ambient.count("store.run_id_conflicts", conflicts)
-            # the journal under the original id belongs to the live run
+            # the store under the original id belongs to the live run
             # that beat us to it — start fresh under the suffixed id.
-            # `_resume_keys` survives: the prior run's done-set still
+            # `_resume_keys` survives: the prior run's done set still
             # names valid cache entries, so replays stay replays (they
-            # are re-recorded in *our* journal as they hit).
+            # get `cached` job spans in *our* store as they hit).
             prior = None
-        self._journal = journal_mod.RunJournal.start(
-            self.cache.root, rid, experiment_id=experiment_id,
-            plan_digest=plan_digest, settings_digest=settings_digest,
-            prior=prior,
-        )
         self.last_run_id = rid
-        # span store mirrors the journal: truncate on a fresh run,
-        # append when resuming (the trace id is the same either way,
-        # so dedup-by-span-id folds both runs into one tree), and flush
-        # every record so a killed run stays inspectable
+        # truncate on a fresh run, append when resuming (the trace id is
+        # the same either way, so dedup-by-span-id folds both runs into
+        # one tree), and flush every record so a killed run stays
+        # resumable and inspectable
         sink = JsonlTraceSink(
             span_path(self.cache.root, rid),
             flush_every=1, append=prior is not None, checksum=True,
         )
         self._mint_trace(rid, sink=sink)
+        if prior is not None:
+            self._stored_keys = set(prior.done)
 
-    def _close_journal(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
+    def _release_run_lock(self) -> None:
         if self._run_lock is not None:
             self._run_lock.release()
             self._run_lock = None
 
-    # ------------------------------------------------------------------
-    # trace lifecycle (mirrors the journal's)
-    # ------------------------------------------------------------------
     def _mint_trace(self, rid: str, sink=None) -> None:
         self._retire_tracer()
         self.tracer = SpanTracer(trace_id_for_run(rid), sink=sink)
         self.last_trace_id = self.tracer.trace_id
         self._span_root = root_context(self.tracer.trace_id)
         self._span_ctx = {}
+        # keys whose done/cached job span the store already holds
+        self._stored_keys = set()
         self._stats_mark = asdict(self.stats)
 
     def _retire_tracer(self) -> None:
@@ -492,12 +493,9 @@ class Runner:
 
     def _finish_run(self, experiment_id: str, planned: int,
                     failures_before: int, t_run0: float) -> None:
-        """Close the journal, emit the root ``run`` span, retire the
-        tracer.  Runs in a ``finally`` so even a raising run leaves a
+        """Emit the root ``run`` span, retire the tracer, release the
+        run id.  Runs in a ``finally`` so even a raising run leaves a
         root record (status ``failed``) behind."""
-        self._close_journal()
-        if self.tracer is None:
-            return
         failures_delta = len(self.failures) - failures_before
         mark = self._stats_mark
         delta = {name: value - mark.get(name, 0)
@@ -523,6 +521,7 @@ class Runner:
             "trace_id": self.tracer.trace_id,
         })
         self._retire_tracer()
+        self._release_run_lock()
 
     # ------------------------------------------------------------------
     def run_jobs(
@@ -543,8 +542,7 @@ class Runner:
         if self.tracer is None:
             # direct run_jobs callers (no run_experiment envelope) still
             # get a deterministic trace, in memory only
-            self._mint_trace(journal_mod.default_run_id(experiment_id,
-                                                        settings))
+            self._mint_trace(default_run_id(experiment_id, settings))
         self._job_index = {}
         for index, key in enumerate(keys):
             self._job_index.setdefault(key, index)
@@ -562,6 +560,7 @@ class Runner:
         for job, key in zip(jobs, keys):
             if key in results or key in pending:
                 continue
+            t0 = time.time()
             cached = self.cache.get(key) if self.cache else None
             if cached is not None:
                 result, snapshot = _unpack_cached(cached)
@@ -569,13 +568,18 @@ class Runner:
                 metrics[key] = snapshot
                 hit_keys.add(key)
                 if key in self._resume_keys:
-                    # a journaled-done job served from cache: the whole
+                    # a recorded-done job served from cache: the whole
                     # point of resume, counted so tests can assert it
                     replayed.add(key)
                     self.stats.journal_replays += 1
                     ambient.count("engine.journal_replays")
-                if self._journal is not None:
-                    self._journal.record_done(key)
+                if key not in self._stored_keys:
+                    # record the hit as done, so a later resume of this
+                    # run still replays it
+                    self._span_ctx[key] = self._span_root.child(
+                        "job", qualifier=key)
+                    self._job_t0[key] = t0
+                    self._emit_job_span(key, status="cached")
                 # cache hits replay their stored metrics, so a warm run
                 # reports the same simulation counters as a cold one
                 if ambient.enabled and snapshot:
@@ -649,9 +653,7 @@ class Runner:
         """Release the backend's long-lived machinery (workers, sockets)."""
         if self.backend is not None:
             self.backend.close()
-        if self._run_lock is not None:
-            self._run_lock.release()
-            self._run_lock = None
+        self._release_run_lock()
 
     # ------------------------------------------------------------------
     # retry / fault bookkeeping
@@ -699,7 +701,7 @@ class Runner:
             "attempt", parent=ctx, qualifier=str(self._tries.get(key, 0)),
             t0=t0, dur_s=now - t0, error=error)
 
-    def _emit_job_span(self, key: str, status: str) -> None:
+    def _emit_job_span(self, key: str, status: str, **attrs) -> None:
         ctx = self._span_ctx.get(key)
         if ctx is None or self.tracer is None:
             return
@@ -708,7 +710,7 @@ class Runner:
         self.tracer.emit_context(
             ctx, t0, now - t0, digest=key,
             index=self._job_index.get(key, -1), status=status,
-            attempts=self._tries.get(key, 0))
+            attempts=self._tries.get(key, 0), **attrs)
 
     def _note_failure(self, key: str, job: SimJob, exc: BaseException):
         """Record a failed attempt; backoff seconds, or ``None`` when
@@ -757,12 +759,8 @@ class Runner:
         self.failures.append(failure)
         self.stats.quarantined += 1
         get_probes().count("engine.quarantined_jobs")
-        self._emit_job_span(key, status="quarantined")
-        if self._journal is not None:
-            self._journal.record_failed(
-                key, error=error, attempts=failure.attempts,
-                worker_crashes=failure.worker_crashes,
-            )
+        self._emit_job_span(key, status="quarantined", error=error,
+                            worker_crashes=failure.worker_crashes)
 
     def _partial_failure_result(self, experiment_id: str, total_jobs: int,
                                 failures: List[JobFailure]) -> ExperimentResult:
@@ -782,7 +780,7 @@ class Runner:
             rows=rows,
             notes=(f"{len(failures)} of {total_jobs} planned jobs "
                    f"quarantined; completed jobs are cached and "
-                   f"journaled{resume_hint}"),
+                   f"recorded{resume_hint}"),
         )
 
     def _apply_runner_faults(self, key: str) -> None:
@@ -814,13 +812,11 @@ class Runner:
         # the worker's attempt + phase spans, recorded under the job
         # context we shipped it
         self.tracer.add_records(span_records)
-        self._emit_job_span(key, status="done")
         if self.cache:
             self.cache.put(key, _pack_cached(result, snapshot))
-        if self._journal is not None:
-            # cache first, then journal: a journal line is only ever a
-            # promise the cache can keep
-            self._journal.record_done(key)
+        # cache first, then the job span: a done span is only ever a
+        # promise the cache can keep
+        self._emit_job_span(key, status="done")
         # freshly executed jobs fold into the ambient bus so --profile
         # and --trace runs see their counters live
         ambient = get_probes()
@@ -915,14 +911,14 @@ class ExperimentRequest:
     (see :meth:`ExperimentSettings.from_dict`), the cache location and
     the resume/retry policy, and nothing else — so
     :func:`execute_request` can run it in any process with no shared
-    state beyond the on-disk result cache and journal.
+    state beyond the on-disk result cache and run store.
 
     ``spec`` is the ad-hoc sweep path: a
     :class:`~repro.scenarios.spec.ScenarioSpec` wire dict run by the
     generic executor instead of a registered experiment.  Exactly one
     of ``experiment_id`` and ``spec`` must be set; the spec's
     ``scenario_id`` then serves as the experiment id everywhere (cache,
-    journal, response payload).
+    run id, response payload).
     """
 
     experiment_id: Optional[str] = None
@@ -973,9 +969,9 @@ def request_digest(request: ExperimentRequest) -> str:
 
 
 def request_run_id(request: ExperimentRequest) -> str:
-    """The deterministic journal run id this request will write under."""
+    """The deterministic run id this request will write under."""
     settings = ExperimentSettings.from_dict(request.overrides, request.quick)
-    return journal_mod.default_run_id(_request_id(request), settings)
+    return default_run_id(_request_id(request), settings)
 
 
 def execute_request(request: ExperimentRequest) -> dict:
@@ -986,7 +982,7 @@ def execute_request(request: ExperimentRequest) -> dict:
     thread executor) via ``loop.run_in_executor`` — the asyncio serving
     layer's offload path.  Internally the request is translated to a
     :class:`repro.experiments.lifecycle.RunRequest`, so serve-submitted
-    runs get exactly the same journal/retry/resume lifecycle as API and
+    runs get exactly the same store/retry/resume lifecycle as API and
     CLI runs.  Returns a JSON-able payload: the rendered result
     (``result_json`` is deterministic for identical requests), engine
     cache statistics, the run's merged metrics snapshot, its resume

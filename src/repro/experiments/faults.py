@@ -23,9 +23,9 @@ plan through its scheduler:
   byte of its entry is inverted in place, leaving length and framing
   intact (exercises the envelope's checksum verification: only the
   SHA-256 can catch this one);
-* ``abort-run`` — after the job completes *and is journaled*, the
-  driving process ``SIGKILL``\\ s itself.  This is the
-  kill-and-resume integration hook: the journal survives, the run
+* ``abort-run`` — after the job completes *and its done span is
+  stored*, the driving process ``SIGKILL``\\ s itself.  This is the
+  kill-and-resume integration hook: the run store survives, the run
   does not.
 
 Faults arm per *try*: a spec with ``times=2`` fires on the job's first

@@ -3,7 +3,7 @@
 Every way to ask for a run — :func:`repro.api.run`, the CLI's flags
 and the serving layer's
 :class:`~repro.experiments.engine.ExperimentRequest` — builds one
-:class:`RunRequest`, so the policy knobs (cache, journal, timeout,
+:class:`RunRequest`, so the policy knobs (cache, timeout,
 retry, resume, fault injection) and what ``probes`` or ``jobs`` mean
 are defined exactly once, here.
 
@@ -19,7 +19,7 @@ The functions below are the whole lifecycle:
     ``build_runner`` applied to a request.
 :func:`execute`
     Run the request (optionally on a shared runner), installing its
-    probe bus and threading its resume token through the journal.
+    probe bus and threading its resume token through the run store.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class RunRequest:
         A :class:`~repro.scenarios.spec.ScenarioSpec` to run instead of
         a registered experiment — the ad-hoc sweep path.  The spec is
         expanded by the generic executor and runs through the same
-        cache/journal/resume machinery (its ``scenario_id`` is the
-        cache and journal identity).
+        cache/resume machinery (its ``scenario_id`` is the cache and
+        run identity).
     settings:
         :class:`ExperimentSettings`; ``None`` means paper defaults.
     jobs:
@@ -76,7 +76,8 @@ class RunRequest:
         only affects live streaming.
     cache:
         ``True`` (default location), ``False`` (no caching — also
-        disables the journal), or a ready :class:`ResultCache`.
+        disables the on-disk run store), or a ready
+        :class:`ResultCache`.
     cache_dir:
         Cache location when ``cache=True`` (default:
         ``$REPRO_CACHE_DIR`` or ``.repro-cache``).
@@ -88,10 +89,10 @@ class RunRequest:
         Per-job wall-clock budget and :class:`RetryPolicy` (defaults:
         no timeout; 3 attempts, 2 worker crashes, exponential backoff).
     resume:
-        A previous run's journal token: journaled-done jobs replay
-        from the cache, only the remainder executes.
+        A previous run's id: the done jobs its span store records
+        replay from the cache, only the remainder executes.
     run_id:
-        Override the journal's (otherwise deterministic) run id.
+        Override the (otherwise deterministic) run id.
     faults:
         A :class:`FaultPlan` for deterministic chaos testing.
     backend:
@@ -103,7 +104,7 @@ class RunRequest:
         binds ``worker_address`` and waits for external
         ``repro worker --connect`` processes to join.  Everything
         else on this request — resume, retry, quarantine, faults,
-        journal — behaves identically across backends.
+        the run store — behaves identically across backends.
     workers:
         Cluster fleet size (``backend="cluster"`` only; default 2).
     worker_address:
@@ -267,7 +268,7 @@ def execute_all(
 
     ``request_defaults.experiment_id`` is ignored; each experiment runs
     with the same settings/policy.  The shared runner means one cache,
-    one journal namespace and one merged metrics manifest across the
+    one run-id namespace and one merged metrics manifest across the
     whole sweep.
     """
     from dataclasses import replace

@@ -1,10 +1,10 @@
 """``repro inspect <run-id>``: reconstruct one run's timeline.
 
-The engine leaves three artifacts per run under the cache root: a
-journal (which jobs finished/failed), a span store (where the wall
-time went — see :mod:`repro.obs.spans`) and the content-addressed
+The engine leaves one record per run under the cache root: its span
+store (which jobs finished or were quarantined, and where the wall
+time went — see :mod:`repro.obs.spans`), next to the content-addressed
 result cache (each done job's metrics snapshot).  This module joins
-the three into one report: run state, cache hit ratio, per-phase
+the two into one report: run state, cache hit ratio, per-phase
 breakdown, retry/quarantine events, slowest jobs, the critical path
 and a flat timeline — as text for humans or JSON for machines.
 
@@ -24,7 +24,7 @@ from typing import List, Optional, Union
 
 
 class UnknownRunError(KeyError):
-    """No journal, no spans: nothing recorded under that run id."""
+    """No span store: nothing recorded under that run id."""
 
 
 def _merge_cached_metrics(cache_root: Path, done_keys) -> dict:
@@ -58,13 +58,40 @@ def _critical_path(roots: List[dict]) -> List[dict]:
     return path
 
 
+def _summary(spans: List[dict]) -> dict:
+    """Root and plan spans, state, experiment and job outcomes of a
+    deduplicated store.
+
+    The state comes from the root ``run`` span (``finished`` /
+    ``partial`` / ``failed``); a run that never closed one is
+    ``interrupted``.  The plan span names the experiment and run even
+    for an interrupted run.
+    """
+    from repro.obs.spans import job_outcomes
+
+    def first(name):
+        return next((s for s in spans if s.get("name") == name), {})
+
+    run_span, plan_span = first("run"), first("plan")
+    status = run_span.get("status", "ok") if run_span else None
+    done, failed = job_outcomes(spans)
+    return {
+        "run": run_span,
+        "plan": plan_span,
+        "state": ("interrupted" if status is None
+                  else "finished" if status == "ok" else status),
+        "experiment_id": (plan_span.get("experiment_id")
+                          or run_span.get("experiment_id")),
+        "done": done,
+        "failed": failed,
+    }
+
+
 def inspect_run(cache_root: Union[str, Path], run_id: str) -> dict:
     """Everything known about ``run_id``, as one JSON-able document.
 
-    Raises :class:`UnknownRunError` when neither a journal nor a span
-    store exists for the id.
+    Raises :class:`UnknownRunError` when the id has no span store.
     """
-    from repro.experiments import journal as journal_mod
     from repro.obs.spans import (
         dedupe_spans,
         phase_seconds,
@@ -74,26 +101,19 @@ def inspect_run(cache_root: Union[str, Path], run_id: str) -> dict:
     )
 
     cache_root = Path(cache_root)
-    state = journal_mod.load_state(cache_root, run_id)
     spans = dedupe_spans(read_spans(span_path(cache_root, run_id)))
-    if state is None and not spans:
+    if not spans:
         raise UnknownRunError(run_id)
 
     tree = span_tree(spans)
     by_name: dict = {}
     for span in spans:
         by_name.setdefault(span.get("name"), []).append(span)
-    run_span = next(iter(by_name.get("run", [])), None)
-    plan_span = next(iter(by_name.get("plan", [])), None)
+    summary = _summary(spans)
+    run_span, plan_span = summary["run"], summary["plan"]
 
-    if run_span is not None:
-        status = run_span.get("status", "ok")
-        run_state = "finished" if status == "ok" else status
-    else:
-        run_state = "interrupted"
-
-    hits = (run_span or {}).get("cache_hits")
-    misses = (run_span or {}).get("cache_misses")
+    hits = run_span.get("cache_hits")
+    misses = run_span.get("cache_misses")
     attempted = (hits or 0) + (misses or 0)
     cache_doc = {
         "hits": hits,
@@ -123,13 +143,12 @@ def inspect_run(cache_root: Union[str, Path], run_id: str) -> dict:
         ),
         key=lambda r: r["t0"],
     )
-    quarantined = (
-        [
-            dict(info, digest=key)
-            for key, info in sorted(state.failed.items())
-        ]
-        if state else []
-    )
+    quarantined = [
+        {"digest": key, "error": span.get("error"),
+         "attempts": span.get("attempts"),
+         "worker_crashes": span.get("worker_crashes")}
+        for key, span in sorted(summary["failed"].items())
+    ]
 
     job_spans = sorted(by_name.get("job", ()),
                        key=lambda s: s.get("dur_s", 0.0), reverse=True)
@@ -158,8 +177,7 @@ def inspect_run(cache_root: Union[str, Path], run_id: str) -> dict:
                                               s.get("name", "")))
     ]
 
-    merged = _merge_cached_metrics(
-        cache_root, state.done if state else ())
+    merged = _merge_cached_metrics(cache_root, summary["done"])
     interesting = {
         name: value
         for name, value in merged.get("counters", {}).items()
@@ -168,17 +186,18 @@ def inspect_run(cache_root: Union[str, Path], run_id: str) -> dict:
 
     return {
         "run_id": run_id,
-        "trace_id": spans[0]["trace_id"] if spans else None,
-        "experiment_id": (state.experiment_id if state
-                          else (run_span or {}).get("experiment_id")),
-        "state": run_state,
-        "wall_s": (run_span or {}).get("dur_s"),
+        "trace_id": spans[0].get("trace_id"),
+        "experiment_id": summary["experiment_id"],
+        "state": summary["state"],
+        # a resume needs the plan span's digests
+        "resumable": "plan_digest" in plan_span,
+        "wall_s": run_span.get("dur_s"),
         "jobs": {
             # the plan span carries the count; legacy runs only stamp
             # it on the root span
-            "planned": (plan_span or run_span or {}).get("planned"),
-            "done": len(state.done) if state else None,
-            "failed": len(state.failed) if state else None,
+            "planned": (plan_span or run_span).get("planned"),
+            "done": len(summary["done"]),
+            "failed": len(summary["failed"]),
         },
         "cache": cache_doc,
         "phases": phases,
@@ -192,47 +211,29 @@ def inspect_run(cache_root: Union[str, Path], run_id: str) -> dict:
 
 
 def list_runs(cache_root: Union[str, Path]) -> List[dict]:
-    """Every run id with recorded artifacts, newest first.
+    """Every run with a span store under ``cache_root``, newest first.
 
-    A run is listed when it left a journal, a span store, or both
-    under ``cache_root``; the state column comes from the run span
-    when one exists (``finished`` / ``partial-failure`` / ...) and
-    falls back to ``interrupted`` for runs that never closed one.
+    The run id is the one recorded on the plan span (a store of an id
+    that is not filename-safe is named by its hash), falling back to
+    the file stem for a store without one.
     """
-    from repro.experiments import journal as journal_mod
-    from repro.obs.spans import dedupe_spans, read_spans, span_path, spans_dir
+    from repro.obs.spans import dedupe_spans, read_spans, spans_dir
 
-    cache_root = Path(cache_root)
-    stamps: dict = {}
-    for directory in (journal_mod.journal_dir(cache_root),
-                      spans_dir(cache_root)):
-        if not directory.is_dir():
+    stamped = []
+    for path in spans_dir(cache_root).glob("*.jsonl"):
+        try:
+            stamped.append((path.stat().st_mtime, path))
+        except OSError:
             continue
-        for path in directory.glob("*.jsonl"):
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            stamps[path.stem] = max(mtime, stamps.get(path.stem, 0.0))
-
     rows: List[dict] = []
-    for run_id, mtime in sorted(stamps.items(),
-                                key=lambda kv: (-kv[1], kv[0])):
-        state = journal_mod.load_state(cache_root, run_id)
-        spans = dedupe_spans(read_spans(span_path(cache_root, run_id)))
-        run_span = next((s for s in spans if s.get("name") == "run"), None)
-        if run_span is not None:
-            status = run_span.get("status", "ok")
-            run_state = "finished" if status == "ok" else status
-        else:
-            run_state = "interrupted"
+    for mtime, path in sorted(stamped, key=lambda mp: (-mp[0], mp[1].stem)):
+        summary = _summary(dedupe_spans(read_spans(path)))
         rows.append({
-            "run_id": run_id,
-            "state": run_state,
-            "experiment_id": (state.experiment_id if state
-                              else (run_span or {}).get("experiment_id")),
-            "done": len(state.done) if state else None,
-            "failed": len(state.failed) if state else None,
+            "run_id": summary["plan"].get("run_id", path.stem),
+            "state": summary["state"],
+            "experiment_id": summary["experiment_id"],
+            "done": len(summary["done"]),
+            "failed": len(summary["failed"]),
             "mtime": mtime,
         })
     return rows
@@ -245,12 +246,10 @@ def render_run_list(rows: List[dict]) -> str:
     lines = [f"{'run id':<28} {'state':<16} {'experiment':<10} "
              f"{'done':>5} {'failed':>6}"]
     for row in rows:
-        done = "?" if row["done"] is None else row["done"]
-        failed = "?" if row["failed"] is None else row["failed"]
         lines.append(
             f"{row['run_id']:<28} {row['state']:<16} "
             f"{row.get('experiment_id') or '-':<10} "
-            f"{done:>5} {failed:>6}")
+            f"{row['done']:>5} {row['failed']:>6}")
     return "\n".join(lines)
 
 
@@ -272,8 +271,7 @@ def render_report(doc: dict) -> str:
 
     lines.append(
         f"  jobs: {n(jobs.get('planned'))} planned, "
-        f"{n(jobs.get('done'))} done, "
-        f"{jobs.get('failed') or 0} failed"
+        f"{jobs['done']} done, {jobs['failed']} failed"
         f"   cache: {n(cache.get('hits'))} hits / "
         f"{n(cache.get('misses'))} misses"
         + (f" ({ratio:.0%} hit)" if ratio is not None else ""))
@@ -327,8 +325,8 @@ def render_report(doc: dict) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro inspect",
-        description="Reconstruct a run's timeline from its journal, "
-                    "span store and cached metrics.",
+        description="Reconstruct a run's timeline from its span store "
+                    "and cached metrics.",
     )
     parser.add_argument("run_id", nargs="?", default=None,
                         help="run id (the resume token printed "
@@ -364,7 +362,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         doc = inspect_run(cache_root, args.run_id)
     except UnknownRunError:
-        print(f"unknown run {args.run_id!r}: no journal or span store "
+        print(f"unknown run {args.run_id!r}: no span store "
               f"under {cache_root}", file=sys.stderr)
         return 1
     try:

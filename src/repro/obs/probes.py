@@ -38,12 +38,23 @@ capture whose events still flow to this bus's sink;
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from pathlib import Path
 from types import MappingProxyType
 from typing import Dict, List, Optional, TextIO, Union
 
 from repro.obs.metrics import Gauge, Histogram, bounds_for
+
+
+def _ends_mid_line(path: Path) -> bool:
+    """Whether ``path`` exists and its last byte is not a newline."""
+    try:
+        with path.open("rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            return fh.read(1) != b"\n"
+    except OSError:  # missing or empty
+        return False
 
 
 class JsonlTraceSink:
@@ -53,14 +64,17 @@ class JsonlTraceSink:
     so a trace survives a worker crash (off by default: flushing every
     line costs syscalls a ``--trace`` stream doesn't need — the
     engine's span store arms ``1``).  ``append=True`` opens an
-    owned path in append mode, for stores shared across resumes.
+    owned path in append mode, for stores shared across resumes; a
+    file left ending mid-line (a writer killed mid-record) first gets
+    a line break, so the torn fragment stays one damaged line and the
+    first appended record is not glued onto it.
     ``checksum=True`` seals each line with an embedded record digest
     (:func:`repro.store.envelope.seal_record`) so readers can detect
     bit flips; the engine's durable span store arms it.
 
     A write failure (ENOSPC, EIO) degrades the sink — further records
-    are dropped with one warning and a ``store.degraded`` gauge —
-    rather than crashing the traced run.
+    are dropped with one warning, a ``store.degraded`` gauge and a
+    ``store.append_errors`` count — rather than crashing the traced run.
     """
 
     def __init__(self, target: Union[str, Path, TextIO], *,
@@ -75,9 +89,12 @@ class JsonlTraceSink:
         else:
             self.path = Path(target)
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            torn = append and _ends_mid_line(self.path)
             self._fh = self.path.open("a" if append else "w",
                                       encoding="utf-8")
             self._owns = True
+            if torn:
+                self._fh.write("\n")
         self._closed = False
         self.flush_every = flush_every
         self.checksum = checksum
@@ -103,7 +120,9 @@ class JsonlTraceSink:
             from repro.obs import get_probes
 
             self.degraded = True
-            get_probes().gauge("store.degraded", 1)
+            probes = get_probes()
+            probes.count("store.append_errors")
+            probes.gauge("store.degraded", 1)
             target = self.path if self.path is not None else "<stream>"
             warnings.warn(
                 f"trace sink at {target} is degraded "

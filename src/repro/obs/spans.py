@@ -15,8 +15,8 @@ function of the run id, and every span id is a pure function of
 
 * a **resume** re-mints the same trace and re-emits structural spans
   (``run``/``plan``/``reduce``) under the same ids, so the span store —
-  an append-only JSONL file next to the journal — deduplicates by
-  ``span_id`` into one coherent tree;
+  an append-only JSONL file per run — deduplicates by ``span_id`` into
+  one coherent tree;
 * ``--jobs 4`` and ``--jobs 1`` produce the *same tree* (parentage and
   names, not timings), which the propagation tests assert;
 * a killed worker's partial spans simply never get written (spans emit
@@ -30,6 +30,11 @@ timing-free shape used for equality properties and
 :func:`phase_seconds` totals the phases (``--profile``,
 ``BENCH_sim.json``, ``repro inspect``).
 
+The span store is also the run's only durable record: the ``plan``
+span carries the plan and settings digests and ``done``/``cached``/
+``quarantined`` job spans carry the outcome of every job, which
+:func:`load_run` turns into resume state.
+
 Like the probe bus, the tracer is ambient per process
 (:func:`get_tracer`/:func:`use_tracer`) and defaults to
 :data:`NULL_TRACER`, a no-op cheap enough for hot paths.
@@ -38,11 +43,12 @@ Like the probe bus, the tracer is ambient per process
 from __future__ import annotations
 
 import hashlib
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 ID_WIDTH = 16
 ROOT_PARENT = ""
@@ -269,8 +275,19 @@ def use_tracer(tracer: SpanTracer) -> Iterator[SpanTracer]:
 # span store: <cache-root>/spans/<run-id>.jsonl, append-only
 # ----------------------------------------------------------------------
 
-_SAFE_RUN_ID = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.")
+_SAFE_RUN_ID = re.compile(r"[A-Za-z0-9._-]{1,128}")
+
+
+def run_file_stem(run_id: str) -> str:
+    """File name stem for ``run_id``'s store and lock files.
+
+    Filename-safe ids of up to 128 characters are their own stem;
+    anything else (spaces, slashes, an unbounded scenario id) is
+    hashed, so every run id maps to a valid, bounded file name.
+    """
+    if _SAFE_RUN_ID.fullmatch(run_id):
+        return run_id
+    return "x" + _digest(f"run:{run_id}")
 
 
 def spans_dir(cache_root: Union[str, Path]) -> Path:
@@ -278,25 +295,53 @@ def spans_dir(cache_root: Union[str, Path]) -> Path:
 
 
 def span_path(cache_root: Union[str, Path], run_id: str) -> Path:
-    """Span file for a run; unsafe run ids are hashed (journal-style)."""
-    if run_id and all(ch in _SAFE_RUN_ID for ch in run_id):
-        stem = run_id
-    else:
-        stem = "x" + _digest(f"run:{run_id}")
-    return spans_dir(cache_root) / f"{stem}.jsonl"
+    """The run's store file: ``<cache-root>/spans/<stem>.jsonl``."""
+    return spans_dir(cache_root) / f"{run_file_stem(run_id)}.jsonl"
 
 
 def append_spans(cache_root: Union[str, Path], run_id: str,
                  records) -> Path:
     """Append finished span records (sealed) to the run's store file."""
-    from repro.store.envelope import seal_record
+    from repro.obs.probes import JsonlTraceSink
 
-    path = span_path(cache_root, run_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(seal_record(record) + "\n")
-    return path
+    sink = JsonlTraceSink(span_path(cache_root, run_id), append=True,
+                          checksum=True)
+    for record in records:
+        sink.emit(record)
+    sink.close()
+    return sink.path
+
+
+def _scan(path: Union[str, Path]) -> Tuple[List[dict], int]:
+    """``(span records, damaged line count)`` of one store file."""
+    from repro.store.envelope import count_corruption, open_record
+
+    records: List[dict] = []
+    damaged = 0
+    path = Path(path)
+    if not path.exists():
+        return records, damaged
+    try:
+        # errors="replace", not strict: a flipped byte that lands on a
+        # multi-byte boundary must classify as damage, not raise
+        raw = path.read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        from repro.obs import get_probes
+
+        get_probes().count("store.read_errors")
+        return records, damaged
+    for line in raw.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        record, damage = open_record(line)
+        if record is None:
+            damaged += 1
+            count_corruption(damage, store="spans", path=path)
+            continue
+        if "span_id" in record:
+            records.append(record)
+    return records, damaged
 
 
 def read_spans(path: Union[str, Path]) -> List[dict]:
@@ -308,32 +353,55 @@ def read_spans(path: Union[str, Path]) -> List[dict]:
     dropped and counted on the ambient ``store.corrupt.<class>``
     counter, never surfaced as a span.
     """
-    from repro.store.envelope import count_corruption, open_record
+    return _scan(path)[0]
 
-    records: List[dict] = []
-    path = Path(path)
-    if not path.exists():
-        return records
-    try:
-        # errors="replace", not strict: a flipped byte that lands on a
-        # multi-byte boundary must classify as damage, not raise
-        raw = path.read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        from repro.obs import get_probes
 
-        get_probes().count("store.read_errors")
-        return records
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
+def job_outcomes(spans) -> Tuple[Set[str], Dict[str, dict]]:
+    """Done job keys and quarantined jobs (key → span) of a deduplicated
+    store: a ``done`` or ``cached`` job span is the promise that the
+    job's result is in the cache."""
+    done: Set[str] = set()
+    failed: Dict[str, dict] = {}
+    for span in spans:
+        if span.get("name") != "job":
             continue
-        record, damage = open_record(line)
-        if record is None:
-            count_corruption(damage, store="spans", path=path)
-            continue
-        if "span_id" in record:
-            records.append(record)
-    return records
+        key = span.get("digest", span.get("q", ""))
+        status = span.get("status")
+        if status == "quarantined":
+            failed[key] = span
+        elif status in ("done", "cached"):
+            done.add(key)
+    return done, failed
+
+
+@dataclass
+class RunState:
+    """What a run's span store promises a resume."""
+
+    plan_digest: str
+    done: Set[str]
+    failed: Dict[str, dict]
+    damaged: int
+    """Store lines that failed verification (torn or flipped)."""
+
+
+def load_run(cache_root: Union[str, Path],
+             run_id: str) -> Optional[RunState]:
+    """Resume state of ``run_id``; ``None`` without a verified plan span.
+
+    The ``plan`` span, written at run start, binds the store to its
+    plan digest; job spans carry the done set and the quarantines.
+    Damaged lines are skipped, so the state is built from every line
+    that verified, and counted in :attr:`RunState.damaged`.
+    """
+    records, damaged = _scan(span_path(cache_root, run_id))
+    spans = dedupe_spans(records)
+    plan = next((s for s in spans
+                 if s.get("name") == "plan" and "plan_digest" in s), None)
+    if plan is None:
+        return None
+    done, failed = job_outcomes(spans)
+    return RunState(plan["plan_digest"], done, failed, damaged)
 
 
 def dedupe_spans(records) -> List[dict]:

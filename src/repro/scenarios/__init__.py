@@ -4,7 +4,7 @@ Every registered experiment is a :class:`ScenarioSpec` — sweep axes, a
 point function, dotted overrides and a named reduction — expanded by
 one generic executor into the engine's job grid.  Ad-hoc sweeps build
 the same spec shape (:func:`adhoc_sweep_spec`) and run through the
-identical cache/journal/resume machinery.
+identical cache/resume machinery.
 
 ``SCENARIOS`` (the registered spec catalog, keyed and ordered like the
 experiment registry) lives in :mod:`repro.experiments` and is

@@ -2,7 +2,7 @@
 
 :func:`expand` turns a :class:`ScenarioSpec` into the row-major grid of
 :class:`~repro.experiments.engine.SimJob` the engine already knows how
-to fan out, cache, journal and resume; :func:`as_experiment` wraps the
+to fan out, cache, record and resume; :func:`as_experiment` wraps the
 expansion as a plan/reduce :class:`~repro.experiments.engine.Experiment`
 so a spec plugs into every existing entry point (registry, CLI, serve
 daemon, :func:`repro.api.run`) unchanged.
@@ -219,7 +219,7 @@ def adhoc_sweep_spec(
     the user supplied one — either ``benchmarks`` or the run settings'
     suite — so every override combination sweeps the benchmarks.  The
     scenario id embeds the spec's own digest, making identical ad-hoc
-    sweeps identical cache/journal/single-flight citizens.
+    sweeps identical cache/resume/single-flight citizens.
     """
     axis_list = [
         SweepAxis(name=str(name), values=list(values))

@@ -11,7 +11,7 @@ Specs are *pure data*: every field is a JSON scalar or a frozen
 container of them, so a spec round-trips losslessly through
 ``to_json``/``from_json`` (``spec → to_json → from_json → to_json`` is
 a fixed point) and :func:`spec_digest` is stable across processes,
-machines and restarts — which is what lets the engine cache, journal
+machines and restarts — which is what lets the engine cache, resume
 and single-flight machinery treat an ad-hoc user sweep exactly like a
 registered figure.
 

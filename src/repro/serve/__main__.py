@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     parser.add_argument("--gc-keep-runs", type=int, default=None,
                         metavar="N",
                         help="GC policy: keep only the newest N runs' "
-                             "journals and span stores")
+                             "span stores")
     parser.add_argument("--metrics-json", type=Path, default=None,
                         metavar="PATH",
                         help="write the final metrics snapshot on exit")

@@ -237,65 +237,49 @@ async def handle_sweep(server, request: HttpRequest) -> Response:
 # data plane: /v1/runs/{run_id}
 # ----------------------------------------------------------------------
 def handle_run_status(server, run_id: str, request: HttpRequest) -> Response:
-    """Live/finished status of one run, from journal + span store.
+    """Live/finished status of one run: :func:`repro.obs.inspect.inspect_run`
+    plus the ``running`` state.
 
-    A run is known if it has a journal, a span store, or is executing
-    in a worker right now.  ``state`` is ``running`` while in flight;
-    otherwise the root ``run`` span's recorded status (``ok`` /
-    ``partial`` / ``failed``) decides, and a journal with no root span
-    means the run was ``interrupted`` (killed before finishing — its
-    resume token still works).
+    A run is known if it has a span store or is executing in a worker
+    right now.  ``state`` is ``running`` while in flight; otherwise the
+    store decides (``finished`` / ``partial`` / ``failed``, or
+    ``interrupted`` for a run killed before finishing — its resume
+    token still works while ``resumable``).
     """
     from pathlib import Path
 
-    from repro.experiments import journal as journal_mod
     from repro.experiments.cache import default_cache_dir
     from repro.experiments.engine import request_run_id
-    from repro.obs.spans import dedupe_spans, read_spans, span_path
+    from repro.obs.inspect import UnknownRunError, inspect_run
 
     root = (Path(server.config.cache_dir) if server.config.cache_dir
             else default_cache_dir())
-    state = journal_mod.load_state(root, run_id)
-    spans = dedupe_spans(read_spans(span_path(root, run_id)))
     running = any(
         (req.resume or request_run_id(req)) == run_id
         for req in list(server._inflight_experiments.values())
     )
-    if state is None and not spans and not running:
-        raise HttpError(404, f"unknown run {run_id!r}")
-
-    by_name = {}
-    for span in spans:
-        by_name.setdefault(span.get("name"), []).append(span)
-    run_span = next(iter(by_name.get("run", [])), None)
-    plan_span = next(iter(by_name.get("plan", [])), None)
-    if running:
-        run_state = "running"
-    elif run_span is not None:
-        status = run_span.get("status", "ok")
-        run_state = "finished" if status == "ok" else status
-    elif state is not None or spans:
-        run_state = "interrupted"
-
-    planned = plan_span.get("planned") if plan_span else None
-    done = len(state.done) if state else 0
-    failed = len(state.failed) if state else 0
-    retries = sum(1 for s in by_name.get("attempt", ()) if "error" in s)
+    try:
+        doc = inspect_run(root, run_id)
+    except UnknownRunError:
+        if not running:
+            raise HttpError(404, f"unknown run {run_id!r}") from None
+        # queued or still planning: nothing on disk yet
+        doc = {"jobs": {"planned": None, "done": 0, "failed": 0},
+               "retries": [], "timeline": [], "resumable": False}
     body = {
         "run_id": run_id,
-        "trace_id": spans[0]["trace_id"] if spans else None,
-        "experiment_id": (state.experiment_id if state
-                          else (run_span or {}).get("experiment_id")),
-        "state": run_state,
-        "jobs": {"planned": planned, "done": done, "failed": failed},
-        "retries": retries,
-        "spans": len(spans),
-        "resumable": state is not None,
+        "trace_id": doc.get("trace_id"),
+        "experiment_id": doc.get("experiment_id"),
+        "state": "running" if running else doc["state"],
+        "jobs": doc["jobs"],
+        "retries": len(doc["retries"]),
+        "spans": len(doc["timeline"]),
+        "resumable": doc["resumable"],
     }
-    if run_span is not None:
-        body["wall_s"] = run_span.get("dur_s")
-        body["cache_hits"] = run_span.get("cache_hits")
-        body["cache_misses"] = run_span.get("cache_misses")
+    if doc.get("wall_s") is not None:
+        body["wall_s"] = doc["wall_s"]
+        body["cache_hits"] = doc["cache"]["hits"]
+        body["cache_misses"] = doc["cache"]["misses"]
     return Response(body=json_body(body))
 
 

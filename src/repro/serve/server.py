@@ -30,8 +30,8 @@ work finish within a grace period, journals any experiment requests
 still executing to ``<cache>/journal/serve-inflight.json``, and only
 then tears down the batcher and the worker pool.  The next
 ``start()`` picks that file up and resubmits each interrupted request
-with its resume token, so the engine's per-run journal lets it skip
-every job the cut-short run already completed.
+with its resume token, so the engine's per-run span store lets it
+skip every job the cut-short run already completed.
 
 Observability rides the ambient :mod:`repro.obs` machinery: request
 latency / batch size / experiment wall-time histograms, an in-flight
@@ -486,7 +486,7 @@ class ReproServer:
     def _journal_inflight_experiments(self) -> None:
         """Persist experiment requests still executing at drain time.
 
-        The engine journals each run's per-job progress under the result
+        The engine records each run's per-job progress under the result
         cache as it goes; this file only records *which* requests were
         cut short, so :meth:`start` can resubmit them with their resume
         tokens and skip every job the interrupted run already finished.

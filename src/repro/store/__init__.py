@@ -2,11 +2,11 @@
 
 The runtime path has been fault-tolerant since PR 5 (retries,
 quarantine, resume, cluster leases), but everything it survives
-*through* — the pickle result cache, the JSONL journals and span
-stores, the serve-inflight snapshot — used to be trusted blindly.
+*through* — the pickle result cache, the per-run JSONL span stores,
+the serve-inflight snapshot — used to be trusted blindly.
 This package is the shared discipline those stores now route through,
 the software analogue of RAIDR-style retention verification: skipping
-work (cache replay, journal resume) is only safe when the stored state
+work (cache replay, run resume) is only safe when the stored state
 it relies on is *checked*, not assumed.
 
 Four pieces:
@@ -21,10 +21,10 @@ Four pieces:
 :mod:`repro.store.locks`
     Advisory file locks (``fcntl.flock`` with a portable fallback) and
     the run-id allocation protocol: two processes sharing one cache
-    dir can never interleave a journal or double-claim a run id.
+    dir can never interleave a run store or double-claim a run id.
 :mod:`repro.store.gc`
-    Retention GC (``repro gc``): prune cache entries, journals and
-    span stores by size / age / keep-last-N-runs, never touching state
+    Retention GC (``repro gc``): prune cache entries and run stores
+    by size / age / keep-last-N-runs, never touching state
     referenced by an in-progress run's lock.
 :mod:`repro.store.fsck`
     ``repro fsck [--repair]``: walk every store, verify every

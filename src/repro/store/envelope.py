@@ -14,7 +14,7 @@ produce the envelope through the existing write-then-rename discipline,
 so a crash can only ever leave an ``orphan_tmp`` — never a torn final
 file.
 
-JSONL artifacts (journals, span stores) are checksummed per record:
+JSONL artifacts (the per-run span stores) are checksummed per record:
 :func:`seal_record` embeds a truncated SHA-256 of the record's
 canonical dump under the ``"_sha"`` key, and :func:`open_record`
 verifies and strips it.  Records without the key still load — the

@@ -1,21 +1,20 @@
 """``repro fsck``: walk the store, verify every envelope, repair damage.
 
 The reader paths already degrade gracefully — a corrupt cache entry is
-a miss, a torn journal tail is a shorter resume — but degradation is
+a miss, a torn run-store line is a shorter resume — but degradation is
 silent by design.  fsck is the loud counterpart: it walks every
 durable artifact under one cache root, verifies the integrity envelope
 or per-record checksums, and reports a per-class inventory
 (``truncated`` / ``bit_flipped`` / ``wrong_schema`` / ``orphan_tmp``).
 
 With ``--repair`` the damage is *removed from the store's hot path*
-rather than deleted: whole-file damage (cache entries, unusable
-journals, the serve snapshot) is quarantined into
-``<cache>/lost+found/`` for post-mortems, and JSONL files whose damage
-is confined to trailing or interior lines are rewritten in place with
-only their verified records — the same write-then-rename discipline as
-every other store write.  Either way the next run regenerates whatever
-was lost; that regeneration is the correctness story, fsck just makes
-it happen eagerly instead of lazily.
+rather than deleted: whole-file damage (cache entries, the serve
+snapshot) is quarantined into ``<cache>/lost+found/`` for post-mortems,
+and run stores are rewritten in place with only their verified lines
+— the same write-then-rename discipline as every other store write.
+Either way the next run regenerates whatever was lost; that
+regeneration is the correctness story, fsck just makes it happen
+eagerly instead of lazily.
 
 Exit status is 0 when the store is clean (or every finding was
 repaired) and 1 while unrepaired damage remains, so CI can gate on it.
@@ -88,46 +87,25 @@ def _rewrite(path: Path, lines: List[str], repair: bool) -> bool:
     return True
 
 
-def _check_jsonl(path: Path, *, require_journal_header: bool):
+def _check_jsonl(path: Path):
     """Verify one JSONL store file line by line.
 
     Returns ``(good_lines, findings)`` where each finding is
-    ``(kind, detail, line_number)``.  ``good_lines`` is the repaired
-    content: every verified line, in order.  For journals the *first*
-    line must be a valid schema header — without one the surviving
-    lines carry no usable state and the whole file is damage.
+    ``(kind, detail)``.  ``good_lines`` is the repaired content: every
+    verified line, in order.
     """
-    from repro.experiments.journal import JOURNAL_SCHEMA
-
     raw = path.read_text(encoding="utf-8", errors="replace")
     good: List[str] = []
     findings = []
-    header_ok = not require_journal_header
     for number, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
         record, kind = env.open_record(line)
         if record is None:
-            findings.append((kind, f"line {number} unreadable", number))
-            continue
-        if require_journal_header and not good:
-            if (record.get("kind") == "header"
-                    and record.get("schema") == JOURNAL_SCHEMA):
-                header_ok = True
-            else:
-                findings.append((
-                    env.WRONG_SCHEMA,
-                    f"line {number} is not a schema-{JOURNAL_SCHEMA} header",
-                    number,
-                ))
-                continue
-        good.append(line)
-    if raw and not raw.endswith("\n") and not findings:
-        # final newline missing but the last line still parsed: a
-        # writer died between write() and the line separator — the
-        # record itself is whole, so keep it and note nothing.
-        pass
-    return good, findings, header_ok
+            findings.append((kind, f"line {number} unreadable"))
+        else:
+            good.append(line)
+    return good, findings
 
 
 def fsck(
@@ -148,8 +126,8 @@ def fsck(
     report = {
         "root": str(root),
         "repair": repair,
-        "scanned": {"cache_entries": 0, "tmp_files": 0, "journals": 0,
-                    "span_files": 0, "serve_snapshots": 0, "lock_files": 0},
+        "scanned": {"cache_entries": 0, "tmp_files": 0, "span_files": 0,
+                    "serve_snapshots": 0, "lock_files": 0},
         "corrupt": {kind: 0 for kind in env.CORRUPTION_CLASSES},
         "findings": [],
         "repaired": 0,
@@ -193,7 +171,7 @@ def fsck(
                     _quarantine(root, path, repair))
 
     # -- orphan temp files from crashed writers ------------------------
-    for pattern in ("v*/??/*.tmp.*", "journal/*.tmp.*", "spans/*.tmp.*"):
+    for pattern in ("v*/??/*.tmp.*", "spans/*.tmp.*"):
         for path in sorted(root.glob(pattern)):
             report["scanned"]["tmp_files"] += 1
             try:
@@ -206,36 +184,18 @@ def fsck(
                     f"stale temp file ({age:.0f}s old)",
                     _quarantine(root, path, repair))
 
-    # -- journals ------------------------------------------------------
-    inflight = root / "journal" / "serve-inflight.json"
-    for path in sorted(root.glob("journal/*.jsonl")):
-        report["scanned"]["journals"] += 1
-        good, problems, header_ok = _check_jsonl(
-            path, require_journal_header=True)
-        if not problems:
-            continue
-        if not header_ok or not good:
-            # no usable prefix: the whole file is damage
-            kind = problems[0][0]
-            finding(path, "journal", kind,
-                    f"unusable journal: {problems[0][1]}",
-                    _quarantine(root, path, repair))
-            continue
-        action = "rewritten" if _rewrite(path, good, repair) else None
-        for kind, detail, _number in problems:
-            finding(path, "journal", kind, detail, action)
-
-    # -- span stores ---------------------------------------------------
+    # -- run (span) stores ----------------------------------------------
     for path in sorted(root.glob("spans/*.jsonl")):
         report["scanned"]["span_files"] += 1
-        good, problems, _ = _check_jsonl(path, require_journal_header=False)
+        good, problems = _check_jsonl(path)
         if not problems:
             continue
         action = "rewritten" if _rewrite(path, good, repair) else None
-        for kind, detail, _number in problems:
+        for kind, detail in problems:
             finding(path, "spans", kind, detail, action)
 
     # -- serve inflight snapshot ---------------------------------------
+    inflight = root / "journal" / "serve-inflight.json"
     if inflight.exists():
         report["scanned"]["serve_snapshots"] += 1
         kind = detail = None
@@ -273,8 +233,8 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments fsck",
-        description="Verify every cache entry, journal, span store and "
-                    "serve snapshot under the cache dir; classify damage "
+        description="Verify every cache entry, span store and serve "
+                    "snapshot under the cache dir; classify damage "
                     "as truncated / bit_flipped / wrong_schema / "
                     "orphan_tmp.",
     )
@@ -300,7 +260,6 @@ def main(argv=None) -> int:
         total = sum(report["corrupt"].values())
         print(f"fsck {report['root']}: scanned "
               f"{scanned['cache_entries']} entries, "
-              f"{scanned['journals']} journals, "
               f"{scanned['span_files']} span files, "
               f"{scanned['tmp_files']} temp files")
         if total == 0:

@@ -1,21 +1,21 @@
 """Retention GC: bound the durable state without breaking live runs.
 
-Nothing used to prune the cache: entries, journals, manifests and span
+Nothing used to prune the cache: entries, manifests and run (span)
 stores accumulated until the disk filled.  ``repro gc`` applies a
 :class:`GCPolicy` — any combination of
 
 * ``max_age_s`` — drop state older than this;
 * ``max_bytes`` — then drop the oldest cache entries until the cache
   payload fits the budget;
-* ``keep_runs`` — keep only the newest N runs' journals and span
-  stores (manifests and ``lost+found`` debris are age-pruned).
+* ``keep_runs`` — keep only the newest N runs' span stores
+  (manifests and ``lost+found`` debris are age-pruned).
 
 The one hard rule is *never remove state referenced by an in-progress
 run's lock*: for every held lock under ``<cache>/locks/`` the run's
-journal, span store, and every cache entry its journal marks done are
-protected, whatever the policy says.  Everything else is fair game —
-a pruned entry just recomputes on the next run, which is the cache's
-ordinary miss path.
+span store and every cache entry its store records are protected,
+whatever the policy says.  Everything else is fair game — a pruned
+entry just recomputes on the next run, which is the cache's ordinary
+miss path.
 
 Removal is atomic per artifact (one ``unlink`` each, oldest first), so
 a GC racing a live run can never half-delete anything: the worst case
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Set, Tuple, Union
 
+from repro.obs.spans import load_run, span_path
 from repro.store import locks as locks_mod
 
 __all__ = ["GCPolicy", "collect", "main", "parse_age"]
@@ -66,17 +67,16 @@ class GCPolicy:
 
 def protected_state(
     cache_root: Union[str, Path],
-) -> Tuple[Set[str], Set[str]]:
-    """State the current held locks pin: ``(run_ids, cache_keys)``.
+) -> Tuple[Set[Path], Set[str]]:
+    """State the current held locks pin: ``(store_paths, cache_keys)``.
 
-    A held lock names an in-progress run; its journal's done-set is
-    exactly the cache state a resume of that run would replay, so
-    those keys must survive any sweep that happens mid-run.
+    A held lock names an in-progress run (the lock file holds its full
+    id); the done set of its store is exactly the cache state a resume
+    of that run would replay, so those keys must survive any sweep that
+    happens mid-run.
     """
-    from repro.experiments.journal import load_state
-
     cache_root = Path(cache_root)
-    run_ids: Set[str] = set()
+    paths: Set[Path] = set()
     keys: Set[str] = set()
     for lock_path in locks_mod.held_lock_files(cache_root):
         try:
@@ -85,12 +85,12 @@ def protected_state(
         except OSError:
             note = ""
         run_id = note or lock_path.stem
-        run_ids.add(run_id)
-        state = load_state(cache_root, run_id)
+        paths.add(span_path(cache_root, run_id))
+        state = load_run(cache_root, run_id)
         if state is not None:
             keys.update(state.done)
             keys.update(state.failed)
-    return run_ids, keys
+    return paths, keys
 
 
 def _aged(mtime: float, now: float, policy: GCPolicy) -> bool:
@@ -131,8 +131,8 @@ def collect(
     stats = {
         "root": str(cache_root),
         "dry_run": dry_run,
-        "removed": {"entries": 0, "journals": 0, "spans": 0,
-                    "manifests": 0, "lost_found": 0, "stale_locks": 0},
+        "removed": {"entries": 0, "spans": 0, "manifests": 0,
+                    "lost_found": 0, "stale_locks": 0},
         "removed_bytes": 0,
         "protected_runs": 0,
         "protected_entries": 0,
@@ -140,8 +140,8 @@ def collect(
         "live_bytes": 0,
         "errors": 0,
     }
-    protected_runs, protected_keys = protected_state(cache_root)
-    stats["protected_runs"] = len(protected_runs)
+    protected_stores, protected_keys = protected_state(cache_root)
+    stats["protected_runs"] = len(protected_stores)
 
     # -- cache entries: age first, then oldest-first down to max_bytes --
     entries = []
@@ -174,11 +174,9 @@ def collect(
     stats["live_entries"] = len(survivors)
     stats["live_bytes"] = sum(size for _, size, _ in survivors)
 
-    # -- runs: journals + span stores, newest kept --------------------
-    journal_dir = cache_root / "journal"
-    spans_dir = cache_root / "spans"
+    # -- runs: span stores, newest kept --------------------------------
     runs = []
-    for path in journal_dir.glob("*.jsonl"):
+    for path in (cache_root / "spans").glob("*.jsonl"):
         try:
             st = path.stat()
         except OSError:
@@ -186,24 +184,15 @@ def collect(
         runs.append((st.st_mtime, st.st_size, path))
     runs.sort(reverse=True)  # newest first
     for index, (mtime, size, path) in enumerate(runs):
-        run_id = path.stem
-        if run_id in protected_runs:
+        if path in protected_stores:
             continue
         over_keep = (policy.keep_runs is not None
                      and index >= policy.keep_runs)
-        if not over_keep and not _aged(mtime, now, policy):
-            continue
-        _remove(path, stats, "journals", size, dry_run)
-        span_file = spans_dir / f"{run_id}.jsonl"
-        try:
-            span_size = span_file.stat().st_size
-        except OSError:
-            continue
-        _remove(span_file, stats, "spans", span_size, dry_run)
+        if over_keep or _aged(mtime, now, policy):
+            _remove(path, stats, "spans", size, dry_run)
 
-    # orphan span stores (no journal) and manifests age out
+    # manifests and quarantined debris age out
     for group, paths in (
-        ("spans", spans_dir.glob("*.jsonl")),
         ("manifests", (cache_root / "manifests").glob("*.jsonl")),
         ("lost_found", (p for p in (cache_root / "lost+found").rglob("*")
                         if p.is_file())),
@@ -213,11 +202,6 @@ def collect(
                 st = path.stat()
             except OSError:
                 continue
-            if group == "spans":
-                if path.stem in protected_runs:
-                    continue
-                if (journal_dir / f"{path.stem}.jsonl").exists():
-                    continue  # owned by a surviving run
             if _aged(st.st_mtime, now, policy):
                 _remove(path, stats, group, st.st_size, dry_run)
 
@@ -266,7 +250,7 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments gc",
-        description="Prune the result cache, journals and span stores. "
+        description="Prune the result cache and run (span) stores. "
                     "State referenced by an in-progress run's lock is "
                     "never removed.",
     )
@@ -280,8 +264,7 @@ def main(argv=None) -> int:
                         help="drop state older than AGE (e.g. 90s, 15m, "
                              "6h, 7d)")
     parser.add_argument("--keep-runs", type=int, default=None, metavar="N",
-                        help="keep only the newest N runs' journals and "
-                             "span stores")
+                        help="keep only the newest N runs' span stores")
     parser.add_argument("--dry-run", action="store_true",
                         help="report what would be removed, touch nothing")
     parser.add_argument("--json", action="store_true",

@@ -1,8 +1,8 @@
 """Advisory file locks and the concurrent-run protocol.
 
 Two processes pointed at one ``--cache-dir`` used to race freely: both
-would derive the same deterministic run id, open the same journal, and
-interleave lines.  The protocol here closes that hole with the weakest
+would derive the same deterministic run id, open the same run store,
+and interleave lines.  The protocol here closes that hole with the weakest
 tool that works — advisory ``fcntl.flock`` locks held for the duration
 of a run:
 
@@ -14,14 +14,15 @@ of a run:
 * :func:`acquire_run_id` allocates a run id under lock: the requested
   id if its lock is free, otherwise the first free ``<id>.2``,
   ``<id>.3``, ... — so concurrent runs sharing a cache complete with
-  disjoint run ids and journals that never interleave.
+  disjoint run ids and stores that never interleave.
 
 Cache *puts* deliberately stay lock-free: content-addressed entries
 make concurrent rename wins idempotent (both writers produced the same
 bytes for the same key), and the put path records a last-writer-wins
 audit event instead of serializing the hot path.
 
-Lock files live under ``<cache>/locks/`` and are plain empty files;
+Lock files live under ``<cache>/locks/``, named like the run's store
+(:func:`repro.obs.spans.run_file_stem`) and holding the full run id;
 retention GC (:mod:`repro.store.gc`) probes them to find in-progress
 runs whose state must never be pruned, and sweeps the stale ones.
 """
@@ -37,10 +38,7 @@ try:  # pragma: no cover - import guard exercised only off-POSIX
 except ImportError:  # pragma: no cover - Windows fallback path
     fcntl = None
 
-from repro.experiments.cache import stable_digest
-
-_SAFE = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.")
+from repro.obs.spans import run_file_stem
 
 
 def locks_dir(cache_root: Union[str, Path]) -> Path:
@@ -49,9 +47,7 @@ def locks_dir(cache_root: Union[str, Path]) -> Path:
 
 def run_lock_path(cache_root: Union[str, Path], run_id: str) -> Path:
     """The lock file guarding ``run_id``; unsafe ids are hashed."""
-    if not run_id or not all(ch in _SAFE for ch in run_id):
-        run_id = "x" + stable_digest("run-lock", run_id)[:24]
-    return locks_dir(cache_root) / f"{run_id}.lock"
+    return locks_dir(cache_root) / f"{run_file_stem(run_id)}.lock"
 
 
 class FileLock:
@@ -204,7 +200,7 @@ def acquire_run_id(
 
     Returns ``(allocated_id, held_lock, conflicts)`` where
     ``conflicts`` counts how many candidate ids were held by other
-    live runs.  The lock must be held until the run's journal closes;
+    live runs.  The lock must be held until the run's store closes;
     callers release it via :meth:`FileLock.release`.
     """
     conflicts = 0

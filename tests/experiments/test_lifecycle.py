@@ -1,26 +1,30 @@
-"""Tests for the unified run lifecycle: RunRequest, retry, journal.
+"""Tests for the unified run lifecycle: RunRequest, retry, resume.
 
 These exercise the policy layer with tiny synthetic jobs (no DRAM
-simulation) so failures, backoff and journal behaviour are asserted in
+simulation) so failures, backoff and resume behaviour are asserted in
 milliseconds; the real-simulation acceptance paths live in
 ``test_resume_integration.py`` and ``tests/sim/test_checkpoint.py``.
 """
 
+import errno
 import warnings
 from dataclasses import replace
 
 import pytest
 
 import repro.api as api
+import repro.experiments.engine as engine_mod
 from repro.experiments import REGISTRY
 from repro.experiments.engine import (
     Experiment,
+    ExperimentRequest,
     RetryPolicy,
     Runner,
     SimJob,
+    default_run_id,
+    execute_request,
 )
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.journal import default_run_id, journal_path
 from repro.experiments.lifecycle import (
     RunRequest,
     execute,
@@ -30,6 +34,8 @@ from repro.experiments.lifecycle import (
 )
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
 from repro.obs import ProbeBus
+from repro.obs.probes import JsonlTraceSink
+from repro.obs.spans import load_run, read_spans, span_path
 
 MICRO = ExperimentSettings(
     memory_bytes=4 << 20, windows=1, benchmarks=("alpha", "beta", "gamma"),
@@ -234,7 +240,7 @@ class TestQuarantine:
         assert runner.failures[0].benchmark == "beta"
         assert runner.failures[0].attempts == 2
         assert runner.last_run_id in str(result.notes)
-        # the two healthy jobs completed and were cached + journaled
+        # the two healthy jobs completed and were cached + recorded
         assert runner.stats.quarantined == 1
         assert runner.stats.cache_misses == 3  # all three were attempted
         counters = bus.snapshot()["counters"]
@@ -244,7 +250,7 @@ class TestQuarantine:
 
     def test_quarantined_run_resumes_to_completion(self, tmp_path):
         """After the fault is gone, resuming the partial run replays the
-        journaled jobs and finishes the one that was quarantined."""
+        recorded jobs and finishes the one that was quarantined."""
         faulty = RunRequest(
             "_lifecycle_tiny", settings=MICRO,
             cache_dir=tmp_path / "cache",
@@ -270,6 +276,9 @@ class TestQuarantine:
 
 
 class TestJournal:
+    """Resume from the run's span store (the ``engine.journal_*``
+    counters keep their names)."""
+
     def _run(self, tmp_path, *, resume=None, bus=None, settings=MICRO):
         request = RunRequest(
             "_lifecycle_tiny", settings=settings,
@@ -299,7 +308,7 @@ class TestJournal:
 
     def test_corrupt_journal_tail_is_tolerated(self, tmp_path):
         reference, first = self._run(tmp_path)
-        path = journal_path((tmp_path / "cache"), first.last_run_id)
+        path = span_path((tmp_path / "cache"), first.last_run_id)
         with path.open("ab") as fh:
             fh.write(b'{"truncated garbage...\x00\xff\n')
         bus = ProbeBus()
@@ -314,14 +323,15 @@ class TestJournal:
         """A run killed mid-``write`` leaves a half-written final line;
         the prefix before it must replay as if the tail never happened."""
         reference, first = self._run(tmp_path)
-        path = journal_path((tmp_path / "cache"), first.last_run_id)
-        raw = path.read_bytes().rstrip(b"\n")
-        lines = raw.split(b"\n")
-        assert len(lines) == 4  # header + three job lines
-        # keep the header and two intact job lines; cut the last job
-        # line off mid-record
-        torn = b"\n".join(lines[:-1]) + b"\n" + lines[-1][: len(lines[-1]) // 2]
-        path.write_bytes(torn)
+        path = span_path((tmp_path / "cache"), first.last_run_id)
+        lines = path.read_bytes().split(b"\n")
+        jobs = [i for i, line in enumerate(lines) if b'"name": "job"' in line]
+        assert len(jobs) == 3
+        # keep everything before the last job line and cut that line
+        # off mid-record, as a kill during its write would
+        last = jobs[-1]
+        half = lines[last][: len(lines[last]) // 2]
+        path.write_bytes(b"\n".join(lines[:last] + [half]))
         bus = ProbeBus()
         result, runner = self._run(
             tmp_path, resume=first.last_run_id, bus=bus
@@ -349,3 +359,75 @@ class TestJournal:
         result, _ = self._run(tmp_path, resume="never-written", bus=bus)
         assert result.rows[0] == ["alpha", 5]
         assert bus.snapshot()["counters"]["engine.journal_missing"] == 1
+
+    def test_resume_after_torn_tail_loses_no_record(self, tmp_path):
+        """A store cut mid-line keeps the fragment as its one damaged
+        line: the resumed run's first record (its plan span) starts on
+        a fresh line instead of being glued onto the fragment."""
+        reference, first = self._run(tmp_path)
+        path = span_path((tmp_path / "cache"), first.last_run_id)
+        path.write_bytes(path.read_bytes()[:-40])
+        result, runner = self._run(tmp_path, resume=first.last_run_id)
+        assert result.to_json() == reference.to_json()
+        stored = read_spans(path)
+        assert all(record in stored for record in runner.span_records)
+        assert load_run(tmp_path / "cache", first.last_run_id).damaged == 1
+
+
+class FullDisk:
+    """A file handle whose writes fail as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        self._fh.flush()
+
+    def close(self):
+        self._fh.close()
+
+
+class FullDiskSink(JsonlTraceSink):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fh = FullDisk(self._fh)
+
+
+class TestRunStoreWrites:
+    def test_full_disk_degrades_the_store_not_the_run(self, monkeypatch,
+                                                      tmp_path):
+        monkeypatch.setattr(engine_mod, "JsonlTraceSink", FullDiskSink)
+        bus = ProbeBus()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = execute(RunRequest(
+                "_lifecycle_tiny", settings=MICRO,
+                cache_dir=tmp_path / "cache", probes=bus,
+            ))
+        assert result.rows == [["alpha", 5], ["beta", 4], ["gamma", 5]]
+        degraded = [w for w in caught if "degraded" in str(w.message)]
+        assert len(degraded) == 1
+        assert degraded[0].category is RuntimeWarning
+        assert bus.gauges["store.degraded"].last == 1
+        assert bus.counters["store.append_errors"] == 1
+
+
+class TestRunIds:
+    @pytest.mark.parametrize("run_id", ["a" * 300, "my run"],
+                             ids=["300-chars", "with-space"])
+    def test_any_run_id_runs_resumes_and_inspects(self, tmp_path, run_id):
+        """Ids that are too long or not filename-safe name their store
+        and lock files by a hash; the run itself is unaffected."""
+        request = ExperimentRequest(experiment_id="sram", quick=True,
+                                    cache_dir=str(tmp_path), resume=run_id)
+        first = execute_request(request)
+        second = execute_request(request)
+        assert first["run_id"] == second["run_id"] == run_id
+        assert second["journal_replays"] == 1
+        assert second["result_json"] == first["result_json"]
+        doc = api.inspect_run(run_id, cache_dir=tmp_path)
+        assert doc["run_id"] == run_id
+        assert doc["jobs"]["done"] == 1

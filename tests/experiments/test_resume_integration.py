@@ -1,11 +1,10 @@
 """Kill-and-resume acceptance: real simulations, real process death.
 
 The headline promise of the run lifecycle: a run killed mid-plan (here
-via an injected ``abort-run``/``kill`` fault) resumes from its journal
-and produces a result byte-identical to a run that was never disturbed.
+via an injected ``abort-run``/``kill`` fault) resumes from its span
+store and produces a result byte-identical to a run that was never disturbed.
 """
 
-import json
 import signal
 import subprocess
 import sys
@@ -15,6 +14,7 @@ from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.experiments.lifecycle import RunRequest, execute, runner_for
 from repro.experiments.runner import ExperimentSettings
 from repro.obs import ProbeBus
+from repro.obs.spans import dedupe_spans, read_spans, span_path
 
 from tests.experiments.test_metrics_capture import _deterministic
 
@@ -54,7 +54,7 @@ def run_fig17(cache_dir, **request_overrides):
 class TestKillAndResume:
     def test_sigkilled_run_resumes_bit_identical(self, tmp_path):
         """SIGKILL the process after the first job lands; resuming the
-        journaled run replays it and the final result matches an
+        recorded run replays it and the final result matches an
         undisturbed run in a pristine cache, byte for byte."""
         cache_dir = tmp_path / "killed-cache"
         proc = subprocess.run(
@@ -63,13 +63,12 @@ class TestKillAndResume:
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == -signal.SIGKILL, proc.stderr
-        # the journal survived the kill and records the completed job
-        journal = cache_dir / "journal" / "itest-abort.jsonl"
-        assert journal.exists()
-        lines = [json.loads(line)
-                 for line in journal.read_text().splitlines()]
-        assert lines[0]["kind"] == "header"
-        assert [r["status"] for r in lines[1:]] == ["done"]
+        # the span store survived the kill: its plan span binds it to
+        # the plan and it holds one done job span, for the completed job
+        spans = dedupe_spans(read_spans(span_path(cache_dir, "itest-abort")))
+        (plan,) = [s for s in spans if s["name"] == "plan"]
+        assert plan["run_id"] == "itest-abort"
+        assert [s["status"] for s in spans if s["name"] == "job"] == ["done"]
 
         bus = ProbeBus()
         resumed, runner = run_fig17(

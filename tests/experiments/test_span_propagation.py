@@ -107,13 +107,26 @@ class TestFanOutTreeIdentity:
             names = {c["name"] for c in attempt["children"]}
             assert set(PHASE_NAMES) <= names
 
-    def test_warm_rerun_emits_no_job_spans(self, tmp_path):
+    def test_warm_rerun_emits_cached_spans(self, tmp_path):
+        """A cache hit records one ``cached`` job span per unique job —
+        the run's done set — under the id a cold run's job span has,
+        with no attempt children (nothing executed)."""
         _, first = run_fig17(tmp_path / "cache", jobs=2)
         _, second = run_fig17(tmp_path / "cache", jobs=2)
         assert second.stats.cache_hits >= 1
+        assert second.stats.cache_misses == 0
         run_spans = [r for r in second.span_records if r["name"] == "run"]
         assert run_spans and run_spans[0]["cache_hits"] >= 1
-        assert not any(r["name"] == "job" for r in second.span_records)
+
+        def jobs(runner):
+            return {r["span_id"]: r for r in runner.span_records
+                    if r["name"] == "job"}
+
+        cold, warm = jobs(first), jobs(second)
+        assert sorted(warm) == sorted(cold)
+        assert {r["status"] for r in warm.values()} == {"cached"}
+        assert {r["status"] for r in cold.values()} == {"done"}
+        assert not any(r["name"] == "attempt" for r in second.span_records)
 
 
 class TestKillResumeTreeIdentity:
@@ -144,7 +157,8 @@ class TestKillResumeTreeIdentity:
                                       "span-abort")
         assert (tree_signature(resumed_spans)
                 == tree_signature(pristine_spans))
-        # replayed jobs emit no fresh job span; the one from before the
-        # kill is still in the store, deduped under the same id
+        # a replayed job whose done span the store already holds emits
+        # no fresh one; the span from before the kill stays, deduped
+        # under the same id
         assert (sorted(s["span_id"] for s in resumed_spans)
                 == sorted(s["span_id"] for s in pristine_spans))

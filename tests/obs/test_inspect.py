@@ -8,6 +8,7 @@ import repro.api as api
 from repro.obs.inspect import (
     UnknownRunError,
     inspect_run,
+    list_runs,
     main,
     render_report,
 )
@@ -114,6 +115,17 @@ class TestInspectRealRun:
         assert doc["state"] == "finished"
         assert doc["jobs"]["done"] >= 1
         assert doc["counters"].get("sim.windows", 0) >= 1
+
+    def test_unsafe_run_id_lists_as_one_run(self, tmp_path):
+        """A run id that is not filename-safe is stored under a hash;
+        the listing reports the id recorded on the plan span."""
+        api.run(api.RunRequest("sram", settings=api.quick_settings(),
+                               cache_dir=tmp_path, run_id="my run"))
+        (row,) = list_runs(tmp_path)
+        assert row["run_id"] == "my run"
+        assert (row["state"], row["done"], row["failed"]) == (
+            "finished", 1, 0)
+        assert inspect_run(tmp_path, "my run")["jobs"]["done"] == 1
 
     def test_main_exit_codes(self, tmp_path, capsys):
         run_id = synthetic_store(tmp_path)

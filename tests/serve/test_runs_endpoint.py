@@ -1,20 +1,47 @@
-"""``GET /v1/runs/{run_id}``: run status from journal + span store.
+"""``GET /v1/runs/{run_id}``: run status from the run's span store.
 
 The serving daemon's read side of span tracing: after an experiment
 executes, its run id (the ``X-Repro-Run-Id`` header) resolves to a
-status document joining the journal and the span store — including the
-``serve.request`` spans the daemon itself appends.
+status document built by ``repro inspect`` from the span store —
+including the ``serve.request`` spans the daemon itself appends.
 """
 
 import asyncio
 import json
+from types import SimpleNamespace
 
 from repro.experiments import REGISTRY
+from repro.experiments.engine import Experiment, RetryPolicy, SimJob
+from repro.experiments.faults import FaultPlan, FaultSpec
+from repro.experiments.lifecycle import RunRequest, execute, runner_for
+from repro.experiments.runner import ExperimentResult, ExperimentSettings
+from repro.obs.inspect import inspect_run
 from repro.obs.spans import dedupe_spans, read_spans, span_path
 from repro.serve import ReproServer, ServeConfig
+from repro.serve.handlers import handle_run_status
 from repro.serve.http import ClientConnection
 
 from tests.serve.test_server import fake_experiment, run_async
+
+MICRO = ExperimentSettings(
+    memory_bytes=4 << 20, windows=1, benchmarks=("alpha", "beta", "gamma"),
+    rows_per_ar=32, seed=3,
+)
+
+
+def tiny_job(settings, job):
+    return len(job.benchmark)
+
+
+TINY = Experiment(
+    "_svc_tiny",
+    plan=lambda settings: [
+        SimJob(benchmark=name, fn="tests.serve.test_runs_endpoint:tiny_job")
+        for name in settings.benchmarks],
+    reduce=lambda settings, results: ExperimentResult(
+        experiment_id="_svc_tiny", title="tiny", headers=["value"],
+        rows=[[r] for r in results]),
+)
 
 
 class TestRunsEndpoint:
@@ -127,3 +154,54 @@ class TestRunsEndpoint:
         requests = [s for s in spans if s["name"] == "serve.request"]
         assert len(requests) == 2
         assert sum(1 for s in requests if s.get("coalesced")) == 1
+
+
+class TestAgreesWithInspect:
+    """The endpoint adds only the ``running`` state to ``repro inspect``:
+    state and job counts agree for finished, partial and interrupted
+    runs."""
+
+    def run(self, cache, run_id, **overrides):
+        request = RunRequest("_svc_tiny", settings=MICRO, cache_dir=cache,
+                             run_id=run_id, **overrides)
+        runner = runner_for(request)
+        execute(request, runner=runner)
+        return runner
+
+    def status(self, cache, run_id):
+        server = SimpleNamespace(config=SimpleNamespace(cache_dir=str(cache)),
+                                 _inflight_experiments={})
+        return json.loads(handle_run_status(server, run_id, None).body)
+
+    def test_finished_partial_and_interrupted(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(REGISTRY, "_svc_tiny", TINY)
+        cache = tmp_path / "cache"
+        partial = self.run(
+            cache, "partial",
+            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.001),
+            faults=FaultPlan((FaultSpec(job_index=1, kind="crash",
+                                        times=99),)))
+        self.run(cache, "finished")
+        self.run(cache, "interrupted")
+        path = span_path(cache, "interrupted")
+        kept = [line for line in path.read_text().splitlines()
+                if '"name": "run"' not in line]
+        path.write_text("\n".join(kept) + "\n")
+
+        expected = {"finished": ("finished", 3, 0),
+                    "partial": ("partial", 2, 1),
+                    "interrupted": ("interrupted", 3, 0)}
+        for run_id, (state, done, failed) in expected.items():
+            doc = inspect_run(cache, run_id)
+            status = self.status(cache, run_id)
+            assert status["state"] == doc["state"] == state
+            assert status["jobs"] == doc["jobs"]
+            assert doc["jobs"] == {"planned": 3, "done": done,
+                                   "failed": failed}
+            assert status["resumable"] and doc["resumable"]
+
+        (failure,) = partial.failures
+        (entry,) = inspect_run(cache, "partial")["quarantined"]
+        assert entry == {"digest": failure.digest, "error": failure.error,
+                         "attempts": failure.attempts,
+                         "worker_crashes": failure.worker_crashes}

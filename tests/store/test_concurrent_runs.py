@@ -1,4 +1,4 @@
-"""Two runs sharing one cache dir: disjoint ids, uninterleaved journals."""
+"""Two runs sharing one cache dir: disjoint ids, uninterleaved stores."""
 
 import multiprocessing
 import time
@@ -6,15 +6,11 @@ import time
 import pytest
 
 from repro.experiments import REGISTRY
-from repro.experiments.engine import Experiment, SimJob
-from repro.experiments.journal import (
-    default_run_id,
-    journal_dir,
-    load_state,
-)
+from repro.experiments.engine import Experiment, SimJob, default_run_id
 from repro.experiments.lifecycle import RunRequest, execute
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
 from repro.obs import ProbeBus
+from repro.obs.spans import load_run, spans_dir
 from repro.store.locks import acquire_run_id
 
 MICRO = ExperimentSettings(
@@ -68,7 +64,7 @@ class TestConcurrentProcesses:
     def test_two_processes_get_disjoint_runs(self, tmp_path):
         """The acceptance scenario: same experiment, same cache dir,
         two live processes — each completes under its own run id and
-        each journal parses cleanly end to end."""
+        each run's span store parses cleanly end to end."""
         ctx = multiprocessing.get_context("fork")
         barrier = ctx.Barrier(2)
         queue = ctx.Queue()
@@ -87,12 +83,12 @@ class TestConcurrentProcesses:
         assert rows[0] == rows[1]  # same experiment, same answer
 
         rid = default_run_id(EXPERIMENT_ID, MICRO)
-        journals = sorted(p.stem for p in journal_dir(tmp_path).glob("*.jsonl"))
-        assert journals == sorted([rid, f"{rid}.2"])
-        for run_id in journals:
-            state = load_state(tmp_path, run_id)
+        stores = sorted(p.stem for p in spans_dir(tmp_path).glob("*.jsonl"))
+        assert stores == sorted([rid, f"{rid}.2"])
+        for run_id in stores:
+            state = load_run(tmp_path, run_id)
             assert state is not None
-            assert not state.truncated  # no interleaved/torn lines
+            assert not state.damaged  # no interleaved/torn lines
             assert len(state.done) == len(MICRO.benchmarks)
             assert not state.failed
 
@@ -112,12 +108,12 @@ class TestInProcessConflict:
             other.release()
         assert result.rows  # the run completed despite the conflict
         assert bus.counters["store.run_id_conflicts"] == 1
-        state = load_state(tmp_path, f"{rid}.2")
+        state = load_run(tmp_path, f"{rid}.2")
         assert state is not None
         assert len(state.done) == len(MICRO.benchmarks)
-        # the original id's journal belongs to the other run — ours
+        # the original id's store belongs to the other run — ours
         # must not have written it
-        assert load_state(tmp_path, rid) is None
+        assert load_run(tmp_path, rid) is None
 
     def test_lock_released_after_run(self, tmp_path):
         rid = default_run_id(EXPERIMENT_ID, MICRO)

@@ -2,13 +2,13 @@
 
 Hypothesis drives byte-level damage — truncation at a sampled offset,
 a bit flip at a sampled position — into each durable artifact (cache
-entry, journal, span store) and asserts the reader contract from
+entry, run span store) and asserts the reader contract from
 DESIGN.md's durable-state section:
 
 * no read ever raises;
 * a damaged cache entry is a miss, never a wrong value;
-* a damaged journal replays a *prefix* of what was recorded, never a
-  record that was not written;
+* a truncated run store resumes a *prefix* of the recorded done jobs,
+  a flipped one a subset — never a job that was not recorded;
 * a damaged span store returns a subset of the appended spans;
 * every detected damage bumps a ``store.corrupt.<class>`` counter.
 """
@@ -17,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.journal import RunJournal, journal_path, load_state
 from repro.obs import ProbeBus, use_probes
-from repro.obs.spans import append_spans, read_spans, span_path
+from repro.obs.spans import append_spans, load_run, read_spans, span_path
 from repro.store.envelope import CORRUPTION_CLASSES
 
 KEY = "ab" + "0" * 62
@@ -77,31 +76,40 @@ def test_flipped_cache_entry_never_returns_wrong_data(
     assert corruption_total(bus) == 1
 
 
+KEYS = [f"{i:02x}" + "0" * 62 for i in range(4)]
+
+
+def recorded_run(root):
+    """A run store as the engine leaves it: plan span, then one done
+    job span per completed job; returns its path."""
+    append_spans(root, "run-x", [
+        {"span_id": "p", "name": "plan", "plan_digest": "p",
+         "settings_digest": "s", "run_id": "run-x"},
+    ] + [
+        {"span_id": f"j{i}", "name": "job", "digest": key, "status": "done"}
+        for i, key in enumerate(KEYS)
+    ])
+    return span_path(root, "run-x")
+
+
 @settings(max_examples=60, deadline=None)
 @given(fraction=damage_fraction)
 def test_truncated_journal_replays_a_prefix(tmp_path_factory, fraction):
-    root = tmp_path_factory.mktemp("journal")
-    keys = [f"{i:02x}" + "0" * 62 for i in range(4)]
-    journal = RunJournal.start(root, "run-x", experiment_id="exp",
-                               plan_digest="p", settings_digest="s")
-    for key in keys:
-        journal.record_done(key)
-    journal.close()
-
-    path = journal_path(root, "run-x")
+    root = tmp_path_factory.mktemp("runs")
+    path = recorded_run(root)
     raw = path.read_bytes()
     path.write_bytes(raw[: int(len(raw) * fraction)])
 
     bus = ProbeBus()
     with use_probes(bus):
-        state = load_state(root, "run-x")
+        state = load_run(root, "run-x")
     if state is None:
-        return  # header itself was damaged: the whole journal is void
+        return  # the plan span itself was damaged: nothing to resume
     # whatever survives is a prefix of what was recorded — a truncated
-    # journal may forget work, it must never invent or corrupt it
+    # store may forget work, it must never invent or corrupt it
     done = sorted(state.done)
-    assert done == keys[: len(done)]
-    if state.truncated:
+    assert done == KEYS[: len(done)]
+    if state.damaged:
         assert corruption_total(bus) >= 1
 
 
@@ -109,27 +117,20 @@ def test_truncated_journal_replays_a_prefix(tmp_path_factory, fraction):
 @given(fraction=damage_fraction, mask=st.integers(min_value=1, max_value=255))
 def test_flipped_journal_never_replays_mangled_records(
         tmp_path_factory, fraction, mask):
-    root = tmp_path_factory.mktemp("journal")
-    keys = [f"{i:02x}" + "0" * 62 for i in range(4)]
-    journal = RunJournal.start(root, "run-x", experiment_id="exp",
-                               plan_digest="p", settings_digest="s")
-    for key in keys:
-        journal.record_done(key)
-    journal.close()
-
-    path = journal_path(root, "run-x")
+    root = tmp_path_factory.mktemp("runs")
+    path = recorded_run(root)
     raw = bytearray(path.read_bytes())
     raw[int(len(raw) * fraction)] ^= mask
     path.write_bytes(bytes(raw))
 
     bus = ProbeBus()
     with use_probes(bus):
-        state = load_state(root, "run-x")
+        state = load_run(root, "run-x")
     if state is None:
         return
-    # the flipped record (and everything after it) is discarded; the
-    # surviving done-set contains only keys that were really recorded
-    assert state.done <= set(keys)
+    # the flipped record is discarded; the surviving done set contains
+    # only keys that were really recorded
+    assert state.done <= set(KEYS)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,9 +3,8 @@
 import json
 
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache
-from repro.experiments.journal import RunJournal, journal_path, load_state
 from repro.obs import ProbeBus, use_probes
-from repro.obs.spans import append_spans, read_spans, span_path
+from repro.obs.spans import append_spans, load_run, read_spans, span_path
 from repro.store import envelope as env
 from repro.store.fsck import fsck, main
 from repro.store.locks import acquire_run_id
@@ -18,13 +17,12 @@ def build_store(root):
     cache = ResultCache(root)
     cache.put(KEY_A, {"result": "alpha", "metrics": {}})
     cache.put(KEY_B, {"result": "beta", "metrics": {}})
-    journal = RunJournal.start(root, "run-1", experiment_id="exp",
-                               plan_digest="p", settings_digest="s")
-    journal.record_done(KEY_A)
-    journal.record_done(KEY_B)
-    journal.close()
-    append_spans(root, "run-1", [{"span_id": "s1", "name": "a"},
-                                 {"span_id": "s2", "name": "b"}])
+    append_spans(root, "run-1", [
+        {"span_id": "s1", "name": "plan", "plan_digest": "p",
+         "settings_digest": "s"},
+        {"span_id": "s2", "name": "job", "digest": KEY_A, "status": "done"},
+        {"span_id": "s3", "name": "job", "digest": KEY_B, "status": "done"},
+    ])
     return cache
 
 
@@ -35,7 +33,6 @@ class TestCleanStore:
         assert report["ok"]
         assert report["findings"] == []
         assert report["scanned"]["cache_entries"] == 2
-        assert report["scanned"]["journals"] == 1
         assert report["scanned"]["span_files"] == 1
 
     def test_empty_root_is_ok(self, tmp_path):
@@ -106,39 +103,31 @@ class TestOrphanTmp:
 
 
 class TestJournals:
+    """Damage to the resume state a run's span store carries."""
+
     def test_torn_tail_is_rewritten_to_verified_prefix(self, tmp_path):
         build_store(tmp_path)
-        path = journal_path(tmp_path, "run-1")
+        path = span_path(tmp_path, "run-1")
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1] + [lines[-1][:12]]) + "\n")
         report = fsck(tmp_path, repair=True)
         assert report["corrupt"]["truncated"] == 1
         assert report["repaired"] == 1
-        # the rewritten journal loads cleanly with the surviving record
-        state = load_state(tmp_path, "run-1")
+        # the rewritten store loads cleanly with the surviving record
+        state = load_run(tmp_path, "run-1")
         assert state is not None
-        assert not state.truncated
+        assert not state.damaged
         assert state.done == {KEY_A}
-
-    def test_journal_without_header_is_quarantined(self, tmp_path):
-        build_store(tmp_path)
-        path = journal_path(tmp_path, "run-1")
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[1:]) + "\n")  # drop the header
-        report = fsck(tmp_path, repair=True)
-        assert report["corrupt"]["wrong_schema"] >= 1
-        assert not path.exists()
-        assert list((tmp_path / "lost+found" / "journal").glob("*.jsonl"))
 
     def test_interior_flip_is_dropped_on_rewrite(self, tmp_path):
         build_store(tmp_path)
-        path = journal_path(tmp_path, "run-1")
+        path = span_path(tmp_path, "run-1")
         lines = path.read_text().splitlines()
         lines[1] = lines[1].replace(KEY_A, "aa" + "1" * 62)
         path.write_text("\n".join(lines) + "\n")
         report = fsck(tmp_path, repair=True)
         assert report["corrupt"]["bit_flipped"] == 1
-        state = load_state(tmp_path, "run-1")
+        state = load_run(tmp_path, "run-1")
         assert state.done == {KEY_B}
 
 
@@ -147,11 +136,11 @@ class TestSpans:
         build_store(tmp_path)
         path = span_path(tmp_path, "run-1")
         with path.open("a") as fh:
-            fh.write('{"span_id": "s3", "broken json\n')
+            fh.write('{"span_id": "s4", "broken json\n')
         report = fsck(tmp_path, repair=True)
         assert report["corrupt"]["truncated"] == 1
         spans = read_spans(path)
-        assert [s["span_id"] for s in spans] == ["s1", "s2"]
+        assert [s["span_id"] for s in spans] == ["s1", "s2", "s3"]
 
 
 class TestServeSnapshot:

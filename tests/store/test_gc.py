@@ -5,7 +5,6 @@ import os
 import pytest
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.journal import RunJournal, journal_path
 from repro.obs import ProbeBus, use_probes
 from repro.obs.spans import append_spans, span_path
 from repro.store.gc import GCPolicy, collect, parse_age
@@ -26,15 +25,14 @@ def put_entry(cache: ResultCache, i: int, *, age_s: float = 0.0,
 
 def write_run(root, run_id: str, keys, *, age_s: float = 0.0,
               now: float = 1_000_000.0) -> None:
-    journal = RunJournal.start(root, run_id, experiment_id="exp",
-                               plan_digest="p", settings_digest="s")
-    for key in keys:
-        journal.record_done(key)
-    journal.close()
-    append_spans(root, run_id, [{"span_id": "s1", "name": "run"}])
-    stamp = (now - age_s, now - age_s)
-    os.utime(journal_path(root, run_id), stamp)
-    os.utime(span_path(root, run_id), stamp)
+    append_spans(root, run_id, [
+        {"span_id": "p", "name": "plan", "plan_digest": "p",
+         "settings_digest": "s", "run_id": run_id},
+    ] + [
+        {"span_id": f"j{i}", "name": "job", "digest": key, "status": "done"}
+        for i, key in enumerate(keys)
+    ])
+    os.utime(span_path(root, run_id), (now - age_s, now - age_s))
 
 
 NOW = 1_000_000.0
@@ -94,10 +92,9 @@ class TestRuns:
         for i, age in enumerate((300, 200, 100)):  # run-2 newest
             write_run(tmp_path, f"run-{i}", [key_for(i)], age_s=age, now=NOW)
         stats = collect(tmp_path, GCPolicy(keep_runs=1), now=NOW)
-        assert stats["removed"]["journals"] == 2
         assert stats["removed"]["spans"] == 2
-        assert journal_path(tmp_path, "run-2").exists()
-        assert not journal_path(tmp_path, "run-0").exists()
+        assert span_path(tmp_path, "run-2").exists()
+        assert not span_path(tmp_path, "run-0").exists()
         assert not span_path(tmp_path, "run-1").exists()
 
     def test_max_age_prunes_runs_and_orphan_spans(self, tmp_path):
@@ -106,8 +103,8 @@ class TestRuns:
         append_spans(tmp_path, "orphan", [{"span_id": "s", "name": "n"}])
         os.utime(span_path(tmp_path, "orphan"), (NOW - 7200, NOW - 7200))
         stats = collect(tmp_path, GCPolicy(max_age_s=3600), now=NOW)
-        assert stats["removed"]["journals"] == 1
-        assert stats["removed"]["spans"] == 2  # run's + the orphan
+        # a store with no plan span is still a run record and ages out
+        assert stats["removed"]["spans"] == 2
 
 
 class TestProtection:
@@ -120,14 +117,31 @@ class TestProtection:
         try:
             assert rid == "live-run"
             stats = collect(tmp_path, GCPolicy(max_age_s=60), now=NOW)
-            # the loose entry ages out; the locked run's journal, span
-            # store and done entry all survive
+            # the loose entry ages out; the locked run's span store and
+            # done entry both survive
             assert not cache.path_for(loose_key).exists()
             assert cache.path_for(done_key).exists()
-            assert journal_path(tmp_path, "live-run").exists()
             assert span_path(tmp_path, "live-run").exists()
             assert stats["protected_runs"] == 1
             assert stats["protected_entries"] == 1
+        finally:
+            lock.release()
+
+    def test_held_lock_protects_an_unsafe_run_id(self, tmp_path):
+        """A run id that is not filename-safe names its store and its
+        lock by a hash; the lock's note maps back to the right store."""
+        cache = ResultCache(tmp_path)
+        done_key = put_entry(cache, 0, age_s=7200, now=NOW)
+        write_run(tmp_path, "my run", [done_key], age_s=7200, now=NOW)
+        write_run(tmp_path, "other-run", [], age_s=7200, now=NOW)
+        _, lock, _ = acquire_run_id(tmp_path, "my run")
+        try:
+            stats = collect(tmp_path, GCPolicy(keep_runs=0), now=NOW)
+            assert span_path(tmp_path, "my run").exists()
+            assert not span_path(tmp_path, "other-run").exists()
+            assert stats["removed"]["spans"] == 1
+            collect(tmp_path, GCPolicy(max_age_s=60), now=NOW)
+            assert cache.path_for(done_key).exists()
         finally:
             lock.release()
 
