@@ -331,31 +331,6 @@ class ZeroRefreshSystem:
         """Measurement boundary: EBDI ops count only measured windows."""
         self.controller.ebdi_ops = 0
 
-    # ------------------------------------------------------------------
-    # checkpointing (system-owned state the kernel cannot see)
-    # ------------------------------------------------------------------
-    def checkpoint_state(self) -> dict:
-        """System-level state for a kernel checkpoint's ``extra`` slot.
-
-        The engine covers device + tracking state; what the *system*
-        owns is the shared RNG stream (every traffic draw comes from
-        it, so replaying windows bit-identically requires its exact
-        position), the system clock, and the controller's measured EBDI
-        op count.
-        """
-        return {
-            "rng": self.rng.bit_generator.state,
-            "time_s": self.time_s,
-            "ebdi_ops": self.controller.ebdi_ops,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-apply :meth:`checkpoint_state` output (after a kernel
-        restore; see ``tests/sim/test_checkpoint.py`` for the pairing)."""
-        self.rng.bit_generator.state = state["rng"]
-        self.time_s = float(state["time_s"])
-        self.controller.ebdi_ops = int(state["ebdi_ops"])
-
     def _window_traffic(self, window_index: int, t0: float):
         """Kernel traffic source: one window's trace as a write hook."""
         if self._trace_generator is None:
@@ -374,7 +349,7 @@ class ZeroRefreshSystem:
         as row activations that recharge the row and feed the recency
         table.
         """
-        recency_aware = self.engine.capabilities.wants_access_events
+        recency_aware = self.engine.wants_access_events
         writes = trace.writes
         reads = trace.reads if recency_aware else np.empty(0, dtype=np.int64)
         window = self.config.timing.tret_s

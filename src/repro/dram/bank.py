@@ -192,37 +192,6 @@ class Bank:
         deadline = tret_s * (1.0 + 1e-9)
         return np.argwhere(time_s - self.last_refresh > deadline)
 
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Copy of all mutable bank state (geometry/layout are config).
-
-        Arrays are copied on capture so one checkpoint can be restored
-        multiple times regardless of what the live bank does meanwhile.
-        """
-        return {
-            "data": self.data.copy(),
-            "last_refresh": self.last_refresh.copy(),
-            "dirty": self.dirty.copy(),
-            "spared": self._spared.copy(),
-            "write_count": self.write_count,
-            "read_count": self.read_count,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output, in place.
-
-        ``np.copyto`` keeps the existing arrays (and every alias a
-        controller or tracker may hold) instead of rebinding them.
-        """
-        np.copyto(self.data, state["data"])
-        np.copyto(self.last_refresh, state["last_refresh"])
-        np.copyto(self.dirty, state["dirty"])
-        np.copyto(self._spared, state["spared"])
-        self.write_count = int(state["write_count"])
-        self.read_count = int(state["read_count"])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Bank(index={self.index}, rows={self.geometry.rows_per_bank}, "

@@ -133,26 +133,6 @@ class DramDevice:
             total += int(bank.detect_discharged(rows).sum())
         return total / self.geometry.total_rows
 
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Checkpointable state: every bank's mutable state.
-
-        Observers are deliberately *not* serialized — they are wiring,
-        re-registered at construction time, and restoring into a live
-        device must keep its existing callbacks attached.
-        """
-        return {"banks": [bank.state_dict() for bank in self.banks]}
-
-    def load_state(self, state: dict) -> None:
-        bank_states = state["banks"]
-        if len(bank_states) != len(self.banks):
-            raise ValueError(
-                f"checkpoint has {len(bank_states)} banks, device has "
-                f"{len(self.banks)}"
-            )
-        for bank, bank_state in zip(self.banks, bank_states):
-            bank.load_state(bank_state)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DramDevice(banks={self.geometry.num_banks}, "

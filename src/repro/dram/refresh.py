@@ -176,8 +176,7 @@ class RefreshEngine:
     """Issues per-bank AR commands and applies charge-aware skipping.
 
     The engine natively satisfies the :class:`repro.sim.scheme.RefreshScheme`
-    protocol: ``run_window`` is the scheme interface, and
-    :attr:`capabilities` declares what it needs from a driver.  Plain
+    protocol: ``run_window`` is the scheme interface.  Plain
     charge-aware engines only observe *writes* (through the device's
     write observers); subclasses that skip on access recency set
     :attr:`wants_access_events` so drivers replay demand reads too.
@@ -193,9 +192,6 @@ class RefreshEngine:
         mode: str = "zero-refresh",
         staggered: bool = True,
         policy: str = "per-bank",
-        access_bits: Optional[AccessBitTable] = None,
-        status_table: Optional[DischargedStatusTable] = None,
-        naive_tracker: Optional[NaiveSramTracker] = None,
         probes=None,
     ):
         if mode not in MODES:
@@ -212,72 +208,19 @@ class RefreshEngine:
         self.counters = RefreshCounters(self.geometry.num_chips, staggered)
         self.stats = RefreshStats()
         if mode == "zero-refresh":
-            self.access_bits = access_bits or AccessBitTable(self.geometry)
-            self.status_table = status_table or DischargedStatusTable(self.geometry)
+            self.access_bits = AccessBitTable(self.geometry)
+            self.status_table = DischargedStatusTable(self.geometry)
             device.add_write_observer(self.access_bits.note_write)
             self.naive_tracker = None
         elif mode == "naive":
             self.access_bits = None
             self.status_table = None
-            self.naive_tracker = naive_tracker or NaiveSramTracker(self.geometry)
+            self.naive_tracker = NaiveSramTracker(self.geometry)
             device.add_write_observer(self._naive_on_write)
         else:
             self.access_bits = None
             self.status_table = None
             self.naive_tracker = None
-
-    # ------------------------------------------------------------------
-    @property
-    def capabilities(self):
-        """This engine's :class:`~repro.sim.scheme.SchemeCapabilities`."""
-        from repro.sim.scheme import SchemeCapabilities
-
-        return SchemeCapabilities(
-            wants_access_events=self.wants_access_events,
-            checkpointable=True,
-        )
-
-    # ------------------------------------------------------------------
-    # checkpointing (the Checkpointable capability)
-    # ------------------------------------------------------------------
-    def checkpoint_state(self) -> dict:
-        """Everything needed to resume this engine bit-identically.
-
-        Covers the engine's counters, the device's charge/content state
-        and whichever tracking structures the mode carries.  Geometry,
-        timing and policy are construction-time config and are recorded
-        only to validate the restore target.
-        """
-        state = {
-            "mode": self.mode,
-            "policy": self.policy,
-            "stats": dict(vars(self.stats)),
-            "device": self.device.state_dict(),
-        }
-        if self.access_bits is not None:
-            state["access_bits"] = self.access_bits.state_dict()
-        if self.status_table is not None:
-            state["status_table"] = self.status_table.state_dict()
-        if self.naive_tracker is not None:
-            state["naive_tracker"] = self.naive_tracker.state_dict()
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Restore :meth:`checkpoint_state` output into this engine."""
-        if state.get("mode") != self.mode or state.get("policy") != self.policy:
-            raise ValueError(
-                f"checkpoint is for mode={state.get('mode')!r} "
-                f"policy={state.get('policy')!r}, engine is "
-                f"mode={self.mode!r} policy={self.policy!r}"
-            )
-        self.stats = RefreshStats(**state["stats"])
-        self.device.load_state(state["device"])
-        if self.access_bits is not None:
-            self.access_bits.load_state(state["access_bits"])
-        if self.status_table is not None:
-            self.status_table.load_state(state["status_table"])
-        if self.naive_tracker is not None:
-            self.naive_tracker.load_state(state["naive_tracker"])
 
     # ------------------------------------------------------------------
     def _naive_on_write(self, bank: int, row: int) -> None:

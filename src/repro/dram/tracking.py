@@ -79,14 +79,6 @@ class AccessBitTable:
     def peek(self, bank: int, ar_set: int) -> bool:
         return bool(self._bits[bank, ar_set])
 
-    def state_dict(self) -> dict:
-        """Checkpointable state: the bit array and its access counter."""
-        return {"bits": self._bits.copy(), "sets_observed": self.sets_observed}
-
-    def load_state(self, state: dict) -> None:
-        np.copyto(self._bits, state["bits"])
-        self.sets_observed = int(state["sets_observed"])
-
     @property
     def costs(self) -> TrackingCosts:
         """SRAM bits required: one per AR set (8 KB at 32 GB / 8 banks)."""
@@ -136,16 +128,6 @@ class DischargedStatusTable:
         """Fraction of groups currently marked discharged."""
         return float(self._status.mean())
 
-    def state_dict(self) -> dict:
-        """Checkpointable state: status bits plus the access counters."""
-        return {"status": self._status.copy(), "reads": self.reads,
-                "writes": self.writes}
-
-    def load_state(self, state: dict) -> None:
-        np.copyto(self._status, state["status"])
-        self.reads = int(state["reads"])
-        self.writes = int(state["writes"])
-
     @property
     def costs(self) -> TrackingCosts:
         """DRAM bits consumed (1 MB equivalent at 32 GB) plus the 16 B
@@ -187,14 +169,6 @@ class NaiveSramTracker:
     def set_vector(self, bank: int, ar_set: int, status: np.ndarray) -> None:
         rows = self.geometry.rows_of_ar_set(ar_set)
         self._status[bank, rows] = status
-
-    def state_dict(self) -> dict:
-        """Checkpointable state: status bits plus the update counter."""
-        return {"status": self._status.copy(), "updates": self.updates}
-
-    def load_state(self, state: dict) -> None:
-        np.copyto(self._status, state["status"])
-        self.updates = int(state["updates"])
 
     @property
     def costs(self) -> TrackingCosts:

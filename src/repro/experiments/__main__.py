@@ -355,7 +355,7 @@ def build_sweep_spec(parser, args):
     fallback (``16`` is an int, ``false`` a bool, ``NORMAL`` a string),
     matching the wire form a sweep request body would carry.
     """
-    from repro.scenarios import ScenarioError, parse_value
+    from repro.scenarios import parse_value
 
     if not args.axis:
         parser.error("sweep needs at least one --axis NAME=V1,V2,...")
@@ -382,7 +382,7 @@ def build_sweep_spec(parser, args):
         from repro.scenarios import expand
 
         expand(spec)
-    except ScenarioError as exc:
+    except ValueError as exc:  # ScenarioError, or a bad temperature name
         parser.error(str(exc))
     return spec
 

@@ -14,7 +14,7 @@ It is the default job body the engine fans out over worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
@@ -66,33 +66,15 @@ class ExperimentSettings:
     def from_dict(cls, overrides=None, quick: bool = False) -> "ExperimentSettings":
         """Build settings from a plain (JSON-decoded) override mapping.
 
-        Accepts the dataclass field names plus two wire-friendly forms:
-        ``memory_mb`` (converted to ``memory_bytes``), ``temperature``
-        as a case-insensitive mode name, and ``benchmarks`` as any
-        sequence.  Unknown keys raise ``ValueError`` so a mistyped
-        request field fails loudly instead of silently running the
-        default scale.  ``quick=True`` starts from :meth:`quick`.
+        Parsed by :func:`repro.scenarios.resolve.apply_settings`, the
+        one parser every entry point shares: unknown keys and unknown
+        benchmark names raise ``ValueError`` so a mistyped request
+        fails loudly instead of running the wrong scale.
+        ``quick=True`` starts from :meth:`quick`.
         """
-        data = dict(overrides or {})
-        if "memory_mb" in data:
-            if "memory_bytes" in data:
-                raise ValueError("give memory_mb or memory_bytes, not both")
-            data["memory_bytes"] = int(data.pop("memory_mb")) << 20
-        if "benchmarks" in data:
-            data["benchmarks"] = tuple(str(b) for b in data["benchmarks"])
-        if "temperature" in data:
-            # TemperatureMode.parse raises ValueError listing the valid
-            # mode names — the same path scenario overrides resolve
-            # through, so a typo fails identically everywhere
-            data["temperature"] = TemperatureMode.parse(data["temperature"])
-        field_names = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - field_names)
-        if unknown:
-            raise ValueError(
-                f"unknown settings field(s): {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(field_names))}"
-            )
-        return cls.quick(**data) if quick else cls(**data)
+        from repro.scenarios.resolve import apply_settings
+
+        return apply_settings(cls.quick() if quick else cls(), overrides)
 
     def config(self, **overrides) -> SystemConfig:
         return SystemConfig.scaled(

@@ -37,7 +37,12 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
-from repro.scenarios.resolve import materialize_config, split_overrides
+from repro.scenarios.resolve import (
+    apply_settings,
+    check_benchmark,
+    materialize_config,
+    split_overrides,
+)
 from repro.scenarios.spec import (
     SIMULATE_POINT,
     ScenarioError,
@@ -96,7 +101,8 @@ class Expansion:
     jobs: List
 
 
-def _cell_job(spec: ScenarioSpec, axes: Dict[str, list], combo: tuple):
+def _cell_job(spec: ScenarioSpec, settings, axes: Dict[str, list],
+              combo: tuple):
     """The engine job for one grid cell (one axis-value combination)."""
     from repro.experiments.engine import SimJob
     from repro.scenarios.points import SIMULATE_SETTINGS_POINT
@@ -148,12 +154,16 @@ def _cell_job(spec: ScenarioSpec, axes: Dict[str, list], combo: tuple):
         raise ScenarioError(
             "the 'simulate' point needs a 'benchmark' axis"
         )
+    check_benchmark(benchmark)
     allocated_fraction = cell_overrides.pop(
         "allocated_fraction", allocated_fraction
     )
     settings_map, config_map = split_overrides(cell_overrides)
     config_overrides = materialize_config(config_map)
     if settings_map:
+        # parse the values here, not only in the worker: a bad value
+        # then fails the request instead of every attempt of the job
+        apply_settings(settings, settings_map)
         return SimJob(
             benchmark=benchmark,
             allocated_fraction=float(allocated_fraction),
@@ -184,7 +194,7 @@ def expand(spec: ScenarioSpec, settings=None) -> Expansion:
         settings = ExperimentSettings()
     axes = resolve_axes(spec, settings)
     jobs = [
-        _cell_job(spec, axes, combo)
+        _cell_job(spec, settings, axes, combo)
         for combo in itertools.product(*axes.values())
     ]
     return Expansion(axes=axes, jobs=jobs)

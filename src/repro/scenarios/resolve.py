@@ -23,12 +23,14 @@ from repro.dram.timing import TemperatureMode
 from repro.osmodel.pages import CleansePolicy
 from repro.scenarios.spec import ScenarioError
 from repro.transform.codec import StageSelection
+from repro.workloads.benchmarks import BENCHMARK_NAMES
 
 __all__ = [
     "CONFIG_KEYS",
     "SETTINGS_KEYS",
     "STAGE_KEYS",
     "apply_settings",
+    "check_benchmark",
     "config_for",
     "known_override_keys",
     "materialize_config",
@@ -93,6 +95,14 @@ def split_overrides(mapping) -> Tuple[Dict[str, object], Dict[str, object]]:
     return settings_map, config_map
 
 
+def check_benchmark(name: str) -> None:
+    """Raise :class:`ScenarioError` unless ``name`` is a known benchmark."""
+    if name not in BENCHMARK_NAMES:
+        raise ScenarioError(
+            f"unknown benchmark {name!r}; known: {', '.join(BENCHMARK_NAMES)}"
+        )
+
+
 def apply_settings(settings, settings_map):
     """``settings`` with a wire-form override mapping applied.
 
@@ -100,7 +110,8 @@ def apply_settings(settings, settings_map):
     ``memory_mb``; ``temperature`` resolves through
     :meth:`TemperatureMode.parse` (a bad name raises ``ValueError``
     listing the valid mode names), ``benchmarks`` coerces to a string
-    tuple.  Returns ``settings`` untouched for an empty mapping.
+    tuple of known benchmark names.  Returns ``settings`` untouched for
+    an empty mapping.
     """
     data = dict(settings_map or {})
     if not data:
@@ -114,6 +125,8 @@ def apply_settings(settings, settings_map):
         if isinstance(benchmarks, str):
             benchmarks = [benchmarks]
         data["benchmarks"] = tuple(str(b) for b in benchmarks)
+        for name in data["benchmarks"]:
+            check_benchmark(name)
     if "temperature" in data:
         data["temperature"] = TemperatureMode.parse(data["temperature"])
     field_names = {f.name for f in fields(settings)}

@@ -2,23 +2,14 @@
 
 One loop for every refresh mechanism: :class:`SimKernel` drives warmup
 and measured windows over the :class:`RefreshScheme` protocol, with
-adapters (:mod:`repro.sim.schemes`) for the baselines,
+adapters (:mod:`repro.sim.schemes`) for the baselines and
 :func:`run_concurrent` for lockstep composition of independent refresh
-domains (multi-rank DIMMs), and window-boundary checkpointing
-(:mod:`repro.sim.checkpoint`) for schemes that declare the
-:class:`Checkpointable` capability.  See DESIGN.md, "Simulation kernel
-and probe bus" and "Run lifecycle".
+domains (multi-rank DIMMs).  See DESIGN.md, "Simulation kernel and
+probe bus".
 """
 
-from repro.sim.checkpoint import (
-    CheckpointError,
-    Checkpointable,
-    KernelCheckpoint,
-    restore_checkpoint,
-    save_checkpoint,
-)
 from repro.sim.kernel import SimKernel, run_concurrent
-from repro.sim.scheme import RefreshScheme, SchemeCapabilities, WriteHook
+from repro.sim.scheme import RefreshScheme, WriteHook
 from repro.sim.schemes import (
     RaidrScheme,
     SmartRefreshScheme,
@@ -26,17 +17,11 @@ from repro.sim.schemes import (
 )
 
 __all__ = [
-    "CheckpointError",
-    "Checkpointable",
-    "KernelCheckpoint",
     "RaidrScheme",
     "RefreshScheme",
-    "SchemeCapabilities",
     "SimKernel",
     "SmartRefreshScheme",
     "WriteHook",
     "ZeroIndicatorRefreshScheme",
-    "restore_checkpoint",
     "run_concurrent",
-    "save_checkpoint",
 ]

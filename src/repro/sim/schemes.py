@@ -2,10 +2,10 @@
 
 ZERO-REFRESH's :class:`~repro.dram.refresh.RefreshEngine` (and the
 hybrid engine built on it) satisfy the protocol natively — their
-``run_window(start_time_s, write_hook)`` *is* the scheme interface and
-they declare their own capabilities.  The baselines model a window as a
-counter update rather than a timed command walk, so each gets a thin
-adapter here that feeds it per-window inputs and returns a
+``run_window(start_time_s, write_hook)`` *is* the scheme interface.
+The baselines model a window as a counter update rather than a timed
+command walk, so each gets a thin adapter here that feeds it
+per-window inputs, ignores the write hook, and returns a
 :class:`~repro.dram.refresh.RefreshStats` delta the kernel can
 accumulate uniformly.  Adapters never own randomness: anything drawn
 per window comes through caller-supplied callbacks, preserving the RNG
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.dram.refresh import RefreshStats
 from repro.obs import get_probes
-from repro.sim.scheme import SchemeCapabilities, WriteHook
+from repro.sim.scheme import WriteHook
 
 AccessFeed = Callable[[], Tuple[np.ndarray, np.ndarray]]
 """Per-window access feed: returns ``(banks, rows)`` activated this
@@ -33,10 +33,6 @@ class SmartRefreshScheme:
     Each window: deliver the window's row activations to the tracker
     (recency reload), then run its skip-or-refresh pass.
     """
-
-    capabilities = SchemeCapabilities(
-        wants_access_events=True, timed=False, consumes_write_hook=False
-    )
 
     def __init__(self, tracker, window_accesses: Optional[AccessFeed] = None,
                  probes=None):
@@ -66,8 +62,6 @@ class RaidrScheme:
     analogue); the adapter returns the per-window delta translated into
     refresh-group counters so cross-scheme reductions compare directly.
     """
-
-    capabilities = SchemeCapabilities(timed=False, consumes_write_hook=False)
 
     def __init__(self, scheduler, vrt=None, probes=None):
         self.scheduler = scheduler
@@ -104,8 +98,6 @@ class ZeroIndicatorRefreshScheme:
     resident content, so content churn between windows shows up as a
     changing skip rate on the shared timeline.
     """
-
-    capabilities = SchemeCapabilities(timed=False, consumes_write_hook=False)
 
     def __init__(self, scheme, content: ContentFeed, lines_per_row: int = 64,
                  probes=None):

@@ -2,8 +2,8 @@
 
 These exercise the policy layer with tiny synthetic jobs (no DRAM
 simulation) so failures, backoff and resume behaviour are asserted in
-milliseconds; the real-simulation acceptance paths live in
-``test_resume_integration.py`` and ``tests/sim/test_checkpoint.py``.
+milliseconds; the real-simulation acceptance path lives in
+``test_resume_integration.py``.
 """
 
 import errno

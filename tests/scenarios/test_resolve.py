@@ -69,6 +69,20 @@ class TestApplySettings:
                              {"benchmarks": ["mcf", "bzip2"]})
         assert out.benchmarks == ("mcf", "bzip2")
 
+    def test_unknown_benchmark_rejected_listing_known_names(self):
+        with pytest.raises(ScenarioError, match="unknown benchmark 'nope'") \
+                as err:
+            apply_settings(ExperimentSettings(), {"benchmarks": ["nope"]})
+        assert "mcf" in str(err.value)
+
+    def test_settings_from_dict_shares_the_parser(self):
+        import repro.api as api
+
+        assert api.settings_from_dict({"benchmarks": "mcf"}).benchmarks \
+            == ("mcf",)
+        quick = api.settings_from_dict({"windows": 1}, quick=True)
+        assert quick == ExperimentSettings.quick(windows=1)
+
     def test_empty_map_returns_settings_untouched(self):
         settings = ExperimentSettings()
         assert apply_settings(settings, {}) is settings

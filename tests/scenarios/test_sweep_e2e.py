@@ -53,6 +53,19 @@ class TestCliSweep:
         assert err.value.code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--benchmarks", "nope"], "unknown benchmark 'nope'"),
+        (["--set", "benchmarks=nope"], "unknown benchmark 'nope'"),
+        (["--set", "temperature=tropical"], "unknown temperature 'tropical'"),
+    ])
+    def test_bad_value_is_a_usage_error(self, capsys, flags, message):
+        """Rejected while the spec expands, before any job is planned."""
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--quick", "--memory-mb", "4", "--windows", "1",
+                  "--axis", "windows=1", "--no-cache", *flags])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_sweep_flags_require_the_sweep_command(self, capsys):
         with pytest.raises(SystemExit):
             main(["fig17", "--axis", "temperature=NORMAL"])

@@ -301,6 +301,25 @@ class TestExperimentEndpoint:
         assert b"bogus_field" in body
         assert field == 400
 
+    def test_unknown_benchmark_override_is_400(self):
+        async def scenario():
+            server = ReproServer(ServeConfig(port=0, workers=0))
+            await server.start()
+            try:
+                async with ClientConnection(server.host, server.port) as conn:
+                    return await conn.request(
+                        "POST", "/v1/experiments/fig17",
+                        body=json.dumps({"quick": True, "overrides": {
+                            "memory_mb": 4, "windows": 1,
+                            "benchmarks": ["nope"]}}).encode(),
+                    )
+            finally:
+                await server.drain()
+
+        status, _, body = run_async(scenario())
+        assert status == 400
+        assert b"unknown benchmark 'nope'" in body
+
 
 class TestBackpressure:
     def test_saturated_queue_rejects_429_and_server_stays_live(

@@ -131,3 +131,23 @@ class TestSweepEndpoint:
         assert responses["bad_overrides"][0] == 400
         assert b"bogus_field" in responses["bad_overrides"][2]
         assert responses["wrong_method"][0] == 405
+
+    def test_unknown_benchmark_axis_value_is_400(self):
+        async def scenario():
+            server = ReproServer(ServeConfig(port=0, workers=0))
+            await server.start()
+            try:
+                async with ClientConnection(server.host, server.port) as conn:
+                    return await conn.request(
+                        "POST", "/v1/sweeps",
+                        body=sweep_body(spec={
+                            "scenario_id": "s",
+                            "axes": [{"name": "benchmark",
+                                      "values": ["nope"]}],
+                        }))
+            finally:
+                await server.drain()
+
+        status, _, body = run_async(scenario())
+        assert status == 400
+        assert b"unknown benchmark 'nope'" in body

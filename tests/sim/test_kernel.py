@@ -4,13 +4,11 @@ import pytest
 
 from repro.dram.refresh import RefreshStats
 from repro.obs import ProbeBus, SpanTracer, use_tracer
-from repro.sim import SchemeCapabilities, SimKernel, run_concurrent
+from repro.sim import SimKernel, run_concurrent
 
 
 class RecordingScheme:
     """Scheme double: records every run_window call it receives."""
-
-    capabilities = SchemeCapabilities(timed=False, consumes_write_hook=True)
 
     def __init__(self):
         self.calls = []

@@ -1,4 +1,4 @@
-"""Tests for the RefreshScheme protocol, capabilities and adapters."""
+"""Tests for the RefreshScheme protocol and its adapters."""
 
 import numpy as np
 
@@ -6,7 +6,6 @@ from repro.core.config import SystemConfig
 from repro.sim import (
     RaidrScheme,
     RefreshScheme,
-    SchemeCapabilities,
     SmartRefreshScheme,
     ZeroIndicatorRefreshScheme,
 )
@@ -21,16 +20,14 @@ class TestCapabilities:
         from repro.core.zero_refresh import ZeroRefreshSystem
 
         system = ZeroRefreshSystem(quick_config())
-        caps = system.engine.capabilities
-        assert isinstance(caps, SchemeCapabilities)
-        assert not caps.wants_access_events
+        assert not system.engine.wants_access_events
         assert isinstance(system.engine, RefreshScheme)
 
     def test_hybrid_engine_wants_access_events(self):
         from repro.core.zero_refresh import ZeroRefreshSystem
 
         system = ZeroRefreshSystem(quick_config(refresh_mode="hybrid"))
-        assert system.engine.capabilities.wants_access_events
+        assert system.engine.wants_access_events
         assert isinstance(system.engine, RefreshScheme)
 
     def test_engines_have_no_private_probe_attr(self):
@@ -42,11 +39,13 @@ class TestCapabilities:
             assert not hasattr(engine, "_note_access")
 
     def test_adapters_satisfy_protocol(self):
-        for cls in (SmartRefreshScheme, RaidrScheme,
-                    ZeroIndicatorRefreshScheme):
-            assert isinstance(cls.capabilities, SchemeCapabilities)
-            assert not cls.capabilities.timed
-            assert not cls.capabilities.consumes_write_hook
+        adapters = (
+            SmartRefreshScheme(tracker=None),
+            RaidrScheme(scheduler=None),
+            ZeroIndicatorRefreshScheme(scheme=None, content=lambda: None),
+        )
+        for adapter in adapters:
+            assert isinstance(adapter, RefreshScheme)
 
 
 class TestSmartRefreshScheme:

@@ -1,5 +1,8 @@
 """Top-level package surface tests."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -38,3 +41,20 @@ class TestLazyExports:
         import repro.osmodel
         import repro.transform
         import repro.workloads
+
+
+class TestPublicExports:
+    def test_every_export_resolves_once(self):
+        """A stale ``__all__`` entry breaks ``from <module> import *``."""
+        checked = 0
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+            module = importlib.import_module(info.name)
+            names = getattr(module, "__all__", None)
+            if names is None:
+                continue
+            checked += 1
+            missing = [name for name in names if not hasattr(module, name)]
+            assert not missing, f"{info.name}.__all__ lists {missing}"
+            assert len(set(names)) == len(names), (
+                f"{info.name}.__all__ lists a name twice")
+        assert checked >= 30
