@@ -18,7 +18,9 @@ Axis binding rules (by :class:`SweepAxis` name):
 ``overrides``
     Each value is a mapping of dotted overrides applied to that cell.
 ``params.<key>``
-    Binds a parameter of a custom point function.
+    Binds a parameter of a custom point function.  A ``benchmark``
+    parameter, bound here or in ``point_params``, must name a known
+    benchmark profile.
 anything else
     A dotted settings/config override key, resolved through
     :mod:`repro.scenarios.resolve`.  Config-level keys materialise as
@@ -138,6 +140,8 @@ def _cell_job(spec: ScenarioSpec, settings, axes: Dict[str, list],
             )
         params = dict(spec.point_params_dict)
         params.update(axis_params)
+        if "benchmark" in params:
+            check_benchmark(str(params["benchmark"]))
         return SimJob(
             benchmark=str(params.get("benchmark") or spec.scenario_id),
             allocated_fraction=allocated_fraction,

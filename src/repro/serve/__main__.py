@@ -26,7 +26,7 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro-serve",
-        description="Serve codec transforms and experiment runs over HTTP.",
+        description="Serve experiment and sweep runs over HTTP.",
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {version()}")
@@ -38,16 +38,9 @@ def main(argv=None) -> int:
     parser.add_argument("--request-timeout", type=float, default=60.0,
                         metavar="SECONDS",
                         help="per-request deadline (504 on expiry)")
-    parser.add_argument("--batch-max", type=int, default=32,
-                        help="transform micro-batch size bound")
-    parser.add_argument("--batch-delay-ms", type=float, default=2.0,
-                        help="transform micro-batch coalescing window")
     parser.add_argument("--workers", type=int, default=2,
                         help="experiment worker processes "
                              "(0: in-process threads)")
-    parser.add_argument("--rows", type=int, default=4096,
-                        help="codec cell-type table size (valid row_index "
-                             "range of /v1/transform)")
     parser.add_argument("--experiment-backend",
                         choices=["serial", "pool", "cluster"], default=None,
                         help="execution backend for offloaded experiment "
@@ -99,10 +92,7 @@ def main(argv=None) -> int:
         port=args.port,
         max_pending=args.max_pending,
         request_timeout_s=args.request_timeout,
-        batch_max=args.batch_max,
-        batch_delay_s=args.batch_delay_ms / 1e3,
         workers=args.workers,
-        num_rows=args.rows,
         use_cache=not args.no_cache,
         cache_dir=str(args.cache_dir) if args.cache_dir else None,
         drain_grace_s=args.drain_grace,

@@ -20,8 +20,8 @@ built by this module.
 Usage::
 
     python -m repro.serve.loadgen --port 8023 --mode closed \
-        --concurrency 8 --duration 5 --endpoint transform \
-        --report BENCH_serve.json
+        --concurrency 8 --duration 5 --endpoint experiment \
+        --experiment-id tab01 --report BENCH_serve.json
 """
 
 from __future__ import annotations
@@ -110,27 +110,15 @@ class LoadgenResult:
 
 
 # ----------------------------------------------------------------------
-# request bodies
+# requests
 # ----------------------------------------------------------------------
-def transform_body(lines: int = 4, words_per_line: int = 8,
-                   row_index: int = 0) -> bytes:
-    """A deterministic transform request body (mixed-content lines)."""
-    data = [
-        [(i * words_per_line + j) * 0x0101 for j in range(words_per_line)]
-        for i in range(lines)
-    ]
-    return json_body({"op": "encode", "row_index": row_index, "lines": data})
-
-
-def build_request(endpoint: str, experiment_id: str,
-                  lines: int) -> "tuple[str, str, Optional[bytes]]":
+def build_request(endpoint: str,
+                  experiment_id: str) -> "tuple[str, str, Optional[bytes]]":
     """Map an endpoint name to ``(method, path, body)``."""
     if endpoint == "healthz":
         return "GET", "/healthz", None
     if endpoint == "metrics":
         return "GET", "/metrics", None
-    if endpoint == "transform":
-        return "POST", "/v1/transform", transform_body(lines=lines)
     if endpoint == "experiment":
         return ("POST", f"/v1/experiments/{experiment_id}",
                 json_body({"quick": True}))
@@ -207,12 +195,12 @@ async def run_open_loop(
 
 
 async def run_loadgen(
-    host: str, port: int, *, mode: str = "closed", endpoint: str = "transform",
-    concurrency: int = 4, rate: float = 100.0, duration_s: float = 5.0,
-    experiment_id: str = "fig19", lines: int = 4,
+    host: str, port: int, *, mode: str = "closed",
+    endpoint: str = "experiment", concurrency: int = 4, rate: float = 100.0,
+    duration_s: float = 5.0, experiment_id: str = "fig19",
 ) -> LoadgenResult:
     """Drive one load-generation run and return its measurements."""
-    method, path, body = build_request(endpoint, experiment_id, lines)
+    method, path, body = build_request(endpoint, experiment_id)
     result = LoadgenResult(mode=mode, endpoint=endpoint,
                            duration_s=duration_s)
     start = time.perf_counter()
@@ -243,17 +231,14 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=("closed", "open"),
                         default="closed")
     parser.add_argument("--endpoint",
-                        choices=("transform", "experiment", "healthz",
-                                 "metrics"),
-                        default="transform")
+                        choices=("experiment", "healthz", "metrics"),
+                        default="experiment")
     parser.add_argument("--concurrency", type=int, default=4,
                         help="closed-loop worker count")
     parser.add_argument("--rate", type=float, default=100.0,
                         help="open-loop request rate per second")
     parser.add_argument("--duration", type=float, default=5.0,
                         help="run length in seconds")
-    parser.add_argument("--lines", type=int, default=4,
-                        help="cachelines per transform request")
     parser.add_argument("--experiment-id", default="fig19",
                         help="experiment for --endpoint experiment")
     parser.add_argument("--report", type=Path, default=None, metavar="PATH",
@@ -266,7 +251,6 @@ def main(argv=None) -> int:
         args.host, args.port, mode=args.mode, endpoint=args.endpoint,
         concurrency=args.concurrency, rate=args.rate,
         duration_s=args.duration, experiment_id=args.experiment_id,
-        lines=args.lines,
     ))
     print(result.render())
     if args.report is not None:

@@ -1,16 +1,12 @@
 """The asyncio serving daemon: admission control, offload, drain.
 
-:class:`ReproServer` is a single-process asyncio server with three
+:class:`ReproServer` is a single-process asyncio server with two
 planes:
 
 * **control** — ``GET /healthz`` and ``GET /metrics`` answer
   immediately, bypassing admission control, so the server stays
   observable even when saturated (the backpressure tests rely on it);
-* **transform** — ``POST /v1/transform`` requests flow through the
-  :class:`~repro.serve.batching.MicroBatcher`, which coalesces up to
-  ``batch_max`` lines-groups or ``batch_delay_s`` worth of arrivals
-  into one vectorised codec pass;
-* **experiments** — ``POST /v1/experiments/{id}`` submissions are
+* **data** — ``POST /v1/experiments/{id}`` submissions are
   single-flighted by request digest (concurrent identical requests
   share one execution) and offloaded to a ``ProcessPoolExecutor`` via
   :func:`~repro.experiments.engine.execute_request`, so CPU-bound
@@ -20,6 +16,7 @@ planes:
   :class:`~repro.scenarios.spec.ScenarioSpec` bodies: the spec digest
   keys the single-flight table and the cache, so a never-registered
   user sweep coalesces and caches exactly like a registered figure.
+  ``GET /v1/runs/{id}`` reports one run's state from its span store.
 
 Robustness is structural, not best-effort: a bounded in-flight counter
 rejects excess data-plane requests with ``429`` + ``Retry-After``
@@ -28,14 +25,14 @@ under a deadline (``504`` on expiry); and ``drain()`` — wired to
 SIGTERM/SIGINT by ``repro-serve`` — stops the listener, lets in-flight
 work finish within a grace period, journals any experiment requests
 still executing to ``<cache>/journal/serve-inflight.json``, and only
-then tears down the batcher and the worker pool.  The next
-``start()`` picks that file up and resubmits each interrupted request
-with its resume token, so the engine's per-run span store lets it
-skip every job the cut-short run already completed.
+then tears down the worker pool.  The next ``start()`` picks that file
+up and resubmits each interrupted request with its resume token, so
+the engine's per-run span store lets it skip every job the cut-short
+run already completed.
 
 Observability rides the ambient :mod:`repro.obs` machinery: request
-latency / batch size / experiment wall-time histograms, an in-flight
-gauge, per-status counters, and the metrics snapshots shipped back by
+latency and experiment wall-time histograms, an in-flight gauge,
+per-status counters, and the metrics snapshots shipped back by
 experiment workers all merge into one probe bus whose snapshot
 ``GET /metrics`` renders via
 :func:`repro.obs.metrics.prometheus_text`.
@@ -63,16 +60,15 @@ from repro.experiments.engine import (
 from repro.obs import ProbeBus, merge_snapshots
 from repro.obs.spans import SpanTracer, append_spans, root_context
 from repro.serve import handlers
-from repro.serve.batching import MicroBatcher, make_transform_processor
 from repro.serve.http import (
-    DEFAULT_MAX_BODY,
     HttpError,
     HttpRequest,
     read_request,
     render_response,
 )
-from repro.transform.celltype import CellTypeLayout, CellTypePredictor
-from repro.transform.codec import ValueTransformCodec
+
+RETRY_AFTER_S = 1
+"""``Retry-After`` seconds a ``429`` rejection advertises."""
 
 
 @dataclass(frozen=True)
@@ -84,14 +80,7 @@ class ServeConfig:
     # -- backpressure and deadlines ------------------------------------
     max_pending: int = 64
     request_timeout_s: float = 60.0
-    retry_after_s: int = 1
-    max_body_bytes: int = DEFAULT_MAX_BODY
     drain_grace_s: float = 10.0
-    # -- transform micro-batching --------------------------------------
-    batch_max: int = 32
-    batch_delay_s: float = 0.002
-    num_rows: int = 4096
-    interleave: int = 512
     # -- experiment offload --------------------------------------------
     workers: int = 2
     use_cache: bool = True
@@ -119,18 +108,9 @@ class ReproServer:
                  probes: Optional[ProbeBus] = None):
         self.config = config or ServeConfig()
         self.bus = probes if probes is not None else ProbeBus()
-        self.num_rows = self.config.num_rows
-        predictor = CellTypePredictor.from_layout(
-            CellTypeLayout(interleave=self.config.interleave),
-            num_rows=self.config.num_rows,
-        )
-        self.codec = ValueTransformCodec(predictor)
-        self.transform_batcher = MicroBatcher(
-            make_transform_processor(self.codec),
-            max_batch=self.config.batch_max,
-            max_delay_s=self.config.batch_delay_s,
-            probes=self.bus,
-        )
+        # where the engine keeps results and span stores for this daemon
+        self.cache_root = (Path(self.config.cache_dir)
+                           if self.config.cache_dir else default_cache_dir())
         self.state = "idle"  # idle -> serving -> draining -> stopped
         self.inflight = 0
         self.host: Optional[str] = None
@@ -169,7 +149,6 @@ class ReproServer:
             self._executor = ThreadPoolExecutor(
                 max_workers=2, thread_name_prefix="repro-serve"
             )
-        self.transform_batcher.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -211,7 +190,6 @@ class ReproServer:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        await self.transform_batcher.close()
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
         self.state = "stopped"
@@ -246,9 +224,7 @@ class ReproServer:
         try:
             while True:
                 try:
-                    request = await read_request(
-                        reader, self.config.max_body_bytes
-                    )
+                    request = await read_request(reader)
                 except HttpError as exc:
                     response = handlers.error_response(
                         exc.status, exc.message, exc.headers
@@ -308,7 +284,7 @@ class ReproServer:
             self.bus.count("serve.rejected_429")
             return self._finish(request, handlers.error_response(
                 429, "request queue is full",
-                {"Retry-After": str(self.config.retry_after_s)}), start)
+                {"Retry-After": str(RETRY_AFTER_S)}), start)
 
         self.inflight += 1
         self.bus.gauge("serve.queue_depth", self.inflight)
@@ -340,23 +316,17 @@ class ReproServer:
 
     async def _route(self, request: HttpRequest) -> handlers.Response:
         path = request.path
-        if path == "/v1/transform":
-            if request.method != "POST":
-                raise HttpError(405, "use POST")
-            return await handlers.handle_transform(self, request)
         if path == "/v1/sweeps":
             if request.method != "POST":
                 raise HttpError(405, "use POST")
-            return await handlers.handle_sweep(self, request)
+            return await handlers.handle_run(self, request)
         if path.startswith("/v1/experiments/"):
             if request.method != "POST":
                 raise HttpError(405, "use POST")
             experiment_id = path[len("/v1/experiments/"):]
             if not experiment_id or "/" in experiment_id:
                 raise HttpError(404, f"no such route: {path}")
-            return await handlers.handle_experiment(
-                self, experiment_id, request
-            )
+            return await handlers.handle_run(self, request, experiment_id)
         if path.startswith("/v1/runs/"):
             if request.method != "GET":
                 raise HttpError(405, "use GET")
@@ -469,9 +439,7 @@ class ReproServer:
                     t0=t_req, dur_s=offload_s, queue_s=round(queue_s, 6),
                     worker_wall_s=payload.get("wall_s"),
                 )
-            root = (Path(self.config.cache_dir) if self.config.cache_dir
-                    else default_cache_dir())
-            append_spans(root, run_id, tracer.records)
+            append_spans(self.cache_root, run_id, tracer.records)
         except OSError:  # pragma: no cover - span store is best-effort
             pass
 
@@ -479,9 +447,7 @@ class ReproServer:
     # drain-time journaling of in-flight experiments
     # ------------------------------------------------------------------
     def _inflight_journal_path(self) -> Path:
-        root = (Path(self.config.cache_dir) if self.config.cache_dir
-                else default_cache_dir())
-        return root / "journal" / "serve-inflight.json"
+        return self.cache_root / "journal" / "serve-inflight.json"
 
     def _journal_inflight_experiments(self) -> None:
         """Persist experiment requests still executing at drain time.
@@ -580,10 +546,8 @@ class ReproServer:
         from repro.obs import use_probes
         from repro.store.gc import collect
 
-        root = (Path(self.config.cache_dir) if self.config.cache_dir
-                else default_cache_dir())
         with use_probes(self.bus):
-            stats = collect(root, self._gc_policy())
+            stats = collect(self.cache_root, self._gc_policy())
         self.bus.count("serve.gc_sweeps")
         return stats
 

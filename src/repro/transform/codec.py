@@ -21,7 +21,7 @@ There is one batched path each way:
 :meth:`ValueTransformCodec.transform_lines` (steps 1-3) plus
 :meth:`RotationMapper.scatter` (step 4) over ``(n, words)`` lines and a
 vector of their rows, and its inverse.  Every other entry point (one
-row, many rows, grouped requests) reshapes onto it.
+row, many rows) reshapes onto it.
 
 :class:`StageSelection` switches stages off individually, which is what
 the stage-contribution and cell-type ablation experiments use.
@@ -194,34 +194,6 @@ class ValueTransformCodec:
             chip_data.swapaxes(0, 1).reshape(chips, -1, words_per_chip), rows
         )
         return lines.reshape(n_rows, lines_per_row, self.rotation.words_per_line)
-
-    # ------------------------------------------------------------------
-    # grouped interface (the serving layer's micro-batches)
-    # ------------------------------------------------------------------
-    def transform_lines_many(
-        self, line_groups: "list[np.ndarray]", row_indices: "list[int]"
-    ) -> "list[np.ndarray]":
-        """:meth:`transform_lines` over several line groups in one pass.
-
-        ``line_groups[i]`` is a ``(n_i, words_per_line)`` array bound
-        for row ``row_indices[i]``; each returned group is bit-identical
-        to ``transform_lines(line_groups[i], row_indices[i])``.
-        """
-        return self._grouped(self.transform_lines, line_groups, row_indices)
-
-    def untransform_lines_many(
-        self, encoded_groups: "list[np.ndarray]", row_indices: "list[int]"
-    ) -> "list[np.ndarray]":
-        """Invert :meth:`transform_lines_many` (grouped decode path)."""
-        return self._grouped(self.untransform_lines, encoded_groups, row_indices)
-
-    @staticmethod
-    def _grouped(batched, groups, row_indices):
-        if not groups:
-            return []
-        counts = [len(group) for group in groups]
-        flat = batched(np.concatenate(groups), np.repeat(row_indices, counts))
-        return np.split(flat, np.cumsum(counts)[:-1])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

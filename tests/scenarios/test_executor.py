@@ -166,6 +166,17 @@ class TestCustomPointBinding:
         assert job.benchmark == "solo"
         assert job.params is None
 
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec("s", point="repro.experiments.fig19:capacity_point",
+                     point_params={"benchmark": "nope"}),
+        ScenarioSpec("s", axes=(SweepAxis("params.benchmark",
+                                          values=["mcf", "nope"]),),
+                     point="repro.experiments.fig19:capacity_point"),
+    ], ids=["point-param", "params-axis"])
+    def test_unknown_benchmark_param_fails_eagerly(self, spec):
+        with pytest.raises(ScenarioError, match="unknown benchmark 'nope'"):
+            expand(spec, SETTINGS)
+
     def test_custom_point_rejects_override_axes(self):
         spec = ScenarioSpec(
             "s", axes=(SweepAxis("row_bytes", values=[2048]),),

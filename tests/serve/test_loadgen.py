@@ -5,14 +5,11 @@ import json
 
 import pytest
 
+from repro.experiments import REGISTRY
 from repro.serve import ReproServer, ServeConfig
-from repro.serve.loadgen import (
-    LoadgenResult,
-    build_request,
-    main,
-    run_loadgen,
-    transform_body,
-)
+from repro.serve.loadgen import LoadgenResult, build_request, main, run_loadgen
+
+from tests.serve.test_server import fake_experiment
 
 
 def run_against_server(mode, endpoint, **kwargs):
@@ -31,8 +28,11 @@ def run_against_server(mode, endpoint, **kwargs):
 
 
 class TestLoadgenRuns:
-    def test_closed_loop_transform(self):
-        result = run_against_server("closed", "transform", concurrency=3)
+    def test_closed_loop_experiment(self, monkeypatch):
+        monkeypatch.setitem(
+            REGISTRY, "_svc_load", fake_experiment("_svc_load", []))
+        result = run_against_server("closed", "experiment", concurrency=3,
+                                    experiment_id="_svc_load")
         assert result.requests > 0
         assert result.ok == result.requests
         assert result.errors == 0
@@ -42,7 +42,7 @@ class TestLoadgenRuns:
         assert report["latency_ms"]["p50"] <= report["latency_ms"]["p99"]
         assert report["latency_ms"]["p99"] <= report["latency_ms"]["max"]
         json.dumps(report)  # report must be JSON-serialisable as-is
-        assert "loadgen [closed/transform]" in result.render()
+        assert "loadgen [closed/experiment]" in result.render()
 
     def test_open_loop_healthz(self):
         result = run_against_server("open", "healthz", rate=50.0)
@@ -53,14 +53,14 @@ class TestLoadgenRuns:
 
     def test_unknown_mode_and_endpoint(self):
         with pytest.raises(ValueError, match="unknown endpoint"):
-            build_request("nope", "fig19", 4)
+            build_request("nope", "fig19")
         with pytest.raises(ValueError, match="unknown mode"):
             asyncio.run(run_loadgen("127.0.0.1", 1, mode="wat"))
 
 
 class TestResultMath:
     def test_percentiles_nearest_rank(self):
-        result = LoadgenResult(mode="closed", endpoint="transform",
+        result = LoadgenResult(mode="closed", endpoint="experiment",
                                duration_s=1.0)
         for latency in (0.010, 0.020, 0.030, 0.040, 0.100):
             result.record(200, latency)
@@ -80,13 +80,6 @@ class TestResultMath:
         report = result.report()
         assert report["throughput_rps"] == 0.0
         assert report["latency_ms"]["p50"] == 0.0
-
-    def test_transform_body_is_deterministic(self):
-        assert transform_body() == transform_body()
-        payload = json.loads(transform_body(lines=2, words_per_line=4))
-        assert payload["op"] == "encode"
-        assert len(payload["lines"]) == 2
-        assert all(len(line) == 4 for line in payload["lines"])
 
 
 class TestLoadgenCli:

@@ -169,8 +169,7 @@ class TestAgreesWithInspect:
         return runner
 
     def status(self, cache, run_id):
-        server = SimpleNamespace(config=SimpleNamespace(cache_dir=str(cache)),
-                                 _inflight_experiments={})
+        server = SimpleNamespace(cache_root=cache, _inflight_experiments={})
         return json.loads(handle_run_status(server, run_id, None).body)
 
     def test_finished_partial_and_interrupted(self, monkeypatch, tmp_path):

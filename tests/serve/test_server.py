@@ -15,7 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.experiments import REGISTRY
@@ -23,8 +22,6 @@ from repro.experiments.engine import Experiment, SimJob
 from repro.experiments.runner import ExperimentResult
 from repro.serve import ReproServer, ServeConfig
 from repro.serve.http import ClientConnection
-from repro.transform.celltype import CellTypeLayout, CellTypePredictor
-from repro.transform.codec import ValueTransformCodec
 
 from tests.obs.test_prometheus import histogram_view, parse_prometheus
 
@@ -36,20 +33,6 @@ def run_async(coro, timeout=60.0):
         return await asyncio.wait_for(coro, timeout)
 
     return asyncio.run(guarded())
-
-
-def reference_codec(num_rows=4096, interleave=512):
-    predictor = CellTypePredictor.from_layout(
-        CellTypeLayout(interleave=interleave), num_rows=num_rows
-    )
-    return ValueTransformCodec(predictor)
-
-
-def transform_payload(lines, row_index, op="encode"):
-    return json.dumps(
-        {"op": op, "row_index": row_index,
-         "lines": np.asarray(lines, dtype=np.uint64).tolist()}
-    ).encode()
 
 
 _FAKE_RUNS = {}
@@ -118,116 +101,15 @@ class TestControlPlane:
                     assert status == 404
                     status, _, _ = await conn.request("POST", "/healthz")
                     assert status == 405
-                    status, _, _ = await conn.request("GET", "/v1/transform")
+                    status, _, _ = await conn.request("GET", "/v1/sweeps")
                     assert status == 405
+                    status, _, _ = await conn.request(
+                        "POST", "/v1/transform", body=b"{}")
+                    assert status == 404
             finally:
                 await server.drain()
 
         run_async(scenario())
-
-
-class TestTransformEndpoint:
-    def test_batched_response_bit_identical_to_single_codec_path(self):
-        """Acceptance: coalesced responses equal the lone codec call."""
-        rng = np.random.default_rng(21)
-        rows = [0, 17, 511, 512, 600, 1024, 2047, 4095]
-        groups = [
-            rng.integers(0, 1 << 63, size=(1 + i % 3, 8), dtype=np.uint64)
-            for i in range(len(rows))
-        ]
-        codec = reference_codec()
-
-        async def scenario():
-            # a wide coalescing window so concurrent requests batch up
-            server = ReproServer(ServeConfig(
-                port=0, workers=0, batch_max=16, batch_delay_s=0.1,
-            ))
-            await server.start()
-            try:
-                async def one(lines, row):
-                    async with ClientConnection(server.host,
-                                                server.port) as conn:
-                        return await conn.request(
-                            "POST", "/v1/transform",
-                            body=transform_payload(lines, row),
-                        )
-
-                responses = await asyncio.gather(
-                    *(one(lines, row) for lines, row in zip(groups, rows))
-                )
-                snap = server.metrics_snapshot()
-                return responses, snap
-            finally:
-                await server.drain()
-
-        responses, snap = run_async(scenario())
-        for (status, _, body), lines, row in zip(responses, groups, rows):
-            assert status == 200
-            served = np.array(json.loads(body)["lines"], dtype=np.uint64)
-            expected = codec.transform_lines(lines, row)
-            np.testing.assert_array_equal(served, expected)
-        # the requests actually coalesced: fewer batches than items
-        hist = snap["histograms"]["serve.batch_size"]
-        assert snap["counters"]["serve.batched_items"] == len(rows)
-        assert hist["count"] < len(rows)
-
-    def test_encode_decode_roundtrip_over_http(self):
-        rng = np.random.default_rng(22)
-        lines = rng.integers(0, 1 << 63, size=(4, 8), dtype=np.uint64)
-
-        async def scenario():
-            server = ReproServer(ServeConfig(port=0, workers=0))
-            await server.start()
-            try:
-                async with ClientConnection(server.host, server.port) as conn:
-                    _, _, body = await conn.request(
-                        "POST", "/v1/transform",
-                        body=transform_payload(lines, 777),
-                    )
-                    encoded = json.loads(body)["lines"]
-                    _, _, body = await conn.request(
-                        "POST", "/v1/transform",
-                        body=transform_payload(encoded, 777, op="decode"),
-                    )
-                    return json.loads(body)["lines"]
-            finally:
-                await server.drain()
-
-        decoded = run_async(scenario())
-        np.testing.assert_array_equal(
-            np.array(decoded, dtype=np.uint64), lines)
-
-    def test_validation_errors_are_400(self):
-        async def scenario():
-            server = ReproServer(ServeConfig(port=0, workers=0, num_rows=64))
-            await server.start()
-            statuses = {}
-            try:
-                async with ClientConnection(server.host, server.port) as conn:
-                    cases = {
-                        "bad json": b"{nope",
-                        "bad op": json.dumps(
-                            {"op": "zap", "lines": [[0] * 8]}).encode(),
-                        "row out of range": json.dumps(
-                            {"row_index": 64, "lines": [[0] * 8]}).encode(),
-                        "short line": json.dumps(
-                            {"row_index": 0, "lines": [[1, 2]]}).encode(),
-                        "no lines": json.dumps({"row_index": 0}).encode(),
-                        "negative word": json.dumps(
-                            {"row_index": 0, "lines": [[-1] * 8]}).encode(),
-                    }
-                    for name, payload in cases.items():
-                        status, _, body = await conn.request(
-                            "POST", "/v1/transform", body=payload)
-                        statuses[name] = (status, json.loads(body))
-                return statuses
-            finally:
-                await server.drain()
-
-        statuses = run_async(scenario())
-        for name, (status, body) in statuses.items():
-            assert status == 400, name
-            assert "error" in body, name
 
 
 class TestExperimentEndpoint:
@@ -355,10 +237,13 @@ class TestBackpressure:
                 async with ClientConnection(server.host, server.port) as conn:
                     start = time.perf_counter()
                     status, headers, body = await conn.request(
-                        "POST", "/v1/transform",
-                        body=transform_payload(np.zeros((1, 8), int), 0),
-                    )
+                        "POST", "/v1/experiments/_svc_slow")
                     reject_latency = time.perf_counter() - start
+                    # every data-plane route passes admission control
+                    sweep_status, _, _ = await conn.request(
+                        "POST", "/v1/sweeps", body=b"{}")
+                    runs_status, _, _ = await conn.request(
+                        "GET", "/v1/runs/some-run")
                     health_status, _, health_body = await conn.request(
                         "GET", "/healthz")
                     metrics_status, _, _ = await conn.request(
@@ -368,14 +253,13 @@ class TestBackpressure:
                 # the slot is free again: the same request now succeeds
                 async with ClientConnection(server.host, server.port) as conn:
                     retry_status, _, _ = await conn.request(
-                        "POST", "/v1/transform",
-                        body=transform_payload(np.zeros((1, 8), int), 0),
-                    )
+                        "POST", "/v1/experiments/_svc_slow")
                 return {
                     "status": status,
                     "retry_after": headers.get("retry-after"),
                     "body": json.loads(body),
                     "reject_latency": reject_latency,
+                    "other_routes": (sweep_status, runs_status),
                     "health": (health_status, json.loads(health_body)),
                     "metrics_status": metrics_status,
                     "occupant": occupant_status,
@@ -391,6 +275,7 @@ class TestBackpressure:
         assert out["body"]["status"] == 429
         # rejection is immediate, far inside any deadline
         assert out["reject_latency"] < 0.5
+        assert out["other_routes"] == (429, 429)
         assert out["health"] == (200, {
             "status": "ok", "state": "serving", "inflight": 1,
             "max_pending": 1,
@@ -398,7 +283,11 @@ class TestBackpressure:
         assert out["metrics_status"] == 200
         assert out["occupant"] == 200
         assert out["retry"] == 200
-        assert out["snapshot"]["counters"]["serve.rejected_429"] == 1
+        counters = out["snapshot"]["counters"]
+        assert counters["serve.rejected_429"] == 3
+        # the retry was served by the result cache, not a second run
+        assert len(calls) == 1
+        assert counters["serve.experiment_cache_hits"] == 1
 
     def test_deadline_expiry_returns_504(self, monkeypatch, tmp_path):
         calls = []
@@ -439,12 +328,8 @@ class TestMetricsAgreement:
             await server.start()
             try:
                 async with ClientConnection(server.host, server.port) as conn:
-                    for i in range(n_requests):
-                        status, _, _ = await conn.request(
-                            "POST", "/v1/transform",
-                            body=transform_payload(
-                                np.full((2, 8), i, dtype=np.uint64), i),
-                        )
+                    for _ in range(n_requests):
+                        status, _, _ = await conn.request("GET", "/healthz")
                         assert status == 200
                     snapshot_before = server.metrics_snapshot()
                     _, _, exposition = await conn.request("GET", "/metrics")
@@ -466,9 +351,6 @@ class TestMetricsAgreement:
             cumulative += bucket_count
             assert buckets[repr(float(bound))] == cumulative
 
-        batch = snapshot["histograms"]["serve.batch_size"]
-        _, batch_count, _ = histogram_view(metrics, "repro_serve_batch_size")
-        assert batch_count == batch["count"]
         for name, value in snapshot["counters"].items():
             prom = "repro_" + name.replace(".", "_").replace("-", "_")
             # the GET /metrics request itself is admitted (and counted)

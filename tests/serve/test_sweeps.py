@@ -4,7 +4,11 @@ experiments."""
 
 import asyncio
 import json
+from dataclasses import replace
 
+import pytest
+
+from repro.api import get_scenario
 from repro.serve import ReproServer, ServeConfig
 from repro.serve.http import ClientConnection
 
@@ -132,19 +136,21 @@ class TestSweepEndpoint:
         assert b"bogus_field" in responses["bad_overrides"][2]
         assert responses["wrong_method"][0] == 405
 
-    def test_unknown_benchmark_axis_value_is_400(self):
+    @pytest.mark.parametrize("spec", [
+        {"scenario_id": "s",
+         "axes": [{"name": "benchmark", "values": ["nope"]}]},
+        # a custom point reads its benchmark from its point parameters
+        replace(get_scenario("fig19"),
+                point_params={"benchmark": "nope"}).to_dict(),
+    ], ids=["benchmark-axis", "custom-point"])
+    def test_unknown_benchmark_axis_value_is_400(self, spec):
         async def scenario():
             server = ReproServer(ServeConfig(port=0, workers=0))
             await server.start()
             try:
                 async with ClientConnection(server.host, server.port) as conn:
                     return await conn.request(
-                        "POST", "/v1/sweeps",
-                        body=sweep_body(spec={
-                            "scenario_id": "s",
-                            "axes": [{"name": "benchmark",
-                                      "values": ["nope"]}],
-                        }))
+                        "POST", "/v1/sweeps", body=sweep_body(spec=spec))
             finally:
                 await server.drain()
 

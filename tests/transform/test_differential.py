@@ -142,17 +142,3 @@ class TestBatchedCodec:
             np.testing.assert_array_equal(
                 encoded[i], reference_encode(codec, lines[i], [row] * 16))
         np.testing.assert_array_equal(codec.decode_rows(encoded, rows), lines)
-
-    def test_grouped_serve_path_matches_stage_by_stage(self):
-        codec = make_codec(StageSelection.full(), error_rate=0.3, seed=9)
-        rows = [1, 4, 4, 30, 63]
-        groups = [random_lines(8, n, seed=n) for n in (3, 0, 1, 7, 2)]
-        encoded = codec.transform_lines_many(groups, rows)
-        for group, row, got in zip(groups, rows, encoded):
-            assert got.shape == group.shape
-            for line, stored in zip(group, got):
-                np.testing.assert_array_equal(
-                    stored, reference_transform(codec, line, row))
-        for group, got in zip(groups,
-                              codec.untransform_lines_many(encoded, rows)):
-            np.testing.assert_array_equal(got, group)
