@@ -16,17 +16,13 @@ Execution goes through the parallel, cache-aware, fault-tolerant
 engine (:mod:`repro.experiments.engine`): work fans out over ``jobs``
 worker processes, every simulation point is memoised in a
 content-addressed on-disk cache, and every run records its progress
-so a killed run resumes instead of re-simulating::
-
-    >>> result = api.run(api.RunRequest("fig17", jobs=4))
-    >>> # ... the process dies 90% through ...
-    >>> token = api.make_runner().last_run_id  # or repro inspect --list
-    >>> result = api.run(api.RunRequest("fig17", jobs=4, resume=token))
+in its run's span store, so a killed run is finished by issuing the
+same request again: its finished jobs are cache hits.
 
 Pass ``cache=False`` to force fresh simulation, or a ``cache_dir`` to
 relocate the store (default: ``$REPRO_CACHE_DIR`` or ``.repro-cache``).
-Retry/timeout policy, fault injection for chaos tests, and resume
-tokens are all fields on :class:`RunRequest` — see
+Retry/timeout policy, fault injection for chaos tests and the run id
+are all fields on :class:`RunRequest` — see
 :mod:`repro.experiments.lifecycle` for the field-by-field contract.
 """
 
@@ -244,7 +240,7 @@ def inspect_run(run_id: str,
     Joins the run's span store and cached per-job metrics into the
     ``repro inspect`` document (state, job counts, cache hit
     ratio, per-phase breakdown, retries, slowest jobs, critical path,
-    timeline).  ``run_id`` is the resume token printed on stderr after
+    timeline).  ``run_id`` is the id printed on stderr after
     every cached run (also in ``--json`` output and the serving
     layer's ``X-Repro-Run-Id`` header).  Raises
     :class:`repro.obs.inspect.UnknownRunError` for ids with no span

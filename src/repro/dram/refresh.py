@@ -349,12 +349,12 @@ class RefreshEngine:
         refresh only recharges cells — it never changes stored data, so
         :meth:`derive_group_status` still reflects the pre-refresh truth.
         """
+        truth = self.derive_group_status(bank, ar_set)
         self.watchdog.check(
             "refresh.no_discharged_refresh",
-            not bool((refresh_mask & status).any()),
+            not bool((refresh_mask & truth).any()),
             bank=bank, ar_set=ar_set, t=round(time_s, 6),
         )
-        truth = self.derive_group_status(bank, ar_set)
         self.watchdog.check(
             "refresh.skip_safety",
             not bool((status & ~truth).any()),

@@ -135,12 +135,6 @@ def main(argv=None) -> int:
                              "path and wait for external 'repro worker "
                              "--connect ADDR' processes instead of "
                              "spawning local ones")
-    parser.add_argument("--resume", metavar="RUN_ID", default=None,
-                        help="resume a recorded run: the jobs its span "
-                             "store marks done replay from the cache, "
-                             "only the remainder executes (run ids "
-                             "print on stderr at the end of every "
-                             "cached run)")
     parser.add_argument("--job-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-job wall-clock budget; a job over "
@@ -187,13 +181,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.bench_json is not None and not args.profile:
         parser.error("--bench-json requires --profile")
-    if args.resume is not None and args.experiment == "all":
-        parser.error("--resume names one recorded run; use it with a "
-                     "single experiment id")
-    if args.resume is not None and args.no_cache:
-        parser.error("--resume needs the cache (the run store lives "
-                     "in it and replays are served from it); drop "
-                     "--no-cache")
     if (args.experiment != "sweep"
             and (args.axis or args.sets or args.benchmarks is not None)):
         parser.error("--axis/--set/--benchmarks only apply to 'sweep'")
@@ -271,7 +258,6 @@ def main(argv=None) -> int:
             request = api.RunRequest(
                 experiment_id=None if sweep_spec is not None else name,
                 spec=sweep_spec, settings=settings, probes=bus,
-                resume=args.resume,
             )
             result = api.run(request, runner=runner)
             if args.json:
@@ -290,9 +276,8 @@ def main(argv=None) -> int:
             print(f"[{name}] {time.time() - start:.1f}s", file=sys.stderr)
             if runner.last_run_id is not None:
                 print(f"[{name}] run id: {runner.last_run_id} "
-                      f"(trace {runner.last_trace_id}; resume with "
-                      f"--resume, inspect with 'inspect')",
-                      file=sys.stderr)
+                      f"(trace {runner.last_trace_id}; inspect with "
+                      f"'inspect')", file=sys.stderr)
             if args.csv_out is not None:
                 result.save_csv(args.csv_out / f"{name}.csv")
     finally:

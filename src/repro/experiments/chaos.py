@@ -8,10 +8,11 @@ A. **retry-through-crash** — one worker crash plus one delayed job on a
    two-worker pool; the plan must complete with at least one retry.
 B. **quarantine** — a job that kills its worker on every attempt; the
    run must finish the *rest* of the plan and return the partial-failure
-   report carrying a resume token.
-C. **resume** — re-run phase B's run id with the fault gone; its span
-   store must replay the completed jobs and the final result must
-   be byte-identical to an undisturbed run in a pristine cache.
+   report naming its run id.
+C. **re-run** — issue phase B's request again with the fault gone; it
+   must land in phase B's run and store, serve the completed jobs from
+   the cache, keep phase B's failed attempt spans, and produce a
+   result byte-identical to an undisturbed run in a pristine cache.
 D. **cluster worker death** — SIGKILL a live ``--backend cluster``
    worker mid-job via a kill fault; the coordinator must detect the
    lost lease, requeue the orphaned job onto a surviving worker, and
@@ -46,6 +47,7 @@ from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.experiments.lifecycle import RunRequest, execute, runner_for
 from repro.experiments.runner import ExperimentSettings
 from repro.obs import ProbeBus
+from repro.obs.spans import dedupe_spans, read_spans, span_path
 
 EXPERIMENT_ID = "fig17"
 
@@ -94,7 +96,7 @@ class ChaosReport:
 
 
 def _run(cache_dir: Path, *, jobs: Optional[int] = None,
-         faults: Optional[FaultPlan] = None, resume: Optional[str] = None,
+         faults: Optional[FaultPlan] = None,
          probes: Optional[ProbeBus] = None, backend: Optional[str] = None,
          workers: Optional[int] = None):
     """One lifecycle execution; returns ``(result, runner)``."""
@@ -107,7 +109,6 @@ def _run(cache_dir: Path, *, jobs: Optional[int] = None,
         timeout_s=120.0,
         retry=RETRY,
         faults=faults,
-        resume=resume,
         backend=backend,
         workers=workers,
     )
@@ -141,7 +142,7 @@ def phase_a_retry(report: ChaosReport, root: Path) -> None:
 
 def phase_b_quarantine(report: ChaosReport, root: Path) -> Optional[str]:
     """A job that kills its worker every time gets quarantined; the rest
-    of the plan completes and the result carries a resume token."""
+    of the plan completes and the result names its run id."""
     faults = FaultPlan((FaultSpec(job_index=1, kind="kill", times=99),))
     result, runner = _run(root / "phase-bc", jobs=2, faults=faults)
     report.check("B", "exactly one job quarantined",
@@ -153,17 +154,15 @@ def phase_b_quarantine(report: ChaosReport, root: Path) -> Optional[str]:
                  runner.stats.worker_crashes >= 1,
                  f"worker_crashes={runner.stats.worker_crashes}")
     run_id = runner.last_run_id
-    report.check("B", "resume token available", bool(run_id),
+    report.check("B", "run id available", bool(run_id),
                  f"run_id={run_id!r}")
-    report.check("B", "resume token printed in report notes",
+    report.check("B", "run id printed in report notes",
                  bool(run_id) and run_id in str(result.notes or ""),
                  str(result.notes or ""))
     if run_id:
         # the span store is flushed record by record, so the trace of
         # a faulted run is inspectable on disk even before (or
         # without) a clean finish
-        from repro.obs.spans import dedupe_spans, read_spans, span_path
-
         spans = dedupe_spans(read_spans(
             span_path(root / "phase-bc", run_id)))
         report.check("B", "span store written for the faulted run",
@@ -178,26 +177,35 @@ def phase_b_quarantine(report: ChaosReport, root: Path) -> Optional[str]:
     return run_id
 
 
-def phase_c_resume(report: ChaosReport, root: Path,
-                   run_id: Optional[str]) -> None:
-    """Resume phase B's run with the fault gone: the span store replays the
-    completed jobs, and the result matches an undisturbed run."""
+def phase_c_rerun(report: ChaosReport, root: Path,
+                  run_id: Optional[str]) -> None:
+    """Issue phase B's request again with the fault gone: it lands in
+    phase B's run and store, the completed jobs are cache hits, and the
+    result matches an undisturbed run."""
     if not run_id:
-        report.check("C", "resume token from phase B", False,
+        report.check("C", "run id from phase B", False,
                      "phase B produced no run id")
         return
-    bus = ProbeBus()
-    result, runner = _run(root / "phase-bc", resume=run_id, probes=bus)
-    counters = bus.snapshot().get("counters", {})
-    replays = counters.get("engine.journal_replays", 0)
-    report.check("C", "span store replayed the completed jobs", replays >= 2,
-                 f"journal_replays={replays}")
-    report.check("C", "resumed run completed cleanly",
+    path = span_path(root / "phase-bc", run_id)
+    failed = [s for s in read_spans(path)
+              if s.get("name") == "attempt" and "error" in s]
+    result, runner = _run(root / "phase-bc", jobs=2)
+    report.check("C", "re-run recorded under phase B's run id",
+                 runner.last_run_id == run_id,
+                 f"run_id={runner.last_run_id!r}")
+    report.check("C", "completed jobs served from the cache",
+                 runner.stats.cache_hits >= 2,
+                 f"cache_hits={runner.stats.cache_hits}")
+    report.check("C", "re-run completed cleanly",
                  not runner.failures and "PARTIAL FAILURE" not in result.title,
                  result.title)
+    stored = read_spans(path)
+    report.check("C", "store keeps phase B's failed attempts",
+                 failed and all(s in stored for s in failed),
+                 f"failed_attempts={len(failed)}")
 
     reference, _ = _run(root / "reference")
-    report.check("C", "resumed result byte-identical to undisturbed run",
+    report.check("C", "re-run result byte-identical to undisturbed run",
                  result.to_json() == reference.to_json())
 
 
@@ -351,7 +359,7 @@ def main(argv=None) -> int:
         except Exception as exc:  # noqa: BLE001
             report.error("B", exc)
         try:
-            phase_c_resume(report, root, run_id)
+            phase_c_rerun(report, root, run_id)
         except Exception as exc:  # noqa: BLE001
             report.error("C", exc)
         try:

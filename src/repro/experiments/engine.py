@@ -43,17 +43,17 @@ streams its span tree to the run's store
 (``<cache>/spans/<run-id>.jsonl``, see :func:`repro.obs.spans.load_run`):
 a ``plan`` span carrying the plan digest, then one job span per job as
 it lands in the cache (``done``), is served from it (``cached``) or is
-quarantined.  ``run_experiment(resume=...)`` replays the store's done
-jobs from the cache (counted as ``engine.journal_replays`` on the bus)
-and executes only the rest — which is what makes a run killed 90%
-through a sweep cheap to finish.
+quarantined.  A store whose plan span carries this plan's digest is
+appended to, so it keeps every run of its plan; another plan's store
+is truncated.  Finished jobs are cache hits, so re-issuing a run
+killed 90% through a sweep executes only the rest.
 Failures are bounded rather than fatal: a job exception or timeout
 retries with exponential backoff up to
 :class:`RetryPolicy.max_attempts`; a job whose worker process dies
 under it is re-run alone and quarantined after ``max_worker_crashes``
 incidents.  Quarantined jobs become
 :class:`JobFailure` records and the run returns a partial-failure
-:class:`ExperimentResult` carrying the resume token — the rest of the
+:class:`ExperimentResult` naming its run id — the rest of the
 plan still completes and is recorded.  Deterministic chaos tests
 script all of this through a
 :class:`~repro.experiments.faults.FaultPlan`.
@@ -159,8 +159,8 @@ class JobFailure:
 
 
 def default_run_id(experiment_id: str, settings) -> str:
-    """Deterministic resume token for one (experiment, settings) pair,
-    so "resume the run I just lost" is just re-issuing the request."""
+    """Deterministic run id for one (experiment, settings) pair, so
+    finishing a lost run is just re-issuing the request."""
     return f"{experiment_id}-{stable_digest('run', experiment_id, settings)[:12]}"
 
 
@@ -238,8 +238,6 @@ class RunnerStats:
     timeouts: int = 0
     worker_crashes: int = 0
     quarantined: int = 0
-    journal_replays: int = 0
-    journal_resumes: int = 0
     faults_injected: int = 0
 
     def merged_into_summary(self, elapsed_s: float) -> str:
@@ -255,7 +253,6 @@ class RunnerStats:
             ("timeouts", self.timeouts),
             ("worker crashes", self.worker_crashes),
             ("quarantined", self.quarantined),
-            ("journal replays", self.journal_replays),
         ):
             if value:
                 parts.append(f"{value} {label}")
@@ -273,7 +270,7 @@ class Runner:
     cache:
         A :class:`ResultCache`, or ``None`` to disable caching (which
         also disables the on-disk run store — it lives under the cache
-        root and promises only cache-backed replays).
+        root and its done jobs are promises the cache keeps).
     watchdog:
         When true, every job runs under its own
         :class:`~repro.obs.invariants.InvariantWatchdog`; check and
@@ -334,7 +331,6 @@ class Runner:
         self.run_records: List[dict] = []
         self._metric_keys: set = set()
         self._run_lock = None
-        self._resume_keys: Set[str] = set()
         self._stored_keys: Set[str] = set()
         self._job_index: Dict[str, int] = {}
         self._tries: Dict[str, int] = {}
@@ -354,16 +350,14 @@ class Runner:
         settings: Optional[ExperimentSettings] = None,
         *,
         run_id: Optional[str] = None,
-        resume: Optional[str] = None,
     ) -> ExperimentResult:
         """Run one experiment; record progress; survive job failures.
 
-        ``resume`` names a previous run: the done jobs of its store
-        replay from the cache and only the remainder executes.
-        ``run_id`` overrides the run's (otherwise deterministic) id.
-        When jobs were quarantined the returned result is a
-        partial-failure report instead of the experiment's reduction;
-        completed work is cached and recorded either way.
+        ``run_id`` overrides the run's (otherwise deterministic) id and
+        so names the store the run records into.  When jobs were
+        quarantined the returned result is a partial-failure report
+        instead of the experiment's reduction; completed work is cached
+        and recorded either way, so issuing the run again finishes it.
         """
         if settings is None:
             settings = ExperimentSettings()
@@ -374,10 +368,10 @@ class Runner:
         plan_digest = stable_digest("plan", list(keys))
         t_plan1 = time.time()
         self._open_run(experiment.experiment_id, settings, plan_digest,
-                       run_id, resume)
+                       run_id)
         # the plan ran before the trace existed (planning feeds the run
         # id); fabricate its span now.  It binds the store to the plan:
-        # a resume reads the digests back from it
+        # the next run of the id reads the digest back from it
         self.tracer.record_span(
             "plan", parent=self._span_root, qualifier="",
             t0=t_plan0, dur_s=t_plan1 - t_plan0, planned=len(plan),
@@ -414,34 +408,14 @@ class Runner:
         ]
 
     def _open_run(self, experiment_id: str, settings: ExperimentSettings,
-                  plan_digest: str, run_id: Optional[str],
-                  resume: Optional[str]) -> None:
-        self._resume_keys = set()
+                  plan_digest: str, run_id: Optional[str]) -> None:
         self.last_run_id = None
-        rid = resume or run_id or default_run_id(experiment_id, settings)
+        rid = run_id or default_run_id(experiment_id, settings)
         if self.cache is None:
             # no cache → no on-disk store, but the trace still exists
             # in memory (--trace-chrome without a cache, direct calls)
             self._mint_trace(rid)
             return
-        ambient = get_probes()
-        prior = None
-        if resume is not None:
-            prior = load_run(self.cache.root, resume)
-            if prior is None:
-                ambient.count("engine.journal_missing")
-            else:
-                if prior.damaged:
-                    ambient.count("engine.journal_corrupt")
-                if prior.plan_digest != plan_digest:
-                    # a store for a different plan (code or settings
-                    # changed underneath the token): start clean
-                    ambient.count("engine.journal_stale")
-                    prior = None
-                else:
-                    self._resume_keys = set(prior.done)
-                    self.stats.journal_resumes += 1
-                    ambient.count("engine.journal_resumes")
         # claim the run id under an advisory lock: a concurrent run
         # sharing this cache dir holding `rid` pushes us to `rid.2`,
         # `rid.3`, ... so two processes can never interleave a store
@@ -449,24 +423,23 @@ class Runner:
             self.cache.root, rid
         )
         if conflicts:
-            ambient.count("store.run_id_conflicts", conflicts)
-            # the store under the original id belongs to the live run
-            # that beat us to it — start fresh under the suffixed id.
-            # `_resume_keys` survives: the prior run's done set still
-            # names valid cache entries, so replays stay replays (they
-            # get `cached` job spans in *our* store as they hit).
-            prior = None
+            get_probes().count("store.run_id_conflicts", conflicts)
         self.last_run_id = rid
-        # truncate on a fresh run, append when resuming (the trace id is
-        # the same either way, so dedup-by-span-id folds both runs into
-        # one tree), and flush every record so a killed run stays
-        # resumable and inspectable
+        prior = load_run(self.cache.root, rid)
+        if prior is not None and prior.plan_digest != plan_digest:
+            # another plan's store (code or settings changed): start clean
+            get_probes().count("engine.journal_stale")
+            prior = None
+        # append to this plan's store, so it keeps every run of it (one
+        # trace id: dedup by span id folds them into one tree); flush
+        # every record so a killed run stays inspectable
         sink = JsonlTraceSink(
             span_path(self.cache.root, rid),
             flush_every=1, append=prior is not None, checksum=True,
         )
         self._mint_trace(rid, sink=sink)
         if prior is not None:
+            # done jobs the store records get no second `cached` span
             self._stored_keys = set(prior.done)
 
     def _release_run_lock(self) -> None:
@@ -513,7 +486,6 @@ class Runner:
             timeouts=delta.get("timeouts", 0),
             worker_crashes=delta.get("worker_crashes", 0),
             quarantined=delta.get("quarantined", 0),
-            journal_replays=delta.get("journal_replays", 0),
         )
         self.run_records.append({
             "experiment_id": experiment_id,
@@ -554,7 +526,6 @@ class Runner:
         results: Dict[str, object] = {}
         metrics: Dict[str, Optional[dict]] = {}
         hit_keys = set()
-        replayed = set()
         pending: Dict[str, SimJob] = {}
         ambient = get_probes()
         for job, key in zip(jobs, keys):
@@ -567,15 +538,9 @@ class Runner:
                 results[key] = result
                 metrics[key] = snapshot
                 hit_keys.add(key)
-                if key in self._resume_keys:
-                    # a recorded-done job served from cache: the whole
-                    # point of resume, counted so tests can assert it
-                    replayed.add(key)
-                    self.stats.journal_replays += 1
-                    ambient.count("engine.journal_replays")
                 if key not in self._stored_keys:
-                    # record the hit as done, so a later resume of this
-                    # run still replays it
+                    # record the hit as done: the store names every job
+                    # whose result the cache holds
                     self._span_ctx[key] = self._span_root.child(
                         "job", qualifier=key)
                     self._job_t0[key] = t0
@@ -595,11 +560,7 @@ class Runner:
         for index, (job, key) in enumerate(zip(jobs, keys)):
             hit = key in hit_keys
             wall_s, worker = timings.get(key, (0.0, None))
-            extra = {}
-            if key in replayed:
-                extra["journal_replay"] = True
-            if key in failed_keys and key not in results:
-                extra["failed"] = True
+            failed = key in failed_keys and key not in results
             self._record(
                 experiment_id=experiment_id,
                 job_index=index,
@@ -611,7 +572,7 @@ class Runner:
                 cache_hit=hit,
                 wall_s=0.0 if hit else wall_s,
                 worker=worker,
-                **extra,
+                **({"failed": True} if failed else {}),
             )
         return [results.get(key) for key in keys]
 
@@ -768,9 +729,8 @@ class Runner:
             [f.job_index, f.benchmark, f.error, f.attempts, f.worker_crashes]
             for f in sorted(failures, key=lambda f: f.job_index)
         ]
-        resume_hint = (
-            f"; resume with run_id {self.last_run_id!r}"
-            if self.last_run_id else ""
+        run_hint = (
+            f" in run {self.last_run_id!r}" if self.last_run_id else ""
         )
         return ExperimentResult(
             experiment_id=experiment_id,
@@ -780,7 +740,7 @@ class Runner:
             rows=rows,
             notes=(f"{len(failures)} of {total_jobs} planned jobs "
                    f"quarantined; completed jobs are cached and "
-                   f"recorded{resume_hint}"),
+                   f"recorded{run_hint}"),
         )
 
     def _apply_runner_faults(self, key: str) -> None:
@@ -909,9 +869,9 @@ class ExperimentRequest:
     This is the unit :mod:`repro.serve` ships to a worker process: it
     names the experiment, carries the settings overrides in wire form
     (see :meth:`ExperimentSettings.from_dict`), the cache location and
-    the resume/retry policy, and nothing else — so
-    :func:`execute_request` can run it in any process with no shared
-    state beyond the on-disk result cache and run store.
+    the backend, and nothing else — so :func:`execute_request` can run
+    it in any process with no shared state beyond the on-disk result
+    cache and run store.
 
     ``spec`` is the ad-hoc sweep path: a
     :class:`~repro.scenarios.spec.ScenarioSpec` wire dict run by the
@@ -926,10 +886,6 @@ class ExperimentRequest:
     overrides: Optional[Dict[str, object]] = None
     use_cache: bool = True
     cache_dir: Optional[str] = None
-    jobs: int = 1
-    resume: Optional[str] = None
-    timeout_s: Optional[float] = None
-    max_attempts: Optional[int] = None
     spec: Optional[Dict[str, object]] = None
     backend: Optional[str] = None
     workers: Optional[int] = None
@@ -956,8 +912,8 @@ def request_digest(request: ExperimentRequest) -> str:
 
     Two requests that must produce byte-identical results — same
     experiment, same settings — share a digest even if one disables
-    the cache or carries a resume token; the serving layer uses this
-    for single-flight coalescing of concurrent identical submissions.
+    the cache; the serving layer uses this for single-flight
+    coalescing of concurrent identical submissions.
     """
     settings = ExperimentSettings.from_dict(request.overrides, request.quick)
     if request.spec is not None:
@@ -982,11 +938,12 @@ def execute_request(request: ExperimentRequest) -> dict:
     thread executor) via ``loop.run_in_executor`` — the asyncio serving
     layer's offload path.  Internally the request is translated to a
     :class:`repro.experiments.lifecycle.RunRequest`, so serve-submitted
-    runs get exactly the same store/retry/resume lifecycle as API and
-    CLI runs.  Returns a JSON-able payload: the rendered result
-    (``result_json`` is deterministic for identical requests), engine
-    cache statistics, the run's merged metrics snapshot, its resume
-    token (``run_id``) and any partial-failure records.
+    runs get exactly the same store/retry lifecycle as API and CLI
+    runs, in-process (``jobs=1``) unless the request names a backend.
+    Returns a JSON-able payload: the rendered result (``result_json``
+    is deterministic for identical requests), engine cache statistics,
+    the run's merged metrics snapshot, its run and trace ids and any
+    partial-failure records.
     """
     from repro.experiments.lifecycle import RunRequest, execute, runner_for
 
@@ -1008,18 +965,13 @@ def execute_request(request: ExperimentRequest) -> dict:
         if request.experiment_id not in REGISTRY:
             raise KeyError(f"unknown experiment {request.experiment_id!r}")
     settings = ExperimentSettings.from_dict(request.overrides, request.quick)
-    retry = (RetryPolicy(max_attempts=request.max_attempts)
-             if request.max_attempts else None)
     run_request = RunRequest(
         experiment_id=None if spec is not None else request.experiment_id,
         spec=spec,
         settings=settings,
-        jobs=request.jobs,
+        jobs=1,
         cache=request.use_cache,
         cache_dir=request.cache_dir,
-        timeout_s=request.timeout_s,
-        retry=retry,
-        resume=request.resume,
         backend=request.backend,
         workers=request.workers,
     )
@@ -1040,7 +992,6 @@ def execute_request(request: ExperimentRequest) -> dict:
         "run_id": runner.last_run_id,
         "trace_id": runner.last_trace_id,
         "retries": runner.stats.retries,
-        "journal_replays": runner.stats.journal_replays,
         "failures": [asdict(f) for f in runner.failures],
     }
 

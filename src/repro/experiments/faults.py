@@ -3,7 +3,7 @@
 Chaos testing the run lifecycle needs faults that are *scripted*, not
 random: a :class:`FaultPlan` names exactly which plan positions
 misbehave, how, and how many times, so a test (or the CI chaos-smoke
-job) can assert the precise retry / quarantine / resume behaviour that
+job) can assert the precise retry / quarantine / rerun behaviour that
 follows.  The :class:`~repro.experiments.engine.Runner` threads the
 plan through its scheduler:
 
@@ -25,7 +25,7 @@ plan through its scheduler:
   SHA-256 can catch this one);
 * ``abort-run`` — after the job completes *and its done span is
   stored*, the driving process ``SIGKILL``\\ s itself.  This is the
-  kill-and-resume integration hook: the run store survives, the run
+  kill-and-rerun integration hook: the run store survives, the run
   does not.
 
 Faults arm per *try*: a spec with ``times=2`` fires on the job's first

@@ -4,7 +4,7 @@ Every way to ask for a run — :func:`repro.api.run`, the CLI's flags
 and the serving layer's
 :class:`~repro.experiments.engine.ExperimentRequest` — builds one
 :class:`RunRequest`, so the policy knobs (cache, timeout,
-retry, resume, fault injection) and what ``probes`` or ``jobs`` mean
+retry, run id, fault injection) and what ``probes`` or ``jobs`` mean
 are defined exactly once, here.
 
 The functions below are the whole lifecycle:
@@ -19,7 +19,7 @@ The functions below are the whole lifecycle:
     ``build_runner`` applied to a request.
 :func:`execute`
     Run the request (optionally on a shared runner), installing its
-    probe bus and threading its resume token through the run store.
+    probe bus and threading its run id through to the run store.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class RunRequest:
 
     This is the blessed entry point for running experiments
     (``repro.api.run(RunRequest(...))``); the engine, the CLI and the
-    serving layer all construct runs from it, so resume/retry/timeout
-    policy has exactly one definition.
+    serving layer all construct runs from it, so retry/timeout policy
+    has exactly one definition.
 
     Fields
     ------
@@ -62,8 +62,8 @@ class RunRequest:
         A :class:`~repro.scenarios.spec.ScenarioSpec` to run instead of
         a registered experiment — the ad-hoc sweep path.  The spec is
         expanded by the generic executor and runs through the same
-        cache/resume machinery (its ``scenario_id`` is the cache and
-        run identity).
+        cache and run store machinery (its ``scenario_id`` is the
+        cache and run identity).
     settings:
         :class:`ExperimentSettings`; ``None`` means paper defaults.
     jobs:
@@ -88,11 +88,11 @@ class RunRequest:
     timeout_s / retry:
         Per-job wall-clock budget and :class:`RetryPolicy` (defaults:
         no timeout; 3 attempts, 2 worker crashes, exponential backoff).
-    resume:
-        A previous run's id: the done jobs its span store records
-        replay from the cache, only the remainder executes.
     run_id:
-        Override the (otherwise deterministic) run id.
+        Override the (otherwise deterministic) run id, which names the
+        span store the run records into.  A store of the same plan is
+        appended to; its done jobs are cache hits, so issuing a killed
+        or partly failed run again finishes it.
     faults:
         A :class:`FaultPlan` for deterministic chaos testing.
     backend:
@@ -100,16 +100,13 @@ class RunRequest:
         ``"cluster"`` — or a ready
         :class:`~repro.experiments.backends.ExecutionBackend`.
         ``None`` (default) derives serial/pool from ``jobs``.  A
-        cluster run spawns ``workers`` local worker processes, or
-        binds ``worker_address`` and waits for external
-        ``repro worker --connect`` processes to join.  Everything
-        else on this request — resume, retry, quarantine, faults,
+        cluster run spawns ``workers`` local worker processes (a
+        runner from ``build_runner(worker_address=...)`` waits for
+        external ``repro worker --connect`` processes instead).
+        Everything else on this request — retry, quarantine, faults,
         the run store — behaves identically across backends.
     workers:
         Cluster fleet size (``backend="cluster"`` only; default 2).
-    worker_address:
-        Address to bind for external workers (``HOST:PORT`` or a unix
-        socket path); ``None`` spawns the fleet locally.
     """
 
     experiment_id: Optional[str] = None
@@ -122,12 +119,10 @@ class RunRequest:
     watchdog: bool = False
     timeout_s: Optional[float] = None
     retry: Optional[RetryPolicy] = None
-    resume: Optional[str] = None
     run_id: Optional[str] = None
     faults: Optional[FaultPlan] = None
     backend: Optional[object] = None
     workers: Optional[int] = None
-    worker_address: Optional[str] = None
 
 
 def resolve_jobs(jobs: Optional[int], probes) -> Optional[int]:
@@ -205,7 +200,6 @@ def runner_for(request: RunRequest) -> Runner:
         faults=request.faults,
         backend=request.backend,
         workers=request.workers,
-        worker_address=request.worker_address,
     )
 
 
@@ -217,8 +211,8 @@ def execute(request: RunRequest, runner: Optional[Runner] = None) -> ExperimentR
     built from the request otherwise — and an internally-built runner
     is closed before returning, so its backend machinery and the run's
     advisory lock are released the moment the run ends rather than at
-    garbage-collection time.  The request's probe bus, resume token and
-    run id are threaded through either way.
+    garbage-collection time.  The request's probe bus and run id are
+    threaded through either way.
     """
     if (request.experiment_id is None) == (request.spec is None):
         raise ValueError(
@@ -245,16 +239,12 @@ def execute(request: RunRequest, runner: Optional[Runner] = None) -> ExperimentR
     try:
         if request.probes is None:
             return runner.run_experiment(
-                experiment, request.settings,
-                run_id=request.run_id, resume=request.resume,
-            )
+                experiment, request.settings, run_id=request.run_id)
         from repro.obs import use_probes
 
         with use_probes(request.probes):
             return runner.run_experiment(
-                experiment, request.settings,
-                run_id=request.run_id, resume=request.resume,
-            )
+                experiment, request.settings, run_id=request.run_id)
     finally:
         if owned:
             runner.close()

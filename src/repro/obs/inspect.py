@@ -189,8 +189,6 @@ def inspect_run(cache_root: Union[str, Path], run_id: str) -> dict:
         "trace_id": spans[0].get("trace_id"),
         "experiment_id": summary["experiment_id"],
         "state": summary["state"],
-        # a resume needs the plan span's digests
-        "resumable": "plan_digest" in plan_span,
         "wall_s": run_span.get("dur_s"),
         "jobs": {
             # the plan span carries the count; legacy runs only stamp
@@ -329,8 +327,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "and cached metrics.",
     )
     parser.add_argument("run_id", nargs="?", default=None,
-                        help="run id (the resume token printed "
-                             "on stderr / X-Repro-Run-Id)")
+                        help="run id (printed on stderr / "
+                             "X-Repro-Run-Id)")
     parser.add_argument("--list", action="store_true", dest="list_runs",
                         help="enumerate recorded runs, newest first")
     parser.add_argument("--cache-dir", default=None,

@@ -64,7 +64,7 @@ class JsonlTraceSink:
     so a trace survives a worker crash (off by default: flushing every
     line costs syscalls a ``--trace`` stream doesn't need — the
     engine's span store arms ``1``).  ``append=True`` opens an
-    owned path in append mode, for stores shared across resumes; a
+    owned path in append mode, for stores shared across reruns; a
     file left ending mid-line (a writer killed mid-record) first gets
     a line break, so the torn fragment stays one damaged line and the
     first appended record is not glued onto it.

@@ -13,10 +13,11 @@ Determinism is the load-bearing design decision.  ``trace_id`` is a pure
 function of the run id, and every span id is a pure function of
 ``(trace_id, parent_id, name, qualifier)``:
 
-* a **resume** re-mints the same trace and re-emits structural spans
-  (``run``/``plan``/``reduce``) under the same ids, so the span store —
-  an append-only JSONL file per run — deduplicates by ``span_id`` into
-  one coherent tree;
+* a **rerun** of the same plan re-mints the same trace and re-emits
+  structural spans (``run``/``plan``/``reduce``) under the same ids, so
+  the span store — an append-only JSONL file per run id that keeps
+  every run of its plan — deduplicates by ``span_id`` into one
+  coherent tree;
 * ``--jobs 4`` and ``--jobs 1`` produce the *same tree* (parentage and
   names, not timings), which the propagation tests assert;
 * a killed worker's partial spans simply never get written (spans emit
@@ -33,7 +34,7 @@ timing-free shape used for equality properties and
 The span store is also the run's only durable record: the ``plan``
 span carries the plan and settings digests and ``done``/``cached``/
 ``quarantined`` job spans carry the outcome of every job, which
-:func:`load_run` turns into resume state.
+:func:`load_run` reads back when the next run of the id opens it.
 
 Like the probe bus, the tracer is ambient per process
 (:func:`get_tracer`/:func:`use_tracer`) and defaults to
@@ -65,13 +66,13 @@ def _digest(payload: str) -> str:
 
 
 def trace_id_for_run(run_id: str) -> str:
-    """Deterministic trace id: resumes of ``run_id`` join the same trace."""
+    """Deterministic trace id: reruns of ``run_id`` join the same trace."""
     return _digest(f"trace:{run_id}")
 
 
 def span_id_for(trace_id: str, parent_id: str, name: str,
                 qualifier: str = "") -> str:
-    """Deterministic span id — identical across fan-out and resume."""
+    """Deterministic span id — identical across fan-out and reruns."""
     return _digest(f"span:{trace_id}:{parent_id}:{name}:{qualifier}")
 
 
@@ -376,7 +377,7 @@ def job_outcomes(spans) -> Tuple[Set[str], Dict[str, dict]]:
 
 @dataclass
 class RunState:
-    """What a run's span store promises a resume."""
+    """What a run's span store promises the next run of its id."""
 
     plan_digest: str
     done: Set[str]
@@ -387,7 +388,7 @@ class RunState:
 
 def load_run(cache_root: Union[str, Path],
              run_id: str) -> Optional[RunState]:
-    """Resume state of ``run_id``; ``None`` without a verified plan span.
+    """Recorded state of ``run_id``; ``None`` without a verified plan span.
 
     The ``plan`` span, written at run start, binds the store to its
     plan digest; job spans carry the done set and the quarantines.

@@ -71,7 +71,7 @@ def parse_run_request(server, request: HttpRequest,
     With ``experiment_id`` the body runs that registered experiment;
     without it the body must carry a full
     :class:`~repro.scenarios.spec.ScenarioSpec` wire dict under
-    ``spec``.  Both take the ``quick``/``overrides``/``resume`` knobs.
+    ``spec``.  Both take the ``quick``/``overrides`` knobs.
     Settings are parsed, and a spec expanded, eagerly, so an unknown
     key, benchmark, axis or reduction is a 400 here, never a failed
     engine run.
@@ -87,7 +87,7 @@ def parse_run_request(server, request: HttpRequest,
     payload = request.json()
     if not isinstance(payload, dict):
         raise HttpError(400, "body must be a JSON object")
-    known = {"quick", "overrides", "resume"}
+    known = {"quick", "overrides"}
     if experiment_id is None:
         known.add("spec")
     unknown = sorted(set(payload) - known)
@@ -101,9 +101,6 @@ def parse_run_request(server, request: HttpRequest,
     overrides = payload.get("overrides") or {}
     if not isinstance(overrides, dict):
         raise HttpError(400, "overrides must be a JSON object")
-    resume = payload.get("resume")
-    if resume is not None and not isinstance(resume, str):
-        raise HttpError(400, "resume must be a run-id string")
     spec_data = payload.get("spec")
     if experiment_id is None and not isinstance(spec_data, dict):
         raise HttpError(400, "spec must be a JSON object (the wire form "
@@ -128,8 +125,6 @@ def parse_run_request(server, request: HttpRequest,
         overrides=overrides or None,
         use_cache=server.config.use_cache,
         cache_dir=server.config.cache_dir,
-        jobs=1,
-        resume=resume,
         backend=server.config.experiment_backend,
         workers=server.config.experiment_workers,
     )
@@ -144,8 +139,8 @@ async def handle_run(server, request: HttpRequest,
         payload = await server.submit_experiment(engine_request)
     except ValueError as exc:
         raise HttpError(400, str(exc)) from None
-    # the resume token rides in a header so the body stays byte-identical
-    # across fresh / cached / resumed executions of the same request
+    # the run id rides in a header so the body stays byte-identical
+    # across fresh and cached executions of the same request
     headers = {}
     if payload.get("run_id"):
         headers["X-Repro-Run-Id"] = str(payload["run_id"])
@@ -163,14 +158,14 @@ def handle_run_status(server, run_id: str, request: HttpRequest) -> Response:
     A run is known if it has a span store or is executing in a worker
     right now.  ``state`` is ``running`` while in flight; otherwise the
     store decides (``finished`` / ``partial`` / ``failed``, or
-    ``interrupted`` for a run killed before finishing — its resume
-    token still works while ``resumable``).
+    ``interrupted`` for a run killed before finishing — issuing it
+    again finishes it).
     """
     from repro.experiments.engine import request_run_id
     from repro.obs.inspect import UnknownRunError, inspect_run
 
     running = any(
-        (req.resume or request_run_id(req)) == run_id
+        request_run_id(req) == run_id
         for req in list(server._inflight_experiments.values())
     )
     try:
@@ -180,7 +175,7 @@ def handle_run_status(server, run_id: str, request: HttpRequest) -> Response:
             raise HttpError(404, f"unknown run {run_id!r}") from None
         # queued or still planning: nothing on disk yet
         doc = {"jobs": {"planned": None, "done": 0, "failed": 0},
-               "retries": [], "timeline": [], "resumable": False}
+               "retries": [], "timeline": []}
     body = {
         "run_id": run_id,
         "trace_id": doc.get("trace_id"),
@@ -189,7 +184,6 @@ def handle_run_status(server, run_id: str, request: HttpRequest) -> Response:
         "jobs": doc["jobs"],
         "retries": len(doc["retries"]),
         "spans": len(doc["timeline"]),
-        "resumable": doc["resumable"],
     }
     if doc.get("wall_s") is not None:
         body["wall_s"] = doc["wall_s"]

@@ -26,9 +26,8 @@ SIGTERM/SIGINT by ``repro-serve`` — stops the listener, lets in-flight
 work finish within a grace period, journals any experiment requests
 still executing to ``<cache>/journal/serve-inflight.json``, and only
 then tears down the worker pool.  The next ``start()`` picks that file
-up and resubmits each interrupted request with its resume token, so
-the engine's per-run span store lets it skip every job the cut-short
-run already completed.
+up and resubmits each interrupted request as a plain request: every
+job the cut-short run already completed is a cache hit.
 
 Observability rides the ambient :mod:`repro.obs` machinery: request
 latency and experiment wall-time histograms, an in-flight gauge,
@@ -46,7 +45,7 @@ import os
 import signal
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -55,7 +54,6 @@ from repro.experiments.engine import (
     ExperimentRequest,
     execute_request,
     request_digest,
-    request_run_id,
 )
 from repro.obs import ProbeBus, merge_snapshots
 from repro.obs.spans import SpanTracer, append_spans, root_context
@@ -121,7 +119,7 @@ class ReproServer:
         self._singleflight: Dict[str, asyncio.Task] = {}
         # experiment requests currently executing in a worker, keyed by
         # request digest — drained servers journal these to disk so a
-        # restart can resume their runs instead of redoing finished jobs
+        # restart can resubmit them
         self._inflight_experiments: Dict[str, ExperimentRequest] = {}
         # created in start(): asyncio primitives bind the running loop
         # on Python 3.9, and servers may be constructed outside one
@@ -454,8 +452,8 @@ class ReproServer:
 
         The engine records each run's per-job progress under the result
         cache as it goes; this file only records *which* requests were
-        cut short, so :meth:`start` can resubmit them with their resume
-        tokens and skip every job the interrupted run already finished.
+        cut short, so :meth:`start` can resubmit them, and every job
+        the interrupted run already finished is a cache hit.
         """
         if not self._inflight_experiments:
             return
@@ -480,7 +478,7 @@ class ReproServer:
         self.bus.count("serve.journaled_inflight", len(records))
 
     def _resume_journaled_experiments(self) -> None:
-        """Pick up requests a previous drain journaled, and resume them."""
+        """Resubmit the requests a previous drain journaled."""
         path = self._inflight_journal_path()
         try:
             raw = path.read_text()
@@ -512,9 +510,6 @@ class ReproServer:
         for record in records:
             try:
                 request = ExperimentRequest(**record)
-                request = replace(
-                    request, resume=request.resume or request_run_id(request)
-                )
             except (TypeError, ValueError):
                 self.bus.count("serve.resume_journal_corrupt")
                 continue

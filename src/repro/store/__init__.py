@@ -1,13 +1,13 @@
 """Durable-state integrity layer: every on-disk artifact is verified.
 
 The runtime path has been fault-tolerant since PR 5 (retries,
-quarantine, resume, cluster leases), but everything it survives
+quarantine, reruns, cluster leases), but everything it survives
 *through* — the pickle result cache, the per-run JSONL span stores,
 the serve-inflight snapshot — used to be trusted blindly.
 This package is the shared discipline those stores now route through,
 the software analogue of RAIDR-style retention verification: skipping
-work (cache replay, run resume) is only safe when the stored state
-it relies on is *checked*, not assumed.
+work (cache hits, a rerun's recorded jobs) is only safe when the stored
+state it relies on is *checked*, not assumed.
 
 Four pieces:
 

@@ -199,8 +199,8 @@ def check_header(path: Union[str, Path], *, schema: int) -> Optional[str]:
 def snapshot_digest(requests) -> str:
     """Canonical digest of a serve-inflight request list.
 
-    The serving daemon embeds this in the snapshot document and the
-    resume path / fsck verify it, so a flipped bit in the snapshot is
+    The serving daemon embeds this in the snapshot document and its
+    restart pickup / fsck verify it, so a flipped bit in the snapshot is
     detected instead of resubmitting a mangled request.
     """
     body = json.dumps(requests, sort_keys=True)

@@ -1,11 +1,12 @@
 """``repro fsck``: walk the store, verify every envelope, repair damage.
 
 The reader paths already degrade gracefully — a corrupt cache entry is
-a miss, a torn run-store line is a shorter resume — but degradation is
-silent by design.  fsck is the loud counterpart: it walks every
-durable artifact under one cache root, verifies the integrity envelope
-or per-record checksums, and reports a per-class inventory
-(``truncated`` / ``bit_flipped`` / ``wrong_schema`` / ``orphan_tmp``).
+a miss, a torn run-store line is a job span the next run records
+again — but degradation is silent by design.  fsck is the loud
+counterpart: it walks every durable artifact under one cache root,
+verifies the integrity envelope or per-record checksums, and reports
+a per-class inventory (``truncated`` / ``bit_flipped`` /
+``wrong_schema`` / ``orphan_tmp``).
 
 With ``--repair`` the damage is *removed from the store's hot path*
 rather than deleted: whole-file damage (cache entries, the serve

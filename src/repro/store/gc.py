@@ -71,8 +71,8 @@ def protected_state(
     """State the current held locks pin: ``(store_paths, cache_keys)``.
 
     A held lock names an in-progress run (the lock file holds its full
-    id); the done set of its store is exactly the cache state a resume
-    of that run would replay, so those keys must survive any sweep that
+    id); the done set of its store is exactly the cache state a rerun
+    of that run would hit, so those keys must survive any sweep that
     happens mid-run.
     """
     cache_root = Path(cache_root)

@@ -1,7 +1,7 @@
-"""Tests for the unified run lifecycle: RunRequest, retry, resume.
+"""Tests for the unified run lifecycle: RunRequest, retry, reruns.
 
 These exercise the policy layer with tiny synthetic jobs (no DRAM
-simulation) so failures, backoff and resume behaviour are asserted in
+simulation) so failures, backoff and rerun behaviour are asserted in
 milliseconds; the real-simulation acceptance path lives in
 ``test_resume_integration.py``.
 """
@@ -17,12 +17,10 @@ import repro.experiments.engine as engine_mod
 from repro.experiments import REGISTRY
 from repro.experiments.engine import (
     Experiment,
-    ExperimentRequest,
     RetryPolicy,
     Runner,
     SimJob,
     default_run_id,
-    execute_request,
 )
 from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.experiments.lifecycle import (
@@ -249,8 +247,9 @@ class TestQuarantine:
         assert len(failed_entries) == 1
 
     def test_quarantined_run_resumes_to_completion(self, tmp_path):
-        """After the fault is gone, resuming the partial run replays the
-        recorded jobs and finishes the one that was quarantined."""
+        """After the fault is gone, issuing the partial run again serves
+        the recorded jobs from the cache and finishes the one that was
+        quarantined, in the same run."""
         faulty = RunRequest(
             "_lifecycle_tiny", settings=MICRO,
             cache_dir=tmp_path / "cache",
@@ -260,29 +259,27 @@ class TestQuarantine:
         )
         faulty_runner = runner_for(faulty)
         execute(faulty, runner=faulty_runner)
-        token = faulty_runner.last_run_id
 
-        bus = ProbeBus()
         request = RunRequest(
             "_lifecycle_tiny", settings=MICRO,
-            cache_dir=tmp_path / "cache", resume=token, probes=bus,
+            cache_dir=tmp_path / "cache",
         )
         runner = runner_for(request)
         result = execute(request, runner=runner)
         assert result.rows == [["alpha", 5], ["beta", 4], ["gamma", 5]]
-        counters = bus.snapshot()["counters"]
-        assert counters["engine.journal_replays"] == 2
-        assert counters["engine.journal_resumes"] == 1
+        assert runner.last_run_id == faulty_runner.last_run_id
+        assert runner.stats.cache_hits == 2
+        assert runner.stats.cache_misses == 1
 
 
 class TestJournal:
-    """Resume from the run's span store (the ``engine.journal_*``
-    counters keep their names)."""
+    """Reruns into the run's span store (``engine.journal_stale`` keeps
+    its name)."""
 
-    def _run(self, tmp_path, *, resume=None, bus=None, settings=MICRO):
+    def _run(self, tmp_path, *, run_id=None, bus=None, settings=MICRO):
         request = RunRequest(
             "_lifecycle_tiny", settings=settings,
-            cache_dir=tmp_path / "cache", resume=resume, probes=bus,
+            cache_dir=tmp_path / "cache", run_id=run_id, probes=bus,
         )
         runner = runner_for(request)
         return execute(request, runner=runner), runner
@@ -293,18 +290,17 @@ class TestJournal:
         assert first.last_run_id == second.last_run_id
         assert first.last_run_id == default_run_id("_lifecycle_tiny", MICRO)
 
-    def test_resume_replays_journaled_jobs(self, tmp_path):
+    def test_rerun_appends_to_the_store(self, tmp_path):
+        """A plain rerun is all cache hits and appends to the cold run's
+        store, which keeps the attempts of the run that did the work."""
         reference, first = self._run(tmp_path)
-        bus = ProbeBus()
-        result, runner = self._run(
-            tmp_path, resume=first.last_run_id, bus=bus
-        )
+        result, runner = self._run(tmp_path)
         assert result.to_json() == reference.to_json()
-        counters = bus.snapshot()["counters"]
-        assert counters["engine.journal_replays"] == 3
-        assert runner.stats.journal_replays == 3
-        replayed = [m for m in runner.manifest if m.get("journal_replay")]
-        assert len(replayed) == 3
+        assert runner.last_run_id == first.last_run_id
+        assert runner.stats.cache_hits == 3
+        stored = read_spans(span_path(tmp_path / "cache", first.last_run_id))
+        assert len([s for s in stored if s["name"] == "attempt"]) == 3
+        assert len([s for s in stored if s["name"] == "run"]) == 2
 
     def test_corrupt_journal_tail_is_tolerated(self, tmp_path):
         reference, first = self._run(tmp_path)
@@ -312,12 +308,12 @@ class TestJournal:
         with path.open("ab") as fh:
             fh.write(b'{"truncated garbage...\x00\xff\n')
         bus = ProbeBus()
-        result, _ = self._run(tmp_path, resume=first.last_run_id, bus=bus)
+        result, runner = self._run(tmp_path, bus=bus)
         assert result.to_json() == reference.to_json()
         counters = bus.snapshot()["counters"]
-        assert counters["engine.journal_corrupt"] == 1
-        # the intact prefix still replays
-        assert counters["engine.journal_replays"] == 3
+        assert counters["store.corrupt.truncated"] == 1
+        # the intact prefix still names every job done
+        assert runner.stats.cache_hits == 3
 
     def test_truncated_final_line_replays_the_intact_prefix(self, tmp_path):
         """A run killed mid-``write`` leaves a half-written final line;
@@ -333,41 +329,35 @@ class TestJournal:
         half = lines[last][: len(lines[last]) // 2]
         path.write_bytes(b"\n".join(lines[:last] + [half]))
         bus = ProbeBus()
-        result, runner = self._run(
-            tmp_path, resume=first.last_run_id, bus=bus
-        )
+        result, runner = self._run(tmp_path, bus=bus)
         assert result.to_json() == reference.to_json()
         counters = bus.snapshot()["counters"]
-        assert counters["engine.journal_corrupt"] == 1
-        assert counters["engine.journal_replays"] == 2
-        assert runner.stats.journal_replays == 2
+        assert counters["store.corrupt.truncated"] == 1
+        assert runner.stats.cache_hits == 3
+        # only the job whose done span was cut off is recorded again
+        cached = [r for r in runner.span_records
+                  if r["name"] == "job" and r["status"] == "cached"]
+        assert len(cached) == 1
 
     def test_stale_journal_for_changed_plan_starts_clean(self, tmp_path):
         _, first = self._run(tmp_path)
         changed = replace(MICRO, benchmarks=("alpha", "beta"))
         bus = ProbeBus()
         result, _ = self._run(
-            tmp_path, resume=first.last_run_id, bus=bus, settings=changed
+            tmp_path, run_id=first.last_run_id, bus=bus, settings=changed
         )
         assert result.rows == [["alpha", 5], ["beta", 4]]
         counters = bus.snapshot()["counters"]
         assert counters["engine.journal_stale"] == 1
-        assert "engine.journal_replays" not in counters
-
-    def test_missing_journal_is_counted_not_fatal(self, tmp_path):
-        bus = ProbeBus()
-        result, _ = self._run(tmp_path, resume="never-written", bus=bus)
-        assert result.rows[0] == ["alpha", 5]
-        assert bus.snapshot()["counters"]["engine.journal_missing"] == 1
 
     def test_resume_after_torn_tail_loses_no_record(self, tmp_path):
         """A store cut mid-line keeps the fragment as its one damaged
-        line: the resumed run's first record (its plan span) starts on
-        a fresh line instead of being glued onto the fragment."""
+        line: the rerun's first record (its plan span) starts on a
+        fresh line instead of being glued onto the fragment."""
         reference, first = self._run(tmp_path)
         path = span_path((tmp_path / "cache"), first.last_run_id)
         path.write_bytes(path.read_bytes()[:-40])
-        result, runner = self._run(tmp_path, resume=first.last_run_id)
+        result, runner = self._run(tmp_path)
         assert result.to_json() == reference.to_json()
         stored = read_spans(path)
         assert all(record in stored for record in runner.span_records)
@@ -421,13 +411,13 @@ class TestRunIds:
     def test_any_run_id_runs_resumes_and_inspects(self, tmp_path, run_id):
         """Ids that are too long or not filename-safe name their store
         and lock files by a hash; the run itself is unaffected."""
-        request = ExperimentRequest(experiment_id="sram", quick=True,
-                                    cache_dir=str(tmp_path), resume=run_id)
-        first = execute_request(request)
-        second = execute_request(request)
-        assert first["run_id"] == second["run_id"] == run_id
-        assert second["journal_replays"] == 1
-        assert second["result_json"] == first["result_json"]
+        request = RunRequest("sram", settings=ExperimentSettings.quick(),
+                             cache_dir=str(tmp_path), run_id=run_id)
+        runners = [runner_for(request), runner_for(request)]
+        first, second = (execute(request, runner=r) for r in runners)
+        assert [r.last_run_id for r in runners] == [run_id, run_id]
+        assert runners[1].stats.cache_hits == 1
+        assert second.to_json() == first.to_json()
         doc = api.inspect_run(run_id, cache_dir=tmp_path)
         assert doc["run_id"] == run_id
         assert doc["jobs"]["done"] == 1

@@ -25,7 +25,7 @@ MICRO = ExperimentSettings(
 
 def _deterministic(manifest):
     """The manifest minus its runs section, whose run ids differ across
-    resume scenarios."""
+    rerun scenarios."""
     doc = json.loads(json.dumps(manifest))
     doc.pop("runs", None)
     return doc
@@ -139,7 +139,7 @@ class TestManifestFile:
         assert doc["merged"]["counters"]["sim.windows"] > 0
         assert doc["merged"]["invariants"]["violation_count"] == 0
         assert len(doc["jobs"]) == len(MICRO.benchmarks)
-        # cache-less runs have no resume token but always a trace id
+        # cache-less runs have no recorded run id but always a trace id
         (run,) = doc["runs"]
         assert run["experiment_id"] == "fig17"
         assert run["run_id"] is None

@@ -1,8 +1,9 @@
 """Kill-and-resume acceptance: real simulations, real process death.
 
 The headline promise of the run lifecycle: a run killed mid-plan (here
-via an injected ``abort-run``/``kill`` fault) resumes from its span
-store and produces a result byte-identical to a run that was never disturbed.
+via an injected ``abort-run``/``kill`` fault) is finished by issuing it
+again, into its span store, and produces a result byte-identical to a
+run that was never disturbed.
 """
 
 import signal
@@ -13,7 +14,6 @@ from pathlib import Path
 from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.experiments.lifecycle import RunRequest, execute, runner_for
 from repro.experiments.runner import ExperimentSettings
-from repro.obs import ProbeBus
 from repro.obs.spans import dedupe_spans, read_spans, span_path
 
 from tests.experiments.test_metrics_capture import _deterministic
@@ -53,9 +53,9 @@ def run_fig17(cache_dir, **request_overrides):
 
 class TestKillAndResume:
     def test_sigkilled_run_resumes_bit_identical(self, tmp_path):
-        """SIGKILL the process after the first job lands; resuming the
-        recorded run replays it and the final result matches an
-        undisturbed run in a pristine cache, byte for byte."""
+        """SIGKILL the process after the first job lands; issuing the
+        run again serves that job from the cache and the final result
+        matches an undisturbed run in a pristine cache, byte for byte."""
         cache_dir = tmp_path / "killed-cache"
         proc = subprocess.run(
             [sys.executable, "-c", ABORT_SCRIPT, str(cache_dir)],
@@ -70,14 +70,8 @@ class TestKillAndResume:
         assert plan["run_id"] == "itest-abort"
         assert [s["status"] for s in spans if s["name"] == "job"] == ["done"]
 
-        bus = ProbeBus()
-        resumed, runner = run_fig17(
-            cache_dir, jobs=1, resume="itest-abort", probes=bus
-        )
-        counters = bus.snapshot()["counters"]
-        assert counters["engine.journal_replays"] == 1
-        assert counters["engine.journal_resumes"] == 1
-        assert runner.stats.journal_replays == 1
+        resumed, runner = run_fig17(cache_dir, jobs=1, run_id="itest-abort")
+        assert runner.stats.cache_hits == 1
         assert not runner.failures
 
         reference, pristine = run_fig17(tmp_path / "pristine-cache", jobs=1)
@@ -86,8 +80,8 @@ class TestKillAndResume:
         assert (_deterministic(runner.metrics_manifest())
                 == _deterministic(pristine.metrics_manifest()))
 
-        replay_flags = [e.get("journal_replay") for e in runner.manifest]
-        assert replay_flags.count(True) == 1
+        hits = [e["cache_hit"] for e in runner.manifest]
+        assert hits.count(True) == 1
 
     def test_pool_worker_kill_is_survived(self, tmp_path):
         """A worker SIGKILLed mid-job on a two-process pool: the engine

@@ -1,9 +1,9 @@
-"""Span-tree propagation properties across fan-out, faults and resume.
+"""Span-tree propagation properties across fan-out, faults and reruns.
 
 The tentpole guarantee of :mod:`repro.obs.spans`: the reconstructed
 span tree — parentage and phase names, never timings — is a pure
 function of the *work*, not of the execution strategy.  ``--jobs 4``
-must yield the same tree as ``--jobs 1``; a SIGKILLed run that resumes
+must yield the same tree as ``--jobs 1``; a SIGKILLed run issued again
 must fold (via deterministic span ids) into the same tree as a run
 that was never disturbed.
 """
@@ -108,31 +108,42 @@ class TestFanOutTreeIdentity:
             assert set(PHASE_NAMES) <= names
 
     def test_warm_rerun_emits_cached_spans(self, tmp_path):
-        """A cache hit records one ``cached`` job span per unique job —
-        the run's done set — under the id a cold run's job span has,
-        with no attempt children (nothing executed)."""
+        """A warm rerun into the cold run's store emits no job or
+        attempt span: the store keeps the cold run's ``done`` job spans
+        and attempts.  A warm run under another run id records one
+        ``cached`` job span per unique job — the run's done set — with
+        no attempt children (nothing executed)."""
         _, first = run_fig17(tmp_path / "cache", jobs=2)
         _, second = run_fig17(tmp_path / "cache", jobs=2)
         assert second.stats.cache_hits >= 1
         assert second.stats.cache_misses == 0
         run_spans = [r for r in second.span_records if r["name"] == "run"]
         assert run_spans and run_spans[0]["cache_hits"] >= 1
+        assert not any(r["name"] in ("job", "attempt")
+                       for r in second.span_records)
 
-        def jobs(runner):
-            return {r["span_id"]: r for r in runner.span_records
-                    if r["name"] == "job"}
+        def named(records, name):
+            return {r["span_id"]: r for r in records if r["name"] == name}
 
-        cold, warm = jobs(first), jobs(second)
-        assert sorted(warm) == sorted(cold)
-        assert {r["status"] for r in warm.values()} == {"cached"}
+        stored = stored_spans(tmp_path / "cache", first.last_run_id)
+        cold = named(first.span_records, "job")
+        assert named(stored, "job") == cold
         assert {r["status"] for r in cold.values()} == {"done"}
-        assert not any(r["name"] == "attempt" for r in second.span_records)
+        assert (named(stored, "attempt")
+                == named(first.span_records, "attempt"))
+
+        _, other = run_fig17(tmp_path / "cache", jobs=2, run_id="warm")
+        warm = named(other.span_records, "job")
+        assert len(warm) == len(cold)
+        assert {r["status"] for r in warm.values()} == {"cached"}
+        assert not any(r["name"] == "attempt" for r in other.span_records)
 
 
 class TestKillResumeTreeIdentity:
     def test_resumed_tree_matches_undisturbed_run(self, tmp_path):
-        """SIGKILL mid-plan, then resume: dedup-by-span-id folds the
-        two partial traces into exactly the undisturbed run's tree."""
+        """SIGKILL mid-plan, then issue the run again: dedup-by-span-id
+        folds the two partial traces into exactly the undisturbed run's
+        tree."""
         cache_dir = tmp_path / "killed-cache"
         proc = subprocess.run(
             [sys.executable, "-c", ABORT_SCRIPT, str(cache_dir)],
@@ -147,8 +158,8 @@ class TestKillResumeTreeIdentity:
         assert any(s["name"] == "job" for s in killed)
         assert not any(s["name"] == "run" for s in killed)  # no root yet
 
-        _, resumed = run_fig17(cache_dir, jobs=1, resume="span-abort")
-        assert resumed.stats.journal_replays == 1
+        _, resumed = run_fig17(cache_dir, jobs=1, run_id="span-abort")
+        assert resumed.stats.cache_hits == 1
 
         _, pristine = run_fig17(tmp_path / "pristine-cache", jobs=1,
                                 run_id="span-abort")
@@ -157,8 +168,8 @@ class TestKillResumeTreeIdentity:
                                       "span-abort")
         assert (tree_signature(resumed_spans)
                 == tree_signature(pristine_spans))
-        # a replayed job whose done span the store already holds emits
-        # no fresh one; the span from before the kill stays, deduped
-        # under the same id
+        # a cache hit whose done span the store already holds emits no
+        # fresh one; the span from before the kill stays, deduped under
+        # the same id
         assert (sorted(s["span_id"] for s in resumed_spans)
                 == sorted(s["span_id"] for s in pristine_spans))

@@ -116,6 +116,20 @@ class TestInspectRealRun:
         assert doc["jobs"]["done"] >= 1
         assert doc["counters"].get("sim.windows", 0) >= 1
 
+    def test_warm_rerun_keeps_the_cold_runs_phases(self, tmp_path):
+        """A warm rerun appends to the cold run's store: the document
+        reports the warm run's root and the phases of the cold run,
+        which executed every job."""
+        for _ in range(2):
+            runner = api.make_runner(cache_dir=tmp_path)
+            api.run(api.RunRequest("ext-vrt", settings=api.quick_settings(),
+                                   cache_dir=tmp_path), runner=runner)
+        doc = api.inspect_run(runner.last_run_id, cache_dir=tmp_path)
+        done = doc["jobs"]["done"]
+        assert done >= 1
+        assert (doc["cache"]["hits"], doc["cache"]["misses"]) == (done, 0)
+        assert doc["phases"]["measure"]["count"] == done
+
     def test_unsafe_run_id_lists_as_one_run(self, tmp_path):
         """A run id that is not filename-safe is stored under a hash;
         the listing reports the id recorded on the plan span."""

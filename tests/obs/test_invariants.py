@@ -139,5 +139,8 @@ class TestComponentsPickUpWatchdog:
             engine.device.banks[0].dirty[set_rows] = False
             engine.process_ar(0, 0, time_s=1.0)
         assert wd.violation_count > 0
-        assert any(v["check"] == "refresh.skip_safety"
-                   for v in wd.violations)
+        # the planted vector both refreshes groups the detector says
+        # are discharged and skips groups it says are charged
+        fired = {v["check"] for v in wd.violations}
+        assert {"refresh.no_discharged_refresh",
+                "refresh.skip_safety"} <= fired

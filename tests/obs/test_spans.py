@@ -251,7 +251,7 @@ class TestPhaseSeconds:
         assert phase_seconds([]) == {}
 
     def test_re_emitted_span_id_counts_once(self):
-        # a resumed run appends a second record under the same id
+        # a rerun appends a second record under the same id
         records = [self._span("a", "populate", 1.0),
                    self._span("a", "populate", 1.0),
                    self._span("b", "populate", 2.0)]

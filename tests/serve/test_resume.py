@@ -1,9 +1,10 @@
-"""Serve-layer run lifecycle: resume tokens, drain journaling, pickup.
+"""Serve-layer run lifecycle: resubmission, drain journaling, pickup.
 
-``POST /v1/experiments/{id}`` accepts a ``resume`` token and reports
-the run id it journaled under via ``X-Repro-Run-Id``; a SIGTERM drain
-journals requests still executing to ``serve-inflight.json``; the next
-``start()`` resubmits them with their resume tokens.
+``POST /v1/experiments/{id}`` reports the run id it records under via
+``X-Repro-Run-Id``; a repeat of the request lands in the same run and
+appends to its span store; a SIGTERM drain journals requests still
+executing to ``serve-inflight.json``; the next ``start()`` resubmits
+them as plain requests.
 """
 
 import asyncio
@@ -15,63 +16,65 @@ from repro.experiments.engine import (
     ExperimentRequest,
     request_run_id,
 )
+from repro.obs.spans import dedupe_spans, read_spans, span_path
 from repro.serve import ReproServer, ServeConfig
 from repro.serve.http import ClientConnection
 
 from tests.serve.test_server import fake_experiment, run_async
 
 
-class TestResumeField:
-    def test_run_id_header_and_resume_token_round_trip(
+class TestResubmission:
+    def test_repeated_requests_share_one_run_and_its_store(
         self, monkeypatch, tmp_path
     ):
+        """Three identical submissions: one run id, one execution,
+        byte-identical bodies, and a store that keeps every
+        submission's serve span and the executing run's attempt."""
         calls = []
         monkeypatch.setitem(
             REGISTRY, "_svc_resume", fake_experiment("_svc_resume", calls))
+        cache = tmp_path / "cache"
 
         async def scenario():
             server = ReproServer(ServeConfig(
-                port=0, workers=0, cache_dir=str(tmp_path / "cache"),
+                port=0, workers=0, cache_dir=str(cache),
             ))
             await server.start()
             try:
                 async with ClientConnection(server.host, server.port) as conn:
-                    status, headers, body = await conn.request(
+                    return [await conn.request(
                         "POST", "/v1/experiments/_svc_resume",
                         body=json.dumps({"quick": True}).encode(),
-                    )
-                    token = headers.get("x-repro-run-id")
-                    status2, headers2, body2 = await conn.request(
-                        "POST", "/v1/experiments/_svc_resume",
-                        body=json.dumps(
-                            {"quick": True, "resume": token}).encode(),
-                    )
-                return (status, token, body), (status2, headers2, body2)
+                    ) for _ in range(3)]
             finally:
                 await server.drain()
 
-        first, second = run_async(scenario())
-        status, token, body = first
-        assert status == 200
-        # the run id is the deterministic journal token for this request
-        assert token == request_run_id(ExperimentRequest(
-            experiment_id="_svc_resume", quick=True))
-        status2, headers2, body2 = second
-        assert status2 == 200
-        assert headers2.get("x-repro-run-id") == token
-        # resume changes nothing about the payload: bodies byte-identical
-        assert body2 == body
-        assert len(calls) == 1  # second submission replayed the cache
+        replies = run_async(scenario())
+        assert [status for status, _, _ in replies] == [200, 200, 200]
+        run_ids = {headers.get("x-repro-run-id") for _, headers, _ in replies}
+        # the run id is the deterministic one for this request
+        assert run_ids == {request_run_id(ExperimentRequest(
+            experiment_id="_svc_resume", quick=True))}
+        assert len({body for _, _, body in replies}) == 1
+        assert len(calls) == 1  # the repeats were cache hits
+        spans = dedupe_spans(read_spans(span_path(cache, run_ids.pop())))
+        names = [s["name"] for s in spans]
+        assert names.count("serve.request") == 3
+        assert names.count("attempt") == 1
 
-    def test_resume_must_be_a_string(self):
+    def test_resume_field_is_unknown(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(
+            REGISTRY, "_svc_resume", fake_experiment("_svc_resume", calls))
+
         async def scenario():
             server = ReproServer(ServeConfig(port=0, workers=0))
             await server.start()
             try:
                 async with ClientConnection(server.host, server.port) as conn:
                     status, _, body = await conn.request(
-                        "POST", "/v1/experiments/tab01",
-                        body=json.dumps({"resume": 7}).encode(),
+                        "POST", "/v1/experiments/_svc_resume",
+                        body=json.dumps({"resume": "a-run"}).encode(),
                     )
                 return status, body
             finally:
@@ -80,6 +83,7 @@ class TestResumeField:
         status, body = run_async(scenario())
         assert status == 400
         assert b"resume" in body
+        assert not calls
 
 
 class TestDrainJournaling:
@@ -88,7 +92,7 @@ class TestDrainJournaling:
     ):
         """Kill the grace period out from under a slow experiment: the
         drained server journals the request, and a fresh server on the
-        same cache picks it up and resubmits it with a resume token."""
+        same cache picks it up and resubmits it."""
         calls = []
         monkeypatch.setitem(
             REGISTRY, "_svc_slowres",

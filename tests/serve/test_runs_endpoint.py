@@ -74,7 +74,6 @@ class TestRunsEndpoint:
         assert doc["run_id"] == run_id
         assert doc["state"] == "finished"
         assert doc["jobs"]["done"] == 1
-        assert doc["resumable"] is True
         assert doc["retries"] == 0
         assert len(doc["trace_id"]) == 16
         assert doc["spans"] >= 1
@@ -197,7 +196,6 @@ class TestAgreesWithInspect:
             assert status["jobs"] == doc["jobs"]
             assert doc["jobs"] == {"planned": 3, "done": done,
                                    "failed": failed}
-            assert status["resumable"] and doc["resumable"]
 
         (failure,) = partial.failures
         (entry,) = inspect_run(cache, "partial")["quarantined"]
