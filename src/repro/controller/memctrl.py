@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.controller.mapping import AddressMapper
-from repro.dram.device import DramDevice
+from repro.dram.device import DramDevice, LineWrites
 from repro.obs.invariants import get_watchdog
 from repro.obs.probes import NULL_PROBES
 from repro.transform.codec import ValueTransformCodec
@@ -68,61 +68,90 @@ class MemoryController:
 
     def read_line(self, line_addr: int, time_s: float = 0.0) -> np.ndarray:
         """Fetch and untransform one cacheline."""
-        bank, row, line_in_row = self.mapper.line_location(line_addr)
-        chip_words = self.device.read_line(int(bank), int(row), int(line_in_row),
-                                           time_s)
-        self.ebdi_ops += 1
-        self.line_reads += 1
-        self.probes.count("ctrl.ebdi_ops")
-        self.probes.count("ctrl.line_reads")
-        return self.codec.decode_row(chip_words[:, None, :], int(row))[0]
+        return self.read_lines(np.array([line_addr]), time_s)[0]
+
+    def read_lines(self, line_addrs: np.ndarray, time_s: float = 0.0) -> np.ndarray:
+        """Fetch and untransform a batch of cachelines, all at ``time_s``;
+        returns ``(n, words_per_line)``.  One codec pass decodes them."""
+        banks, rows, lines_in_row = self._locate(line_addrs)
+        if not len(banks):
+            return np.empty((0, self.geometry.words_per_line),
+                            dtype=self.codec.dtype)
+        chip_words = self.device.read_lines(banks, rows, lines_in_row, time_s)
+        self.ebdi_ops += len(banks)
+        self.line_reads += len(banks)
+        self.probes.count("ctrl.ebdi_ops", len(banks))
+        self.probes.count("ctrl.line_reads", len(banks))
+        return self.codec.decode_row(chip_words, rows)
 
     def write_lines(self, line_addrs: np.ndarray, lines: np.ndarray,
                     time_s: float = 0.0) -> None:
-        """Transform and store a batch of cachelines (vectorised).
+        """Transform and store a batch of cachelines, all at ``time_s``.
 
-        ``line_addrs`` is ``(n,)`` and ``lines`` is ``(n, words)``; all
-        lines are written at the same simulated time (within-window
-        traffic is fed span by span).  The whole batch is encoded in
-        one pass of the codec's batched path.
+        ``line_addrs`` is ``(n,)`` and ``lines`` is ``(n, words)``.  The
+        batch is encoded in one pass (:meth:`encode_lines`) and stored
+        in one bulk device write; the last write to a line wins.
         """
-        line_addrs = np.asarray(line_addrs)
+        self.device.write_lines(self.encode_lines(line_addrs, lines, time_s),
+                                time_s)
+
+    def encode_lines(self, line_addrs: np.ndarray, lines: np.ndarray,
+                     time_s=0.0) -> LineWrites:
+        """Transform cachelines for the array without storing them.
+
+        ``time_s`` is the write time of every line, or one per line.
+        Each run of lines with equal times is one write batch: it counts
+        its EBDI ops and line writes, makes one
+        ``codec.encoded_zero_fraction`` observation and, under the
+        watchdog, one round-trip check of its first line.  All lines go
+        through one pass of the codec's batched path.
+        """
         lines = np.asarray(lines)
-        if len(line_addrs) == 0:
-            return
-        banks, rows, lines_in_row = self.mapper.line_location(line_addrs)
-        banks = np.atleast_1d(banks)
-        rows = np.atleast_1d(rows)
-        lines_in_row = np.atleast_1d(lines_in_row)
+        banks, rows, lines_in_row = self._locate(line_addrs)
+        n = len(banks)
+        if not n:
+            return LineWrites(banks, rows, lines_in_row, np.empty(
+                (self.geometry.num_chips, 0, self.codec.rotation.words_per_chip),
+                dtype=self.codec.dtype))
         transformed = self.codec.transform_lines(lines, rows)
+        chip_words = self.codec.rotation.scatter(transformed, rows)
+        times = np.broadcast_to(np.asarray(time_s, dtype=float), (n,))
+        starts = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
+        sizes = np.diff(np.r_[starts, n])
+        self.ebdi_ops += n
+        self.line_writes += n
+        self.probes.count("ctrl.ebdi_ops", n)
+        self.probes.count("ctrl.line_writes", n)
         if self.probes.enabled:
             # zero fraction after value transformation, counted before
             # the celltype complement (which flips anti rows to all-ones):
             # the quantity Sec. V's discharged-row detection feeds on
             zero = self.codec.stored_zero(rows)[:, None]
-            self.probes.observe(
-                "codec.encoded_zero_fraction",
-                float((transformed == zero).mean()),
-            )
-        chip_words = self.codec.rotation.scatter(transformed, rows)
-        if self.watchdog.enabled:
-            # decode the batch's first line from the words it stores
-            row0 = int(rows[0])
-            decoded = self.codec.decode_row(chip_words[:, :1], row0)
-            self.watchdog.check(
-                "codec.round_trip",
-                bool(np.array_equal(decoded, lines[:1])),
-                row=row0, t=round(time_s, 6),
-            )
-        for i in range(len(line_addrs)):
-            self.device.write_line(int(banks[i]), int(rows[i]),
-                                   int(lines_in_row[i]), chip_words[:, i], time_s)
-        self.ebdi_ops += len(line_addrs)
-        self.line_writes += len(line_addrs)
-        self.probes.count("ctrl.ebdi_ops", len(line_addrs))
-        self.probes.count("ctrl.line_writes", len(line_addrs))
-        if self.probes.tracing:
-            self.probes.event("ctrl.write_batch", n=len(line_addrs), t=time_s)
+            zeros = np.add.reduceat((transformed == zero).sum(axis=1), starts)
+            fractions = [int(z) / (int(size) * transformed.shape[1])
+                         for z, size in zip(zeros, sizes)]
+            self.probes.observe_many("codec.encoded_zero_fraction",
+                                     fractions, sums=fractions)
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            t = float(times[start])
+            if self.watchdog.enabled:
+                # decode the batch's first line from the words it stores
+                row = int(rows[start])
+                decoded = self.codec.decode_row(
+                    chip_words[:, start:start + 1], row)
+                self.watchdog.check(
+                    "codec.round_trip",
+                    bool(np.array_equal(decoded, lines[start:start + 1])),
+                    row=row, t=round(t, 6),
+                )
+            if self.probes.tracing:
+                self.probes.event("ctrl.write_batch", n=size, t=t)
+        return LineWrites(banks, rows, lines_in_row, chip_words)
+
+    def _locate(self, line_addrs):
+        """``(banks, rows, lines_in_row)`` of line addresses, as 1-D arrays."""
+        return tuple(np.atleast_1d(part) for part in
+                     self.mapper.line_location(np.asarray(line_addrs)))
 
     # ------------------------------------------------------------------
     # page interface (used by the OS model and workload population)

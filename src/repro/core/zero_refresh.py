@@ -20,8 +20,8 @@ Typical use::
 
 ``populate`` fills the allocated share of memory with profile content
 (the measured-before-start state, so the first window derives the
-status tables); ``run_windows`` then simulates retention windows with
-the profile's write traffic interleaved between AR commands exactly as
+status tables); ``run_windows`` then simulates retention windows, each
+with the profile's write traffic landing between AR commands exactly as
 the access-bit protocol sees it.
 """
 
@@ -331,63 +331,39 @@ class ZeroRefreshSystem:
         """Measurement boundary: EBDI ops count only measured windows."""
         self.controller.ebdi_ops = 0
 
-    def _window_traffic(self, window_index: int, t0: float):
-        """Kernel traffic source: one window's trace as a write hook."""
+    def _window_traffic(self, window_index: int, t0: float) -> None:
+        """Kernel traffic source: post one window's trace to the engine.
+
+        Writes are spread uniformly over the window and carry new
+        in-class values; the engine applies each one in its span
+        between AR commands.  Reads matter only to access-recency
+        mechanisms: when the engine declares ``wants_access_events``
+        (hybrid mode) they are posted as row activations that recharge
+        the row and feed the recency table.  Draws come in a fixed
+        order: the trace, the write times, the read times, then the
+        content of every write that lands, line by line.
+        """
         if self._trace_generator is None:
-            return None
+            return
         trace = self._trace_generator.window_trace()
         if trace is None:
-            return None
-        return self._make_write_hook(trace, t0)
-
-    def _make_write_hook(self, trace, t0: float):
-        """Spread a window's traffic uniformly between AR command slots.
-
-        Writes go through the controller (new in-class values).  Reads
-        matter only to access-recency mechanisms: when the engine
-        declares ``wants_access_events`` (hybrid mode) they are applied
-        as row activations that recharge the row and feed the recency
-        table.
-        """
-        recency_aware = self.engine.wants_access_events
-        writes = trace.writes
-        reads = trace.reads if recency_aware else np.empty(0, dtype=np.int64)
+            return
+        engine = self.engine
+        reads = (trace.reads if engine.wants_access_events
+                 else np.empty(0, dtype=np.int64))
         window = self.config.timing.tret_s
-        wtimes = t0 + np.sort(self.rng.random(len(writes))) * window
+        wtimes = t0 + np.sort(self.rng.random(len(trace.writes))) * window
         rtimes = t0 + np.sort(self.rng.random(len(reads))) * window
-        state = {"w": 0, "r": 0}
-
-        def hook(span_start: float, span_end: float) -> None:
-            w0 = state["w"]
-            w1 = w0
-            while w1 < len(writes) and wtimes[w1] < span_end:
-                w1 += 1
-            if w1 > w0:
-                self._apply_writes(writes[w0:w1], span_start)
-                state["w"] = w1
-            r0 = state["r"]
-            r1 = r0
-            while r1 < len(reads) and rtimes[r1] < span_end:
-                r1 += 1
-            if r1 > r0:
-                self._apply_reads(reads[r0:r1], span_start)
-                state["r"] = r1
-
-        return hook
-
-    def _apply_reads(self, line_addrs: np.ndarray, time_s: float) -> None:
-        """Row activations from demand reads: recharge + recency note."""
-        banks, rows, _ = self.controller.mapper.line_location(line_addrs)
-        banks = np.atleast_1d(banks)
-        rows = np.atleast_1d(rows)
-        for bank_idx in np.unique(banks):
-            bank_rows = np.unique(rows[banks == bank_idx])
-            bank = self.device.banks[int(bank_idx)]
-            bank.last_refresh[bank_rows] = np.maximum(
-                bank.last_refresh[bank_rows], time_s
-            )
-            for row in bank_rows:
-                self.engine.note_access(int(bank_idx), int(row))
+        span, stamps = engine.place(t0, wtimes)
+        lands = span >= 0
+        writes = trace.writes[lands]
+        engine.post_writes(
+            self.controller.encode_lines(writes, self._draw_lines(writes),
+                                         stamps[lands]),
+            wtimes[lands])
+        if len(reads):
+            banks, rows, _ = self.controller.mapper.line_location(reads)
+            engine.post_reads(banks, rows, rtimes)
 
     def _as_words(self, lines: np.ndarray) -> np.ndarray:
         """Re-view 64-bit content in the configured word size.
@@ -403,13 +379,19 @@ class ZeroRefreshSystem:
         )
 
     def _apply_writes(self, line_addrs: np.ndarray, time_s: float) -> None:
-        """Write new in-class values to the given lines."""
+        """Write new in-class values to the given lines, all at ``time_s``."""
+        self.controller.write_lines(line_addrs, self._draw_lines(line_addrs),
+                                    time_s)
+
+    def _draw_lines(self, line_addrs: np.ndarray) -> np.ndarray:
+        """New in-class content for each line, drawn line by line in
+        order (the RNG stream every figure's numbers rest on)."""
         lines = np.empty((len(line_addrs), 8), dtype=np.uint64)
         pages = line_addrs // self.config.geometry.lines_per_page
-        for i, page in enumerate(pages):
-            name = self._page_class.get(int(page), "zero")
+        for i, page in enumerate(pages.tolist()):
+            name = self._page_class.get(page, "zero")
             lines[i] = generate_lines(name, 1, self.rng)[0]
-        self.controller.write_lines(line_addrs, self._as_words(lines), time_s)
+        return self._as_words(lines)
 
     # ------------------------------------------------------------------
     # convenience measurements

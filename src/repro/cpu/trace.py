@@ -121,18 +121,27 @@ class TraceDrivenDriver:
         self.dram_writes = 0
 
     def replay(self, trace: ProgramTrace) -> None:
-        """Push trace accesses through the caches into DRAM."""
-        write_addrs = []
-        for core, addr, is_write in zip(trace.core, trace.line_addr,
-                                        trace.is_write):
-            for event in self.hierarchy.access(int(core), int(addr),
-                                               bool(is_write)):
+        """Push trace accesses through the caches into DRAM.
+
+        The LLC's fills are read, and decoded, in one batch after the
+        cache loop, and its writebacks written in one batch after that.
+        That is the same as one access at a time: every access happens
+        at the system's current time, reads change no stored data, and
+        the writes wait for the loop either way.
+        """
+        fill_addrs, write_addrs = [], []
+        for core, addr, is_write in zip(trace.core.tolist(),
+                                        trace.line_addr.tolist(),
+                                        trace.is_write.tolist()):
+            for event in self.hierarchy.access(core, addr, is_write):
                 if event.is_write:
                     write_addrs.append(event.line_addr)
                 else:
-                    self.system.controller.read_line(event.line_addr,
-                                                     self.system.time_s)
-                    self.dram_reads += 1
+                    fill_addrs.append(event.line_addr)
+        if fill_addrs:
+            self.system.controller.read_lines(np.asarray(fill_addrs),
+                                              self.system.time_s)
+            self.dram_reads += len(fill_addrs)
         if write_addrs:
             self.system._apply_writes(np.asarray(write_addrs),
                                       self.system.time_s)

@@ -90,6 +90,29 @@ class Bank:
         self._touch(row, time_s)
         self.write_count += 1
 
+    def write_lines(self, rows: np.ndarray, lines_in_row: np.ndarray,
+                    chip_words: np.ndarray, time_s) -> None:
+        """Vectorised :meth:`write_line`, in order: the last write to a
+        line wins, and each row's ``last_refresh`` rises to the latest
+        of its writes' times (``time_s``: one time, or one per line).
+        ``chip_words`` has shape ``(num_chips, n, words_per_line_per_chip)``.
+        """
+        key = rows * self.geometry.lines_per_row + lines_in_row
+        _, from_end = np.unique(key[::-1], return_index=True)
+        last = len(key) - 1 - from_end
+        self.data[rows[last], :, lines_in_row[last], :] = (
+            chip_words[:, last].swapaxes(0, 1)
+        )
+        self.dirty[rows] = True
+        self.activate(rows, time_s)
+        self.write_count += len(rows)
+
+    def activate(self, rows: np.ndarray, time_s) -> None:
+        """Row activations at ``time_s`` (one time, or one per row):
+        each opened row is recharged."""
+        stamps = np.broadcast_to(np.asarray(time_s, dtype=float), np.shape(rows))
+        np.maximum.at(self.last_refresh, rows, stamps[:, None])
+
     def read_line(self, row: int, line_in_row: int, time_s: float = 0.0) -> np.ndarray:
         """Read one cacheline's per-chip words (activation recharges the row)."""
         self._touch_clean(row, time_s)
@@ -177,6 +200,23 @@ class Bank:
                        time_s: float) -> None:
         """Recharge specific (row, chip) slices (staggered refresh steps)."""
         self.last_refresh[np.asarray(rows), np.asarray(chips)] = time_s
+
+    def refresh_groups(self, rows: np.ndarray, mask: np.ndarray,
+                       times: np.ndarray) -> np.ndarray:
+        """Recharge the chip slices of refresh groups; returns their
+        previous ``last_refresh``.
+
+        ``rows[i, c, k]`` is the row chip ``c`` recharges for group
+        ``k`` of command ``i``, issued at ``times[i]``; ``mask[i, k]``
+        selects the groups actually refreshed.  No (row, chip) slice
+        may appear twice.
+        """
+        chips = np.arange(self.geometry.num_chips)[:, None]
+        flat = rows * self.geometry.num_chips + chips
+        stamps = self.last_refresh.reshape(-1)
+        last = stamps[flat]
+        stamps[flat] = np.where(mask[:, None, :], times[:, None, None], last)
+        return last
 
     def refresh_rows(self, rows: np.ndarray, time_s: float) -> None:
         """Recharge whole rows across all chips."""

@@ -9,7 +9,7 @@ value transformation happens in the memory controller above it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,24 @@ from repro.dram.geometry import DramGeometry
 from repro.transform.celltype import CellTypeLayout
 
 WriteObserver = Callable[[int, int], None]
-"""Callback ``(bank, row)`` invoked after each line or row write."""
+"""Callback ``(bank, row)`` invoked after each line or row write; a bulk
+write or read passes equal-length arrays instead, once for all its
+lines."""
+
+
+class LineWrites(NamedTuple):
+    """Transformed cachelines bound for the array: where each one goes
+    and its per-chip words, shape ``(num_chips, n, words_per_chip)``."""
+
+    banks: np.ndarray
+    rows: np.ndarray
+    lines_in_row: np.ndarray
+    chip_words: np.ndarray
+
+    def take(self, which) -> "LineWrites":
+        """The writes selected by an index or boolean mask, in order."""
+        return LineWrites(self.banks[which], self.rows[which],
+                          self.lines_in_row[which], self.chip_words[:, which])
 
 
 class DramDevice:
@@ -79,11 +96,55 @@ class DramDevice:
         self.banks[bank].write_line(row, line_in_row, chip_words, time_s)
         self._notify(bank, row)
 
+    def write_lines(self, writes: LineWrites, time_s=0.0) -> None:
+        """Write many transformed cachelines at once, at ``time_s`` (one
+        time, or one per line): the same state as :meth:`write_line`
+        line by line, in order."""
+        banks = writes.banks
+        if not len(banks):
+            return
+        stamps = np.broadcast_to(np.asarray(time_s, dtype=float), banks.shape)
+        for bank in np.unique(banks).tolist():
+            mine = np.flatnonzero(banks == bank)
+            self.banks[bank].write_lines(writes.rows[mine],
+                                         writes.lines_in_row[mine],
+                                         writes.chip_words[:, mine],
+                                         stamps[mine])
+        self._notify(banks, writes.rows)
+
     def read_line(self, bank: int, row: int, line_in_row: int,
                   time_s: float = 0.0) -> np.ndarray:
         data = self.banks[bank].read_line(row, line_in_row, time_s)
         self._notify_access(bank, row)
         return data
+
+    def read_lines(self, banks: np.ndarray, rows: np.ndarray,
+                   lines_in_row: np.ndarray, time_s: float = 0.0) -> np.ndarray:
+        """Vectorised :meth:`read_line`; returns ``(num_chips, n,
+        words_per_chip)`` stored words."""
+        geometry = self.geometry
+        out = np.empty((geometry.num_chips, len(banks),
+                        geometry.words_per_line_per_chip),
+                       dtype=self.banks[0].data.dtype)
+        for bank in np.unique(banks).tolist():
+            mine = np.flatnonzero(banks == bank)
+            out[:, mine] = self.banks[bank].data[
+                rows[mine], :, lines_in_row[mine], :].swapaxes(0, 1)
+            self.banks[bank].read_count += len(mine)
+        self.activate_rows(banks, rows, time_s)
+        return out
+
+    def activate_rows(self, banks: np.ndarray, rows: np.ndarray,
+                      time_s=0.0) -> None:
+        """Row activations without a content change at ``time_s`` (one
+        time, or one per row): recharge the rows, tell access observers."""
+        if not len(banks):
+            return
+        stamps = np.broadcast_to(np.asarray(time_s, dtype=float), np.shape(banks))
+        for bank in np.unique(banks).tolist():
+            mine = np.flatnonzero(banks == bank)
+            self.banks[bank].activate(rows[mine], stamps[mine])
+        self._notify_access(banks, rows)
 
     def write_row(self, bank: int, row: int, chip_data: np.ndarray,
                   time_s: float = 0.0) -> None:

@@ -30,19 +30,24 @@ records intervening writes.
   whose bit says discharged, refresh the rest.
 
 ``mode='conventional'`` turns the engine into the DDRx baseline (no
-skipping); ``mode='naive'`` consults a per-write-maintained
+skipping); ``mode='naive'`` consults a
 :class:`~repro.dram.tracking.NaiveSramTracker` instead of the
-access-bit protocol (the tracking ablation).
+access-bit protocol (the tracking ablation): it counts one update per
+write and skips by its per-row vector.
+
+:meth:`RefreshEngine.run_window` makes all of a window's decisions in
+one array pass; DESIGN.md ("Window pass") explains why that leaves the
+state a slot-by-slot walk would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dram.device import DramDevice
+from repro.dram.device import DramDevice, LineWrites
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import TimingParams
 from repro.dram.tracking import (
@@ -55,6 +60,10 @@ from repro.obs.probes import NULL_PROBES
 
 MODES = ("zero-refresh", "conventional", "naive")
 POLICIES = ("per-bank", "all-bank")
+
+DETECT_ROWS = 256
+"""Rows the detector reads per call: bounds the pass's working memory
+when every set is dirty (the first window over populated memory)."""
 
 
 class RefreshCounters:
@@ -176,14 +185,16 @@ class RefreshEngine:
     """Issues per-bank AR commands and applies charge-aware skipping.
 
     The engine natively satisfies the :class:`repro.sim.scheme.RefreshScheme`
-    protocol: ``run_window`` is the scheme interface.  Plain
-    charge-aware engines only observe *writes* (through the device's
-    write observers); subclasses that skip on access recency set
-    :attr:`wants_access_events` so drivers replay demand reads too.
+    protocol: ``run_window`` is the scheme interface.  A window's memory
+    traffic is posted to the engine beforehand (:meth:`post_writes`,
+    :meth:`post_reads`); writes made straight to the device reach it
+    through the device's write observers.  Subclasses that skip on
+    access recency set :attr:`wants_access_events` so drivers post
+    demand reads too.
     """
 
     wants_access_events = False
-    """Whether drivers must replay demand reads as row activations."""
+    """Whether drivers must post demand reads as row activations."""
 
     def __init__(
         self,
@@ -206,11 +217,18 @@ class RefreshEngine:
         self.timing = timing or TimingParams()
         self.mode = mode
         self.counters = RefreshCounters(self.geometry.num_chips, staggered)
+        # _diagonal[c, k]: offset within its AR set of the row chip c
+        # recharges for group k (the same for every set, because
+        # rows_per_ar is a multiple of num_chips)
+        self._diagonal = self.counters.rows_for_steps(
+            np.arange(self.geometry.rows_per_ar))
         self.stats = RefreshStats()
+        self._posted_writes: List[Tuple[LineWrites, np.ndarray]] = []
+        self._posted_reads: List[Tuple[np.ndarray, ...]] = []
         if mode == "zero-refresh":
             self.access_bits = AccessBitTable(self.geometry)
             self.status_table = DischargedStatusTable(self.geometry)
-            device.add_write_observer(self.access_bits.note_write)
+            device.add_write_observer(self.access_bits.note_writes)
             self.naive_tracker = None
         elif mode == "naive":
             self.access_bits = None
@@ -223,232 +241,354 @@ class RefreshEngine:
             self.naive_tracker = None
 
     # ------------------------------------------------------------------
-    def _naive_on_write(self, bank: int, row: int) -> None:
-        """Naive tracker: re-derive affected status bits on every write.
+    def _naive_on_write(self, bank, row) -> None:
+        """Naive tracker: one SRAM update per written row.
 
-        A write to one row changes the charge of its slice in every
-        chip, touching ``num_chips`` diagonal refresh groups, so the
-        naive design has to re-check and update all of them — per
-        write.  (This hidden read cost is part of why the paper rejects
-        the design; the counter below feeds the ablation.)
+        The design re-checks the status of a row on every write (a
+        hidden read cost that is part of why the paper rejects it; the
+        counter feeds the ablation).  The model needs no re-derivation
+        here: the write flags its row dirty, so the set's next AR
+        re-derives the vector before anything reads it.
         """
-        ar_set = row // self.geometry.rows_per_ar
-        self.naive_tracker.set_vector(
-            bank, ar_set, self.derive_group_status(bank, ar_set)
-        )
-        self.naive_tracker.updates += 1
+        self.naive_tracker.updates += np.size(row)
 
     # ------------------------------------------------------------------
-    def group_steps(self, ar_set: int) -> np.ndarray:
-        """Refresh steps covered by one AR command."""
-        start = ar_set * self.geometry.rows_per_ar
-        return np.arange(start, start + self.geometry.rows_per_ar)
-
     def derive_group_status(self, bank: int, ar_set: int) -> np.ndarray:
-        """Wire-OR-derived discharged bit per group of the AR set.
+        """Wire-OR-derived discharged bit per group of the AR set."""
+        return self._derive(np.array([bank]), np.array([ar_set]))[0]
+
+    def _set_rows(self, ar_sets) -> np.ndarray:
+        """``rows[i, c, k]``: the row chip ``c`` recharges for group
+        ``k`` of AR set ``ar_sets[i]``."""
+        return (np.asarray(ar_sets)[:, None, None] * self.geometry.rows_per_ar
+                + self._diagonal)
+
+    def _derive(self, banks: np.ndarray, ar_sets: np.ndarray) -> np.ndarray:
+        """Wire-OR-derived discharged bit per group, ``(n, rows_per_ar)``.
 
         Group ``k`` is discharged iff every chip's covered row slice is
-        discharged.  Because groups are diagonals, this indexes the
-        per-chip detector output by the staggered row matrix.
+        discharged.  Groups are diagonals, so this reads the per-chip
+        detector output of each set's rows along the staggered row
+        matrix.  The detector runs only over the given sets' rows.
         """
-        steps = self.group_steps(ar_set)
-        rows_matrix = self.counters.rows_for_steps(steps)  # (chips, k)
-        set_rows = self.geometry.rows_of_ar_set(ar_set)
-        per_chip = self.device.banks[bank].detect_discharged_per_chip(set_rows)
-        rel = rows_matrix - set_rows[0]
-        chips = np.arange(self.geometry.num_chips)[:, None]
-        return per_chip[rel, chips].all(axis=0)
+        geometry = self.geometry
+        per_ar, chips = geometry.rows_per_ar, geometry.num_chips
+        out = np.empty((len(banks), per_ar), dtype=bool)
+        chip = np.arange(chips)[:, None]
+        step = max(1, DETECT_ROWS // per_ar)
+        for bank in np.unique(banks).tolist():
+            mine = np.flatnonzero(banks == bank)
+            for part in np.split(mine, range(step, len(mine), step)):
+                set_rows = (ar_sets[part, None] * per_ar
+                            + np.arange(per_ar)).ravel()
+                per_chip = self.device.banks[bank].detect_discharged_per_chip(
+                    set_rows).reshape(len(part), per_ar, chips)
+                out[part] = per_chip[:, self._diagonal, chip].all(axis=1)
+        return out
+
+    def _take_dirty_rows(self, banks: np.ndarray, ar_sets: np.ndarray) -> np.ndarray:
+        """Whether each set holds rows whose content changed since its
+        status was last derived; clears those bank-side flags."""
+        out = np.empty(len(banks), dtype=bool)
+        shape = (self.geometry.ar_sets_per_bank, self.geometry.rows_per_ar)
+        for bank in np.unique(banks).tolist():
+            mine = np.flatnonzero(banks == bank)
+            flags = self.device.banks[bank].dirty.reshape(shape)
+            out[mine] = flags[ar_sets[mine]].any(axis=1)
+            flags[ar_sets[mine]] = False
+        return out
+
+    def _recent_groups(self, banks: np.ndarray,
+                       rows: np.ndarray) -> Optional[np.ndarray]:
+        """Groups skippable for access recency; ``None`` without a
+        recency table (see the hybrid engine)."""
+        return None
 
     # ------------------------------------------------------------------
     def process_ar(self, bank: int, ar_set: int, time_s: float,
                    track_busy: bool = True) -> int:
         """Handle one AR command for one bank; returns groups refreshed.
 
-        With the per-bank policy (``track_busy=True``) the command's
-        work directly blocks only its bank; the all-bank path calls
-        this per bank with ``track_busy=False`` and accounts the
-        rank-blocking time itself.
+        The one-command entry into the array pass :meth:`run_window`
+        makes.  With ``track_busy`` the command's work counts as rank
+        busy time (per-bank refresh blocks only its bank).
         """
-        if self.mode == "conventional":
-            refreshed = self._refresh_groups(
-                bank, ar_set, np.ones(self.geometry.rows_per_ar, dtype=bool), time_s
-            )
-        elif self.mode == "naive":
-            set_rows = self.geometry.rows_of_ar_set(ar_set)
-            bank_obj = self.device.banks[bank]
-            if bank_obj.dirty[set_rows].any():
-                # Rows whose content predates the tracker (initial
-                # population): derive their status from the detector,
-                # as the per-write checks would have done.
-                self.naive_tracker.set_vector(
-                    bank, ar_set, self.derive_group_status(bank, ar_set)
-                )
-                bank_obj.dirty[set_rows] = False
-            group_status = self.naive_tracker.vector(bank, ar_set)
-            refreshed = self._refresh_groups(bank, ar_set, ~group_status, time_s)
-            skipped = int(group_status.sum())
-            self.stats.groups_skipped += skipped
-            self.probes.count("refresh.groups_skipped", skipped)
-        else:
-            refreshed = self._process_zero_refresh(bank, ar_set, time_s)
-        self.stats.ar_commands += 1
-        self.probes.count("refresh.ar_commands")
-        if self.probes.tracing:
-            self.probes.event("refresh.ar", bank=bank, ar_set=ar_set,
-                              t=time_s, refreshed=refreshed, mode=self.mode)
+        refreshed = int(self._run_ars(np.array([bank]), np.array([ar_set]),
+                                      np.array([float(time_s)]))[0])
         if track_busy:
             self.stats.rank_busy_groups += refreshed
         return refreshed
 
-    def _process_zero_refresh(self, bank: int, ar_set: int, time_s: float) -> int:
-        set_rows = self.geometry.rows_of_ar_set(ar_set)
-        # A set is dirty when a write raised its access bit, or when its
-        # rows carry content the table has never described (bank-side
-        # dirty flags cover population that happened before this engine
-        # attached its write observer).
-        dirty = self.access_bits.test_and_clear(bank, ar_set)
-        dirty = dirty or bool(self.device.banks[bank].dirty[set_rows].any())
-        if dirty:
-            # Dirty set: refresh everything, renew the status vector.
-            self.stats.dirty_ars += 1
-            self.probes.count("refresh.dirty_ars")
-            refreshed = self._refresh_groups(
-                bank, ar_set, np.ones(self.geometry.rows_per_ar, dtype=bool), time_s
-            )
-            status = self.derive_group_status(bank, ar_set)
-            self.status_table.write_vector(bank, ar_set, status)
-            self.stats.status_writes += 1
-            self.probes.count("refresh.status_writes")
-            if self.probes.tracing:
-                self.probes.event("refresh.status_renewal", bank=bank,
-                                  ar_set=ar_set, t=time_s,
-                                  discharged=int(status.sum()))
-            self.device.banks[bank].dirty[set_rows] = False
-        else:
-            # Clean set: trust the stored vector, skip discharged groups.
-            self.stats.clean_ars += 1
-            self.probes.count("refresh.clean_ars")
-            status = self.status_table.read_vector(bank, ar_set)
-            self.stats.status_reads += 1
-            self.probes.count("refresh.status_reads")
-            refreshed = self._refresh_groups(bank, ar_set, ~status, time_s)
-            skipped = int(status.sum())
-            self.stats.groups_skipped += skipped
-            self.probes.count("refresh.groups_skipped", skipped)
-            if self.watchdog.enabled:
-                self._watchdog_clean_skip(bank, ar_set, status, ~status,
-                                          time_s)
-        return refreshed
+    def _run_ars(self, banks: np.ndarray, ar_sets: np.ndarray,
+                 times: np.ndarray) -> np.ndarray:
+        """Decide and refresh AR commands in one array pass.
 
-    def _watchdog_clean_skip(self, bank: int, ar_set: int,
-                             status: np.ndarray, refresh_mask: np.ndarray,
-                             time_s: float) -> None:
-        """Evidence for the clean-path skip invariants (watchdog runs only).
+        Command ``i`` refreshes set ``ar_sets[i]`` of bank ``banks[i]``
+        at ``times[i]``; commands come in schedule order and no (bank,
+        set) appears twice.  Returns the groups each one refreshed.
 
-        Called after the groups were refreshed, which is safe because a
-        refresh only recharges cells — it never changes stored data, so
-        :meth:`derive_group_status` still reflects the pre-refresh truth.
+        * conventional: refresh every group;
+        * naive: a set holding dirty rows re-derives its tracker
+          vector; every set refreshes the groups its vector does not
+          mark discharged;
+        * zero-refresh: a set is dirty when a write raised its access
+          bit or it holds dirty rows.  A dirty set refreshes every group
+          (but the recent ones), re-derives its status and writes the
+          vector back; a clean set reads the stored vector and skips
+          the groups it marks (and the recent ones).
         """
-        truth = self.derive_group_status(bank, ar_set)
-        self.watchdog.check(
-            "refresh.no_discharged_refresh",
-            not bool((refresh_mask & truth).any()),
-            bank=bank, ar_set=ar_set, t=round(time_s, 6),
-        )
-        self.watchdog.check(
-            "refresh.skip_safety",
-            not bool((status & ~truth).any()),
-            bank=bank, ar_set=ar_set, t=round(time_s, 6),
-            marked_discharged=int(status.sum()),
-            actually_charged=int((status & ~truth).sum()),
-        )
-
-    def _refresh_groups(self, bank: int, ar_set: int, refresh_mask: np.ndarray,
-                        time_s: float) -> int:
-        """Recharge the chip slices of every group selected by the mask."""
-        steps = self.group_steps(ar_set)[refresh_mask]
-        if len(steps):
-            rows_matrix = self.counters.rows_for_steps(steps)  # (chips, n)
-            if self.probes.enabled:
-                # per-group charge lifetime: time since the longest-idle
-                # chip slice of each group was last recharged (read
-                # before refresh_slices overwrites the timestamps)
-                chip_col = np.arange(self.geometry.num_chips)[:, None]
-                last = self.device.banks[bank].last_refresh[
-                    rows_matrix, chip_col
-                ]
-                self.probes.observe_many(
-                    "refresh.row_charge_lifetime_s",
-                    time_s - last.min(axis=0),
-                )
-            chips = np.repeat(
-                np.arange(self.geometry.num_chips), rows_matrix.shape[1]
-            )
-            self.device.banks[bank].refresh_slices(
-                rows_matrix.ravel(), chips, time_s
-            )
-        refreshed = int(refresh_mask.sum())
-        self.stats.groups_refreshed += refreshed
-        self.probes.count("refresh.groups_refreshed", refreshed)
+        geometry = self.geometry
+        n, per_ar = len(banks), geometry.rows_per_ar
+        rows = self._set_rows(ar_sets)
+        recent = self._recent_groups(banks, rows)
+        skip = (np.zeros((n, per_ar), dtype=bool) if recent is None
+                else recent.copy())
+        dirty = clean = derived = stored = None
+        if self.mode == "naive":
+            dirty = self._take_dirty_rows(banks, ar_sets)
+            self.naive_tracker.set_vector(
+                banks[dirty], ar_sets[dirty], self._derive(banks[dirty], ar_sets[dirty]))
+            skip = self.naive_tracker.vector(banks, ar_sets)
+        elif self.mode == "zero-refresh":
+            dirty = self.access_bits.test_and_clear(banks, ar_sets)
+            dirty |= self._take_dirty_rows(banks, ar_sets)
+            clean = ~dirty
+            derived = self._derive(banks[dirty], ar_sets[dirty])
+            if recent is not None:
+                derived &= ~recent[dirty]  # not opened by the refresh: unknown
+            self.status_table.write_vector(banks[dirty], ar_sets[dirty], derived)
+            stored = self.status_table.read_vector(banks[clean], ar_sets[clean])
+            skip[clean] |= stored
+        refresh = ~skip
+        lifetimes = self._refresh(banks, rows, refresh, times)
+        refreshed = refresh.sum(axis=1)
+        self._account(refreshed, skip, dirty, recent, stored)
+        if self.probes.enabled and refreshed.any():
+            # per-group charge lifetime: time since the longest-idle chip
+            # slice of each refreshed group was last recharged; one sum
+            # per command, as the histogram got them command by command
+            values = lifetimes[refresh]
+            ends = np.cumsum(refreshed).tolist()
+            sums = [float(values[a:b].sum())
+                    for a, b in zip([0] + ends[:-1], ends) if b > a]
+            self.probes.observe_many("refresh.row_charge_lifetime_s", values,
+                                     sums=sums)
+        checks = ()
+        if self.watchdog.enabled and clean is not None and clean.any():
+            checks = self._clean_skip_evidence(banks[clean], ar_sets[clean],
+                                               refresh[clean], stored)
+        if self.probes.tracing or checks:
+            self._record(banks, ar_sets, times, refreshed,
+                         dirty if clean is not None else None, derived, checks)
         return refreshed
+
+    def _refresh(self, banks: np.ndarray, rows: np.ndarray,
+                 refresh: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Recharge the selected groups; returns each group's charge
+        lifetime (command time minus the oldest chip slice's last
+        recharge, read before the refresh), ``(n, rows_per_ar)``."""
+        lifetimes = np.empty(refresh.shape)
+        for bank in np.unique(banks).tolist():
+            mine = np.flatnonzero(banks == bank)
+            last = self.device.banks[bank].refresh_groups(
+                rows[mine], refresh[mine], times[mine])
+            lifetimes[mine] = times[mine, None] - last.min(axis=1)
+        return lifetimes
+
+    def _account(self, refreshed, skip, dirty, recent, stored) -> None:
+        """Fold a pass into :attr:`stats` and the probe counters; each
+        counter appears exactly when some command counts it."""
+        stats, probes = self.stats, self.probes
+        n = len(refreshed)
+        total = int(refreshed.sum())
+        skipped = int(skip.sum())
+        stats.ar_commands += n
+        stats.groups_refreshed += total
+        stats.groups_skipped += skipped
+        probes.count("refresh.groups_refreshed", total)
+        counts_skips = self.mode == "naive"
+        if self.mode == "zero-refresh":
+            n_dirty = int(dirty.sum())
+            n_clean = n - n_dirty
+            counts_skips = recent is not None or n_clean > 0
+            if n_dirty:
+                stats.dirty_ars += n_dirty
+                stats.status_writes += n_dirty
+                probes.count("refresh.dirty_ars", n_dirty)
+                probes.count("refresh.status_writes", n_dirty)
+            if n_clean:
+                stats.clean_ars += n_clean
+                stats.status_reads += n_clean
+                probes.count("refresh.clean_ars", n_clean)
+                probes.count("refresh.status_reads", n_clean)
+            if recent is not None:
+                recency_only = recent.copy()
+                recency_only[~dirty] &= ~stored
+                recency_skips = int(recency_only.sum())
+                self.recency_skips += recency_skips
+                probes.count("refresh.recency_skips", recency_skips)
+        if counts_skips:
+            probes.count("refresh.groups_skipped", skipped)
+        probes.count("refresh.ar_commands", n)
+
+    def _clean_skip_evidence(self, banks, ar_sets, refresh, stored) -> list:
+        """Per clean command, against the detector truth: does it refresh
+        no discharged group, skip no charged one, how many groups does
+        its vector mark and how many of those hold charge.
+
+        A refresh leaves the truth unchanged (it recharges cells, never
+        changes stored data).  Recency skips are covered by the
+        retention guard band, not the status table, so only
+        status-marked skips must match the truth.
+        """
+        truth = self._derive(banks, ar_sets)
+        wrong = stored & ~truth
+        return list(zip((~(refresh & truth).any(axis=1)).tolist(),
+                        (~wrong.any(axis=1)).tolist(),
+                        stored.sum(axis=1).tolist(),
+                        wrong.sum(axis=1).tolist()))
+
+    def _record(self, banks, ar_sets, times, refreshed, dirty, derived,
+                checks) -> None:
+        """Trace events and watchdog checks, command by command in
+        schedule order.
+
+        ``dirty`` marks the commands that renewed their status vector
+        (``derived``), ``None`` outside zero-refresh mode; ``checks``
+        holds :meth:`_clean_skip_evidence` for the clean ones, or
+        nothing without a watchdog.
+        """
+        tracing = self.probes.tracing
+        flags = dirty.tolist() if dirty is not None else [None] * len(banks)
+        renewed = iter(derived.sum(axis=1).tolist() if dirty is not None else ())
+        checks = iter(checks)
+        for bank, ar_set, t, count, was_dirty in zip(
+                banks.tolist(), ar_sets.tolist(), times.tolist(),
+                refreshed.tolist(), flags):
+            if was_dirty:
+                discharged = next(renewed)
+                if tracing:
+                    self.probes.event("refresh.status_renewal", bank=bank,
+                                      ar_set=ar_set, t=t,
+                                      discharged=discharged)
+            elif was_dirty is not None:
+                evidence = next(checks, None)
+                if evidence is not None:
+                    no_discharged, safe, marked, charged = evidence
+                    self.watchdog.check("refresh.no_discharged_refresh",
+                                        no_discharged, bank=bank,
+                                        ar_set=ar_set, t=round(t, 6))
+                    self.watchdog.check("refresh.skip_safety", safe,
+                                        bank=bank, ar_set=ar_set,
+                                        t=round(t, 6),
+                                        marked_discharged=marked,
+                                        actually_charged=charged)
+            if tracing:
+                self.probes.event("refresh.ar", bank=bank, ar_set=ar_set,
+                                  t=t, refreshed=count, mode=self.mode)
 
     # ------------------------------------------------------------------
+    # the window
+    # ------------------------------------------------------------------
+    def slot_times(self, start_time_s: float = 0.0) -> np.ndarray:
+        """AR slot time of every (set, bank) in the window, ``(sets, banks)``.
+
+        Commands are evenly spaced: each bank gets one AR per
+        ``tRET / ar_sets_per_bank``, with banks offset from each other
+        by a further ``1 / num_banks`` of that (per-bank refresh).  An
+        all-bank command refreshes one set of every bank at once.
+        """
+        geometry = self.geometry
+        cadence = self.timing.tret_s / geometry.ar_sets_per_bank
+        set_times = start_time_s + np.arange(geometry.ar_sets_per_bank) * cadence
+        if self.policy == "all-bank":
+            return np.repeat(set_times[:, None], geometry.num_banks, axis=1)
+        offset = cadence / geometry.num_banks
+        return set_times[:, None] + np.arange(geometry.num_banks) * offset
+
+    def place(self, start_time_s: float,
+              times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Where accesses at ``times`` land in the window from ``start_time_s``.
+
+        An access lands just before the window's first command later
+        than it and recharges its row at the command before (the start
+        of its span between commands).  Returns ``(span, stamp)``:
+        ``span`` is the index of that command among the window's
+        commands in time order (their number for the span after the
+        last one), or -1 for an access at or past the window's end,
+        which never lands; ``stamp`` is the recharge time.
+        """
+        slots = self.slot_times(start_time_s)
+        commands = slots[:, 0] if self.policy == "all-bank" else slots.ravel()
+        times = np.asarray(times, dtype=float)
+        span = np.searchsorted(commands, times, side="right")
+        stamp = commands[np.maximum(span - 1, 0)]
+        span[times >= start_time_s + self.timing.tret_s] = -1
+        return span, stamp
+
+    def post_writes(self, writes: LineWrites, times: np.ndarray) -> None:
+        """Hand the next window its writes, issued at ``times`` in order.
+
+        :meth:`run_window` applies each write in the span :meth:`place`
+        gives it: before its own set's AR when it lands before that
+        command, after it otherwise.
+        """
+        self._posted_writes.append((writes, np.asarray(times, dtype=float)))
+
+    def post_reads(self, banks: np.ndarray, rows: np.ndarray,
+                   times: np.ndarray) -> None:
+        """Hand the next window demand reads: row activations, no content."""
+        self._posted_reads.append((np.asarray(banks), np.asarray(rows),
+                                   np.asarray(times, dtype=float)))
+
     def run_window(self, start_time_s: float = 0.0,
                    write_hook=None) -> RefreshStats:
         """Run one full retention window of AR commands for all banks.
 
-        Commands are evenly spaced: each bank gets one AR per
-        ``tRET / ar_sets_per_bank``, with banks offset from each other
-        (per-bank refresh).  ``write_hook(t0, t1)``, if given, is called
-        before each AR slot with the simulated time span of the slot so
-        a driver can inject the memory traffic that falls inside it.
+        One array pass: the posted writes and reads that land before
+        their own set's AR are applied, every (bank, set) command of the
+        window is decided and refreshed at once (:meth:`_run_ars`), then
+        the rest of the posted traffic is applied.  Because a refresh
+        touches only its own set's rows, this leaves the state a walk
+        through the slots one by one would.
+
+        ``write_hook`` must be ``None``: traffic is posted beforehand
+        (:meth:`post_writes`, :meth:`post_reads`).  The parameter stays
+        because ``perfbench/tracing.py`` wraps this method and passes
+        it positionally.
 
         Returns the stats delta for this window.
         """
-        before = RefreshStats(**vars(self.stats))
-        geometry = self.geometry
-        cadence = self.timing.tret_s / geometry.ar_sets_per_bank
-        offset = cadence / geometry.num_banks
-        previous = start_time_s
-        for ar_set in range(geometry.ar_sets_per_bank):
-            if self.policy == "all-bank":
-                # One rank-level command: every bank refreshes the set
-                # simultaneously; the rank stays blocked until the bank
-                # with the most surviving refreshes finishes (Sec. IV-A:
-                # per-bank skipping inside an all-bank command needs the
-                # slowest bank to complete).
-                t = start_time_s + ar_set * cadence
-                if write_hook is not None:
-                    write_hook(previous, t)
-                worst = 0
-                for bank in range(geometry.num_banks):
-                    refreshed = self.process_ar(bank, ar_set, t,
-                                                track_busy=False)
-                    worst = max(worst, refreshed)
-                self.stats.rank_busy_groups += worst * geometry.num_banks
-                previous = t
-                continue
-            for bank in range(geometry.num_banks):
-                t = start_time_s + ar_set * cadence + bank * offset
-                if write_hook is not None:
-                    write_hook(previous, t)
-                self.process_ar(bank, ar_set, t)
-                previous = t
         if write_hook is not None:
-            write_hook(previous, start_time_s + self.timing.tret_s)
+            raise TypeError("run_window takes no write hook: post the "
+                            "window's traffic with post_writes/post_reads")
+        before = replace(self.stats)
+        geometry = self.geometry
+        slots = self.slot_times(start_time_s)
+        writes, self._posted_writes = self._posted_writes, []
+        reads, self._posted_reads = self._posted_reads, []
+        writes = [(batch, *self._sides(start_time_s, batch.banks, batch.rows, t))
+                  for batch, t in writes]
+        reads = [(banks, rows, *self._sides(start_time_s, banks, rows, t))
+                 for banks, rows, t in reads]
+        self._land(writes, reads, 0)  # before their own set's AR
+        sets, banks = np.divmod(np.arange(slots.size), geometry.num_banks)
+        refreshed = self._run_ars(banks, sets, slots.ravel())
+        if self.policy == "all-bank":
+            # one rank-level command per set: the rank stays blocked
+            # until the bank with the most surviving refreshes finishes
+            # (Sec. IV-A)
+            worst = refreshed.reshape(slots.shape).max(axis=1)
+            self.stats.rank_busy_groups += int(worst.sum()) * geometry.num_banks
+        else:
+            self.stats.rank_busy_groups += int(refreshed.sum())
+        self._land(writes, reads, 1)  # after it
         self.stats.windows += 1
-        after = RefreshStats(**vars(self.stats))
-        delta = RefreshStats(
-            ar_commands=after.ar_commands - before.ar_commands,
-            groups_refreshed=after.groups_refreshed - before.groups_refreshed,
-            groups_skipped=after.groups_skipped - before.groups_skipped,
-            dirty_ars=after.dirty_ars - before.dirty_ars,
-            clean_ars=after.clean_ars - before.clean_ars,
-            status_reads=after.status_reads - before.status_reads,
-            status_writes=after.status_writes - before.status_writes,
-            windows=1,
-            rank_busy_groups=after.rank_busy_groups - before.rank_busy_groups,
-        )
+        self._end_window()
+        delta = RefreshStats(**{
+            name: value - getattr(before, name)
+            for name, value in vars(self.stats).items()
+        })
         if self.watchdog.enabled:
             # conservation: every group in the schedule is either
             # refreshed or deliberately skipped, exactly once per window
@@ -461,3 +601,25 @@ class RefreshEngine:
                 t=round(start_time_s, 6),
             )
         return delta
+
+    def _sides(self, start_time_s: float, banks: np.ndarray, rows: np.ndarray,
+               times: np.ndarray) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+        """Stamp of each access and the masks of those landing before
+        and after their own set's AR."""
+        span, stamp = self.place(start_time_s, times)
+        command = rows // self.geometry.rows_per_ar
+        if self.policy == "per-bank":
+            command = command * self.geometry.num_banks + banks
+        return stamp, ((span >= 0) & (span <= command), span > command)
+
+    def _land(self, writes, reads, side: int) -> None:
+        """Apply the posted accesses on one side of their sets' ARs."""
+        for batch, stamp, sides in writes:
+            which = sides[side]
+            self.device.write_lines(batch.take(which), stamp[which])
+        for banks, rows, stamp, sides in reads:
+            which = sides[side]
+            self.device.activate_rows(banks[which], rows[which], stamp[which])
+
+    def _end_window(self) -> None:
+        """Called once the window's last traffic is applied."""

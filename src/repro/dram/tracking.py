@@ -60,19 +60,17 @@ class AccessBitTable:
         )
         self.sets_observed = 0
 
-    def note_write(self, bank: int, row: int) -> None:
-        """Record a memory write to ``row`` of ``bank``."""
-        self._bits[bank, row // self.geometry.rows_per_ar] = True
-
-    def note_writes(self, banks: np.ndarray, rows: np.ndarray) -> None:
-        """Vectorised :meth:`note_write`."""
+    def note_writes(self, banks, rows) -> None:
+        """Record memory writes to ``rows`` of ``banks`` (ints, or
+        equal-length arrays)."""
         sets = np.asarray(rows) // self.geometry.rows_per_ar
         self._bits[np.asarray(banks), sets] = True
 
-    def test_and_clear(self, bank: int, ar_set: int) -> bool:
-        """Consume the bit for an AR command (reads then clears it)."""
-        self.sets_observed += 1
-        value = bool(self._bits[bank, ar_set])
+    def test_and_clear(self, bank, ar_set):
+        """Consume the bit for an AR command (reads then clears it);
+        ``bank`` and ``ar_set`` may be equal-length arrays of commands."""
+        self.sets_observed += np.size(bank)
+        value = self._bits[bank, ar_set].copy()
         self._bits[bank, ar_set] = False
         return value
 
@@ -105,19 +103,21 @@ class DischargedStatusTable:
         self.reads = 0
         self.writes = 0
 
-    def read_vector(self, bank: int, ar_set: int) -> np.ndarray:
-        """Fetch the status vector for one AR command (one DRAM read)."""
-        self.reads += 1
+    def read_vector(self, bank, ar_set) -> np.ndarray:
+        """Fetch the status vector for one AR command (one DRAM read);
+        equal-length arrays fetch one vector, one read, per command."""
+        self.reads += np.size(bank)
         return self._status[bank, ar_set].copy()
 
-    def write_vector(self, bank: int, ar_set: int, status: np.ndarray) -> None:
-        """Write back a renewed status vector (one DRAM write)."""
+    def write_vector(self, bank, ar_set, status: np.ndarray) -> None:
+        """Write back a renewed status vector (one DRAM write), or one
+        per command for equal-length arrays."""
         status = np.asarray(status, dtype=bool)
-        if status.shape != (self.geometry.rows_per_ar,):
+        if status.shape[-1:] != (self.geometry.rows_per_ar,):
             raise ValueError(
                 f"status vector must have {self.geometry.rows_per_ar} bits"
             )
-        self.writes += 1
+        self.writes += np.size(bank)
         self._status[bank, ar_set] = status
 
     def peek(self, bank: int, ar_set: int) -> np.ndarray:
@@ -162,13 +162,18 @@ class NaiveSramTracker:
     def is_discharged(self, bank: int, row: int) -> bool:
         return bool(self._status[bank, row])
 
-    def vector(self, bank: int, ar_set: int) -> np.ndarray:
-        rows = self.geometry.rows_of_ar_set(ar_set)
-        return self._status[bank, rows].copy()
+    def vector(self, bank, ar_set) -> np.ndarray:
+        """The bits of an AR set (or of equal-length arrays of them)."""
+        return self._by_set()[bank, ar_set].copy()
 
-    def set_vector(self, bank: int, ar_set: int, status: np.ndarray) -> None:
-        rows = self.geometry.rows_of_ar_set(ar_set)
-        self._status[bank, rows] = status
+    def set_vector(self, bank, ar_set, status: np.ndarray) -> None:
+        self._by_set()[bank, ar_set] = status
+
+    def _by_set(self) -> np.ndarray:
+        geometry = self.geometry
+        return self._status.reshape(geometry.num_banks,
+                                    geometry.ar_sets_per_bank,
+                                    geometry.rows_per_ar)
 
     @property
     def costs(self) -> TrackingCosts:

@@ -91,8 +91,14 @@ class Histogram:
         self.count += 1
         self.sum += float(value)
 
-    def observe_many(self, values) -> None:
-        """Vectorised :meth:`observe` for numpy arrays or sequences."""
+    def observe_many(self, values, sums=None) -> None:
+        """Vectorised :meth:`observe` for numpy arrays or sequences.
+
+        ``sums``, when given, are added to :attr:`sum` one at a time, in
+        order, in place of ``values.sum()``: a call that stands for
+        several earlier ``observe_many`` calls passes each call's sum,
+        so the float total comes out bit for bit the same.
+        """
         import numpy as np
 
         values = np.asarray(values, dtype=float).ravel()
@@ -102,7 +108,11 @@ class Histogram:
         for bucket, n in zip(*np.unique(idx, return_counts=True)):
             self.counts[int(bucket)] += int(n)
         self.count += int(values.size)
-        self.sum += float(values.sum())
+        if sums is None:
+            self.sum += float(values.sum())
+            return
+        for part in sums:
+            self.sum += part
 
     @property
     def mean(self) -> float:

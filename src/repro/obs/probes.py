@@ -203,12 +203,14 @@ class ProbeBus:
             hist = self.histograms[name] = Histogram(bounds or bounds_for(name))
         hist.observe(value)
 
-    def observe_many(self, name: str, values, bounds=None) -> None:
-        """Vectorised :meth:`observe` for arrays of observations."""
+    def observe_many(self, name: str, values, bounds=None,
+                     sums=None) -> None:
+        """Vectorised :meth:`observe` for arrays of observations (see
+        :meth:`Histogram.observe_many` for ``sums``)."""
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = Histogram(bounds or bounds_for(name))
-        hist.observe_many(values)
+        hist.observe_many(values, sums)
 
     def gauge(self, name: str, value: Union[int, float]) -> None:
         """Set the named gauge (tracks last value and min/max envelope)."""
@@ -324,7 +326,8 @@ class _NullProbes:
                 bounds=None) -> None:
         pass
 
-    def observe_many(self, name: str, values, bounds=None) -> None:
+    def observe_many(self, name: str, values, bounds=None,
+                     sums=None) -> None:
         pass
 
     def gauge(self, name: str, value: Union[int, float]) -> None:

@@ -9,7 +9,7 @@ probe bus".
 """
 
 from repro.sim.kernel import SimKernel, run_concurrent
-from repro.sim.scheme import RefreshScheme, WriteHook
+from repro.sim.scheme import RefreshScheme
 from repro.sim.schemes import (
     RaidrScheme,
     SmartRefreshScheme,
@@ -21,7 +21,6 @@ __all__ = [
     "RefreshScheme",
     "SimKernel",
     "SmartRefreshScheme",
-    "WriteHook",
     "ZeroIndicatorRefreshScheme",
     "run_concurrent",
 ]

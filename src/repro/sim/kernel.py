@@ -10,8 +10,9 @@ single total via non-mutating merges.
 
 The kernel is deliberately thin — *when* windows happen and what gets
 counted, nothing about *how* a scheme decides to refresh.  Traffic is a
-callback (``traffic(window_index, t0) -> write_hook | None``) so the
-caller keeps full control of its RNG stream: the kernel never draws
+callback (``traffic(window_index, t0)``) that posts the window's
+accesses to the scheme before the kernel runs the window, so the caller
+keeps full control of its RNG stream: the kernel never draws
 randomness, which is what makes kernel-driven runs bit-identical to the
 loops it replaced (asserted by ``tests/sim/test_parity.py``).
 
@@ -27,13 +28,13 @@ from typing import Callable, List, Optional, Sequence
 from repro.dram.refresh import RefreshStats
 from repro.obs import get_probes
 from repro.obs.spans import get_tracer
-from repro.sim.scheme import RefreshScheme, WriteHook
+from repro.sim.scheme import RefreshScheme
 
-TrafficSource = Callable[[int, float], Optional[WriteHook]]
-"""``traffic(window_index, window_start_s)`` builds the write hook that
-injects one measured window's memory traffic (or ``None`` for an idle
-window).  Called once per measured window, in order — RNG draws inside
-it happen exactly as often as in the pre-kernel loops."""
+TrafficSource = Callable[[int, float], None]
+"""``traffic(window_index, window_start_s)`` posts one measured window's
+memory traffic to the scheme (an idle window posts nothing).  Called
+once per measured window, in order, just before the window runs — RNG
+draws inside it happen exactly as often as in the pre-kernel loops."""
 
 
 class SimKernel:
@@ -48,7 +49,8 @@ class SimKernel:
     traffic:
         Optional per-window :data:`TrafficSource`; only measured
         windows carry traffic (warmup models the quiet fast-forward the
-        paper's simulations start from).
+        paper's simulations start from).  The scheme then runs the
+        window with ``run_window(t0)``.
     on_measure_start:
         Callback fired once, after warmup and before the first measured
         window — the place to reset externally-owned measurement
@@ -113,10 +115,9 @@ class SimKernel:
     def step(self) -> RefreshStats:
         """Run one measured window; returns its stats delta."""
         t0 = self.time_s
-        hook = None
         if self.traffic is not None:
-            hook = self.traffic(self._window_index, t0)
-        delta = self.scheme.run_window(t0, write_hook=hook)
+            self.traffic(self._window_index, t0)
+        delta = self.scheme.run_window(t0)
         self.stats = self.stats.merged_with(delta)
         self.probes.count("sim.windows")
         if self.probes.enabled and delta.groups_total:

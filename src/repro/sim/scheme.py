@@ -11,12 +11,7 @@ comparisons (Fig. 14/15/17/19) on one timeline by construction.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, runtime_checkable
-
-WriteHook = Callable[[float, float], None]
-"""``hook(span_start_s, span_end_s)`` — inject the traffic of one
-inter-command span; the refresh engines call it between refresh
-slots, the per-window counter models ignore it."""
+from typing import Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -26,9 +21,10 @@ class RefreshScheme(Protocol):
     ``run_window`` returns the window's stats *delta* — an object
     supporting ``merged_with`` (normally
     :class:`~repro.dram.refresh.RefreshStats`) that the kernel
-    accumulates without mutating either operand.
+    accumulates without mutating either operand.  A scheme that models
+    memory traffic takes it before the window, through its own posting
+    methods (the refresh engines' ``post_writes`` and ``post_reads``).
     """
 
-    def run_window(self, start_time_s: float = 0.0,
-                   write_hook: Optional[WriteHook] = None):
+    def run_window(self, start_time_s: float = 0.0):
         ...

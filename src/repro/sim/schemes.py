@@ -2,10 +2,10 @@
 
 ZERO-REFRESH's :class:`~repro.dram.refresh.RefreshEngine` (and the
 hybrid engine built on it) satisfy the protocol natively — their
-``run_window(start_time_s, write_hook)`` *is* the scheme interface.
+``run_window(start_time_s)`` *is* the scheme interface.
 The baselines model a window as a counter update rather than a timed
 command walk, so each gets a thin adapter here that feeds it
-per-window inputs, ignores the write hook, and returns a
+per-window inputs and returns a
 :class:`~repro.dram.refresh.RefreshStats` delta the kernel can
 accumulate uniformly.  Adapters never own randomness: anything drawn
 per window comes through caller-supplied callbacks, preserving the RNG
@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.dram.refresh import RefreshStats
 from repro.obs import get_probes
-from repro.sim.scheme import WriteHook
 
 AccessFeed = Callable[[], Tuple[np.ndarray, np.ndarray]]
 """Per-window access feed: returns ``(banks, rows)`` activated this
@@ -40,8 +39,7 @@ class SmartRefreshScheme:
         self.window_accesses = window_accesses
         self.probes = probes if probes is not None else get_probes()
 
-    def run_window(self, start_time_s: float = 0.0,
-                   write_hook: Optional[WriteHook] = None) -> RefreshStats:
+    def run_window(self, start_time_s: float = 0.0) -> RefreshStats:
         if self.window_accesses is not None:
             banks, rows = self.window_accesses()
             self.tracker.note_accesses(banks, rows)
@@ -68,8 +66,7 @@ class RaidrScheme:
         self.vrt = vrt
         self.probes = probes if probes is not None else get_probes()
 
-    def run_window(self, start_time_s: float = 0.0,
-                   write_hook: Optional[WriteHook] = None) -> RefreshStats:
+    def run_window(self, start_time_s: float = 0.0) -> RefreshStats:
         native = self.scheduler.run_window(self.vrt)
         skipped = native.refreshes_baseline - native.refreshes_performed
         self.probes.count("raidr.unsafe_row_windows", native.unsafe_row_windows)
@@ -106,8 +103,7 @@ class ZeroIndicatorRefreshScheme:
         self.lines_per_row = lines_per_row
         self.probes = probes if probes is not None else get_probes()
 
-    def run_window(self, start_time_s: float = 0.0,
-                   write_hook: Optional[WriteHook] = None) -> RefreshStats:
+    def run_window(self, start_time_s: float = 0.0) -> RefreshStats:
         page_lines = self.content()
         skippable, total = self.scheme.row_skip_counts(
             page_lines, self.lines_per_row

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dram.device import DramDevice
+from repro.dram.device import DramDevice, LineWrites
 from repro.dram.geometry import DramGeometry
 from repro.dram.refresh import RefreshCounters, RefreshEngine, RefreshStats
 from repro.transform.celltype import CellTypeLayout, CellTypePredictor
@@ -201,12 +201,56 @@ class TestRunWindow:
         assert stats.ar_commands == geom.num_banks * geom.ar_sets_per_bank
         assert stats.windows == 1
 
-    def test_write_hook_sees_monotonic_spans(self, device):
+    def test_slots_are_monotonic_within_the_window(self, device):
+        for policy in ("per-bank", "all-bank"):
+            engine = RefreshEngine(device, mode="conventional", policy=policy)
+            slots = engine.slot_times(1.0).ravel()
+            assert slots[0] == 1.0
+            assert (np.diff(slots) >= 0).all()
+            assert slots[-1] < 1.0 + engine.timing.tret_s
+
+    def test_place_stamps_the_preceding_slot(self, device):
         engine = RefreshEngine(device, mode="conventional")
-        spans = []
-        engine.run_window(0.0, write_hook=lambda t0, t1: spans.append((t0, t1)))
-        assert all(t0 <= t1 for t0, t1 in spans)
-        assert spans[-1][1] == pytest.approx(engine.timing.tret_s)
+        slots = engine.slot_times(0.0).ravel()
+        tret = engine.timing.tret_s
+        span, stamp = engine.place(0.0, [0.0, slots[3], slots[3] - 1e-12,
+                                         tret - 1e-12, tret])
+        # an access exactly at a slot lands after that slot's command
+        np.testing.assert_array_equal(span, [1, 4, 3, len(slots), -1])
+        np.testing.assert_array_equal(stamp[:4], [slots[0], slots[3],
+                                                  slots[2], slots[-1]])
+
+    def test_posted_write_lands_on_its_side_of_the_set_ar(self, device, codec,
+                                                          geom):
+        """A write before its set's AR dirties the set this window; one
+        at or after the AR raises the access bit for the next window."""
+        populate_zero(device, codec)
+        engine = RefreshEngine(device)
+        t0 = engine.timing.tret_s
+        engine.run_window(0.0)
+        slots = engine.slot_times(t0)
+        rng = np.random.default_rng(3)
+        lines = rng.integers(0, 2**64, size=(1, 8), dtype=np.uint64)
+
+        def post(bank, row, t):
+            engine.post_writes(
+                LineWrites(np.array([bank]), np.array([row]), np.array([0]),
+                           codec.encode_row(lines, row)),
+                np.array([t]))
+
+        post(0, geom.rows_per_ar + 5, slots[1, 0] - 1e-9)  # before (0, 1)
+        post(1, 5, slots[0, 1])  # at the slot of (1, 0): after it
+        first = engine.run_window(t0)
+        assert first.dirty_ars == 1
+        assert engine.access_bits.peek(1, 0)
+        second = engine.run_window(2 * t0)
+        assert second.dirty_ars == 1
+        assert device.banks[1].last_refresh[5].min() >= slots[0, 1]
+
+    def test_run_window_takes_no_write_hook(self, device):
+        engine = RefreshEngine(device, mode="conventional")
+        with pytest.raises(TypeError, match="post_writes"):
+            engine.run_window(0.0, lambda t0, t1: None)
 
     def test_stats_accumulate_across_windows(self, device):
         engine = RefreshEngine(device, mode="conventional")

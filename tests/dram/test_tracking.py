@@ -23,14 +23,14 @@ class TestAccessBitTable:
 
     def test_write_sets_covering_bit(self, geom):
         table = AccessBitTable(geom)
-        table.note_write(bank=2, row=200)
+        table.note_writes(2, 200)
         assert table.peek(2, 200 // 128)
         assert not table.peek(2, 0)
         assert not table.peek(1, 200 // 128)
 
     def test_test_and_clear(self, geom):
         table = AccessBitTable(geom)
-        table.note_write(0, 5)
+        table.note_writes(0, 5)
         assert table.test_and_clear(0, 0)
         assert not table.test_and_clear(0, 0)
 

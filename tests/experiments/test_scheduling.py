@@ -315,18 +315,29 @@ class TestTransports:
 
     def test_cluster_long_job_on_a_live_worker_completes(self):
         """A job on a heartbeating worker is progress, however long it
-        runs: at 20x clock speed a 4-s job spans 80 runner-seconds."""
+        runs: at 20x clock speed a 4-s job spans 80 runner-seconds.
+
+        At 20x, the loop's ``STALL_S`` wait for a free slot is 3 real
+        seconds, so the worker's slot must be free, on the real clock,
+        before the fast runner starts; a stall would run the job in
+        this process."""
         backend = ClusterBackend(workers=1)
         try:
             # let the fleet join on the real clock first
             Runner(jobs=1, cache=None, backend=backend) \
                 .run_jobs("_warm", MICRO, [SimJob(
                     benchmark="warm", fn=SLEEP_FN, params={"sleep_s": 0.0})])
+            deadline = time.monotonic() + STALL_S
+            while backend.free_slots() < 1 and time.monotonic() < deadline:
+                time.sleep(0.05)
             runner = Runner(jobs=1, cache=None, backend=backend,
                             clock=lambda: 20 * time.monotonic())
-            results = runner.run_jobs("_sched", MICRO, [SimJob(
-                benchmark="long", fn=SLEEP_FN, params={"sleep_s": 4.0})])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results = runner.run_jobs("_sched", MICRO, [SimJob(
+                    benchmark="long", fn=SLEEP_FN, params={"sleep_s": 4.0})])
         finally:
             backend.close()
+        assert not [w for w in caught if "backend stalled" in str(w.message)]
         assert results[0] not in (None, os.getpid())
         assert not runner.failures

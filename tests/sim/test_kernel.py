@@ -8,13 +8,16 @@ from repro.sim import SimKernel, run_concurrent
 
 
 class RecordingScheme:
-    """Scheme double: records every run_window call it receives."""
+    """Scheme double: records every run_window call it receives, with
+    the traffic posted to it since the previous one."""
 
     def __init__(self):
         self.calls = []
+        self.posted = []
 
-    def run_window(self, start_time_s=0.0, write_hook=None):
-        self.calls.append((start_time_s, write_hook))
+    def run_window(self, start_time_s=0.0):
+        self.calls.append((start_time_s, self.posted))
+        self.posted = []
         return RefreshStats(groups_refreshed=2, groups_skipped=1, windows=1)
 
 
@@ -45,15 +48,14 @@ class TestSimKernel:
 
         def traffic(window_index, t0):
             seen.append((window_index, t0))
-            return ("hook", window_index)
+            scheme.posted.append(window_index)
 
         kernel = SimKernel(scheme, window_s=0.5, traffic=traffic)
         kernel.run(2, warmup_windows=1)
-        # warmup carries no traffic; measured windows get their hook
+        # warmup carries no traffic; each measured window runs after its
+        # traffic was posted
         assert seen == [(0, 0.5), (1, 1.0)]
-        assert scheme.calls[0][1] is None
-        assert scheme.calls[1][1] == ("hook", 0)
-        assert scheme.calls[2][1] == ("hook", 1)
+        assert scheme.calls == [(0.0, []), (0.5, [0]), (1.0, [1])]
 
     def test_begin_measurement_fires_callback_and_resets_stats(self):
         fired = []
@@ -87,9 +89,9 @@ class TestRunConcurrent:
                 super().__init__()
                 self.tag = tag
 
-            def run_window(self, start_time_s=0.0, write_hook=None):
+            def run_window(self, start_time_s=0.0):
                 order.append((self.tag, start_time_s))
-                return super().run_window(start_time_s, write_hook)
+                return super().run_window(start_time_s)
 
         kernels = [SimKernel(Tagged(tag), window_s=1.0) for tag in "ab"]
         stats = run_concurrent(kernels, 2)
