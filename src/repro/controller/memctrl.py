@@ -104,17 +104,15 @@ class MemoryController:
         its EBDI ops and line writes, makes one
         ``codec.encoded_zero_fraction`` observation and, under the
         watchdog, one round-trip check of its first line.  All lines go
-        through one pass of the codec's batched path.
+        through one :meth:`ValueTransformCodec.encode_row` call, and the
+        round-trip checks through one ``decode_row`` call.
         """
         lines = np.asarray(lines)
         banks, rows, lines_in_row = self._locate(line_addrs)
+        chip_words = self.codec.encode_row(lines, rows)
         n = len(banks)
         if not n:
-            return LineWrites(banks, rows, lines_in_row, np.empty(
-                (self.geometry.num_chips, 0, self.codec.rotation.words_per_chip),
-                dtype=self.codec.dtype))
-        transformed = self.codec.transform_lines(lines, rows)
-        chip_words = self.codec.rotation.scatter(transformed, rows)
+            return LineWrites(banks, rows, lines_in_row, chip_words)
         times = np.broadcast_to(np.asarray(time_s, dtype=float), (n,))
         starts = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
         sizes = np.diff(np.r_[starts, n])
@@ -125,25 +123,24 @@ class MemoryController:
         if self.probes.enabled:
             # zero fraction after value transformation, counted before
             # the celltype complement (which flips anti rows to all-ones):
-            # the quantity Sec. V's discharged-row detection feeds on
-            zero = self.codec.stored_zero(rows)[:, None]
-            zeros = np.add.reduceat((transformed == zero).sum(axis=1), starts)
-            fractions = [int(z) / (int(size) * transformed.shape[1])
+            # the quantity Sec. V's discharged-row detection feeds on.
+            # Rotation only moves a line's words, so the chip words
+            # count the same.
+            zero = self.codec.stored_zero(rows)[None, :, None]
+            zeros = np.add.reduceat((chip_words == zero).sum(axis=(0, 2)), starts)
+            fractions = [int(z) / (int(size) * lines.shape[1])
                          for z, size in zip(zeros, sizes)]
             self.probes.observe_many("codec.encoded_zero_fraction",
                                      fractions, sums=fractions)
-        for start, size in zip(starts.tolist(), sizes.tolist()):
+        if self.watchdog.enabled:
+            # decode every batch's first line from the words it stores
+            decoded = self.codec.decode_row(chip_words[:, starts], rows[starts])
+            round_trips = (decoded == lines[starts]).all(axis=1)
+        for k, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
             t = float(times[start])
             if self.watchdog.enabled:
-                # decode the batch's first line from the words it stores
-                row = int(rows[start])
-                decoded = self.codec.decode_row(
-                    chip_words[:, start:start + 1], row)
-                self.watchdog.check(
-                    "codec.round_trip",
-                    bool(np.array_equal(decoded, lines[start:start + 1])),
-                    row=row, t=round(t, 6),
-                )
+                self.watchdog.check("codec.round_trip", bool(round_trips[k]),
+                                    row=int(rows[start]), t=round(t, 6))
             if self.probes.tracing:
                 self.probes.event("ctrl.write_batch", n=size, t=t)
         return LineWrites(banks, rows, lines_in_row, chip_words)
@@ -199,28 +196,6 @@ class MemoryController:
         self.probes.count("ctrl.line_reads", self.geometry.lines_per_page)
         return np.concatenate(parts, axis=0)
 
-    def _assemble_shared_rows(self, pages: np.ndarray, page_lines: np.ndarray):
-        """Merge page batches into full-row batches when rows hold
-        several pages.  Returns (anchor_pages, row_lines) where each
-        anchor page identifies its row and ``row_lines`` carries the
-        row's full line content (absent page slices zero-filled)."""
-        ppr = self.mapper.pages_per_row
-        lpp = self.geometry.lines_per_page
-        row_ids = pages // ppr
-        unique_rows = np.unique(row_ids)
-        out = np.zeros(
-            (len(unique_rows), self.geometry.lines_per_row,
-             self.geometry.words_per_line),
-            dtype=self.codec.dtype,
-        )
-        row_pos = {int(r): i for i, r in enumerate(unique_rows)}
-        for i, page in enumerate(pages):
-            slot = int(page % ppr)
-            out[row_pos[int(page // ppr)], slot * lpp:(slot + 1) * lpp] = (
-                page_lines[i]
-            )
-        return unique_rows * ppr, out
-
     def _page_location(self, page: int):
         """Backing (banks, rows) of one page, always 1-D arrays."""
         banks, rows = self.mapper.page_rows(page)
@@ -251,25 +226,37 @@ class MemoryController:
         bits stay clear and the first refresh window derives status from
         the bank-side dirty flags.  EBDI op counts are *not* charged for
         unnotified population.
+
+        Banks are encoded and filled one at a time, so the encoded image
+        held at once is never larger than one bank's share of the batch.
         """
-        pages = np.asarray(pages)
+        pages = np.ravel(pages)
         page_lines = np.asarray(page_lines)
-        if self.mapper.pages_per_row > 1:
-            # Pages smaller than rows (8 KB rows): assemble full rows,
-            # zero-filling row slices whose page is not in this batch
-            # (population starts from cleansed memory, so absent slices
-            # are zero by definition).
-            pages, page_lines = self._assemble_shared_rows(pages, page_lines)
         banks, rows = self.mapper.page_rows(pages)
-        banks = np.ravel(np.atleast_1d(banks))
-        rows = np.ravel(np.atleast_1d(rows))
-        row_lines = page_lines.reshape(
-            len(rows), self.geometry.lines_per_row, self.geometry.words_per_line
-        )
-        encoded = self.codec.encode_rows(row_lines, rows)
+        banks = np.ravel(banks)
+        rows = np.ravel(rows)
+        ppr = self.mapper.pages_per_row
+        # one slice of lines per (bank, row) entry: a whole row, or with
+        # 8 KB rows the page's part of it
+        slices = page_lines.reshape(len(rows), self.geometry.lines_per_row // ppr,
+                                    self.geometry.words_per_line)
         for bank in np.unique(banks):
             idx = np.flatnonzero(banks == bank)
-            self.device.populate_rows(int(bank), rows[idx], encoded[idx],
+            if ppr > 1:
+                # Pages smaller than rows: assemble the bank's full rows,
+                # zero-filling slices whose page is not in this batch
+                # (population starts from cleansed memory, so absent
+                # slices are zero by definition).
+                bank_rows, row_of = np.unique(rows[idx], return_inverse=True)
+                row_lines = np.zeros(
+                    (len(bank_rows), ppr, slices.shape[1], slices.shape[2]),
+                    dtype=self.codec.dtype)
+                row_lines[row_of.ravel(), pages[idx] % ppr] = slices[idx]
+                row_lines = row_lines.reshape(len(bank_rows), -1, slices.shape[2])
+            else:
+                bank_rows, row_lines = rows[idx], slices[idx]
+            self.device.populate_rows(int(bank), bank_rows,
+                                      self.codec.encode_rows(row_lines, bank_rows),
                                       time_s, notify=notify)
         if notify:
             self.ebdi_ops += pages.size * self.geometry.lines_per_page

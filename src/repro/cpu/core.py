@@ -15,9 +15,15 @@ where ``u`` is the bank-unavailability fraction from
 :class:`repro.controller.scheduler.BankAvailabilityModel` and ``alpha``
 is the benchmark's *refresh sensitivity* — the queueing amplification
 of raw unavailable time, larger for memory-bound programs.  Alphas live
-in the benchmark profiles and are calibrated so the suite reproduces
-the paper's range: +10.8 % for gemsFDTD down to +0.3 % for gobmk, mean
-about +5.7 %.
+in the benchmark profiles and order the suite as the paper does
+(gemsFDTD gains most, gobmk least).  They do not reproduce the paper's
++5.7 % mean.  With ``u0`` = tRFC / tREFI_pb = 28 ns / 3.906 us = 0.717 %
+and normalised refresh ``w``, the gain is
+``(1 + alpha*u0) / (1 + alpha*u0*w) - 1``.  Its mean over the 23
+profiles is +2.50 % at w = 0.671 (the measured Fig. 14 average),
++2.83 % at the paper's w = 0.629 (max +5.76 %), and only +8.11 % at
+w = 0, with every refresh skipped.  So the gap to the paper lies in
+``alpha * u0``, not in the skip rate.
 
 Normalised IPC (what Fig. 17 plots) is then::
 

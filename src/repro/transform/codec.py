@@ -17,11 +17,14 @@ Stage order on the write path (LLC eviction -> DRAM):
 Reads apply the exact inverse, using the *same* cell-type prediction,
 so the round trip is exact even under misprediction (paper Sec. V-B).
 
-There is one batched path each way:
-:meth:`ValueTransformCodec.transform_lines` (steps 1-3) plus
-:meth:`RotationMapper.scatter` (step 4) over ``(n, words)`` lines and a
-vector of their rows, and its inverse.  Every other entry point (one
-row, many rows) reshapes onto it.
+There is one batched path each way.
+:meth:`ValueTransformCodec.encode_row` walks ``(n, words)`` lines and a
+vector of their rows in chunks of :data:`CHUNK_LINES`: each chunk goes
+through :meth:`ValueTransformCodec.transform_lines` (steps 1-3) and
+:meth:`RotationMapper.scatter` (step 4) into one preallocated chip
+image, so the stages' temporaries never outgrow a chunk.
+:meth:`ValueTransformCodec.decode_row` is its inverse, and every other
+entry point (many rows) reshapes onto the pair.
 
 :class:`StageSelection` switches stages off individually, which is what
 the stage-contribution and cell-type ablation experiments use.
@@ -34,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.transform.bitplane import BitPlaneTransform
+from repro.transform.bitplane import CHUNK_LINES, BitPlaneTransform
 from repro.transform.celltype import CellType, CellTypePredictor
 from repro.transform.ebdi import EbdiCodec
 from repro.transform.rotation import RotationMapper
@@ -156,9 +159,23 @@ class ValueTransformCodec:
         ``row_index`` is their row (or an ``(n_lines,)`` vector of
         rows); returns shape ``(num_chips, n_lines, words_per_chip)``
         of stored (bus-level) words, ready to be written into chip row
-        ``row_index``.
+        ``row_index``.  The lines go through every stage in chunks of
+        :data:`CHUNK_LINES`, each written into the one result array.
         """
-        return self.rotation.scatter(self.transform_lines(lines, row_index), row_index)
+        lines = np.asarray(lines)
+        rows = np.asarray(row_index)
+        if rows.ndim and rows.shape != (len(lines),):
+            raise ValueError(
+                f"expected one row or {len(lines)} rows, got shape {rows.shape}"
+            )
+        out = np.empty((self.num_chips, len(lines), self.rotation.words_per_chip),
+                       dtype=self.dtype)
+        for start in range(0, len(lines), CHUNK_LINES):
+            part = slice(start, start + CHUNK_LINES)
+            chunk_rows = rows[part] if rows.ndim else rows
+            out[:, part] = self.rotation.scatter(
+                self.transform_lines(lines[part], chunk_rows), chunk_rows)
+        return out
 
     def decode_row(self, chip_data: np.ndarray, row_index) -> np.ndarray:
         """Invert :meth:`encode_row`, recovering the original lines."""

@@ -1,5 +1,7 @@
 """Tests for the memory-controller front end."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
 from repro.obs.invariants import InvariantWatchdog, use_watchdog
 from repro.obs.probes import ProbeBus
+from repro.transform.bitplane import CHUNK_LINES
 from repro.transform.celltype import CellType
 from repro.transform.celltype import CellTypeLayout, CellTypePredictor
 from repro.transform.codec import StageSelection, ValueTransformCodec
+from repro.workloads.benchmarks import benchmark_profile
 
 
 def make_controller(row_bytes=4096, stages=StageSelection.full()):
@@ -93,6 +97,36 @@ class TestLineInterface:
         assert histogram.count == 1
         assert histogram.sum == float((transformed == 0).mean()) > 0
 
+    def test_zero_fraction_per_batch_counts_transformed_words(self):
+        """One observation per batch of equal write times, each the
+        share of the batch's transformed words equal to their row's
+        stored zero, on batches that mix true and anti rows."""
+        plain = make_controller()
+        bus = ProbeBus()
+        ctrl = MemoryController(plain.device, plain.codec, probes=bus)
+        candidates = np.arange(0, ctrl.geometry.total_lines, 389)
+        _, rows, _ = ctrl.mapper.line_location(candidates)
+        anti = ctrl.codec.predictor.predict_anti(rows)
+        addrs = np.stack([candidates[anti][:9], candidates[~anti][:9]],
+                         axis=1).ravel()
+        rng = np.random.default_rng(10)
+        lines = (rng.integers(0, 2**40, size=(18, 1), dtype=np.uint64)
+                 + rng.integers(0, 2**12, size=(18, 8), dtype=np.uint64))
+        lines[::4] = rng.integers(0, 2**64, size=(5, 8), dtype=np.uint64)
+        times = np.repeat([0.001, 0.002, 0.003], [5, 1, 12])
+        observed = []
+        record = bus.observe_many
+        bus.observe_many = lambda name, values, **kw: (
+            observed.extend(values), record(name, values, **kw))
+        ctrl.encode_lines(addrs, lines, times)
+        _, rows, _ = ctrl.mapper.line_location(addrs)
+        transformed = ctrl.codec.transform_lines(lines, rows)
+        is_zero = transformed == ctrl.codec.stored_zero(rows)[:, None]
+        bounds = [0, 5, 6, 18]
+        expected = [float(is_zero[a:b].mean()) for a, b in zip(bounds, bounds[1:])]
+        assert observed == pytest.approx(expected, abs=0)
+        assert len(set(observed)) > 1 and 0 < min(observed)
+
     def test_empty_batch_is_noop(self):
         ctrl = make_controller()
         ctrl.write_lines(np.array([], dtype=np.int64),
@@ -128,6 +162,43 @@ class TestRoundTripWatchdog:
         assert watchdog.violations[0]["check"] == "codec.round_trip"
         _, row, _ = ctrl.mapper.line_location(addrs[0])
         assert watchdog.violations[0]["row"] == int(row)
+
+
+    def test_one_decode_checks_every_batch(self, monkeypatch):
+        """A multi-batch write decodes all batches' first lines in one
+        call; a stored word corrupted in one batch fails exactly that
+        batch's check, with its row and time."""
+        watchdog = InvariantWatchdog()
+        with use_watchdog(watchdog):
+            ctrl = make_controller()
+        rng = np.random.default_rng(11)
+        addrs = rng.choice(ctrl.geometry.total_lines, size=12, replace=False)
+        lines = rng.integers(1, 2**64, size=(12, 8), dtype=np.uint64)
+        times = np.repeat([0.001, 0.002, 0.003, 0.004], 3)
+        bad = 6  # the first line of the third batch
+
+        scatter = ctrl.codec.rotation.scatter
+
+        def corrupting_scatter(transformed, rows):
+            chips = scatter(transformed, rows)
+            chips[0, bad] ^= np.uint64(1)
+            return chips
+
+        monkeypatch.setattr(ctrl.codec.rotation, "scatter", corrupting_scatter)
+        decode = ctrl.codec.decode_row
+        decoded_lines = []
+
+        def counting_decode(chip_data, rows):
+            decoded_lines.append(np.size(rows))
+            return decode(chip_data, rows)
+
+        monkeypatch.setattr(ctrl.codec, "decode_row", counting_decode)
+        ctrl.encode_lines(addrs, lines, times)
+        assert decoded_lines == [4]
+        assert watchdog.checks_run == 4
+        _, rows, _ = ctrl.mapper.line_location(addrs)
+        assert watchdog.violations == [
+            {"check": "codec.round_trip", "row": int(rows[bad]), "t": 0.003}]
 
 
 class TestPageInterface:
@@ -192,6 +263,26 @@ class TestBulkPopulate:
         ctrl.populate_pages(np.arange(4), content, notify=False)
         assert seen == []
         assert ctrl.ebdi_ops == 0
+
+    def test_population_holds_at_most_one_bank(self):
+        """Traced peak of a fully allocated 8 MB population above entry:
+        one bank's gathered lines and encoded image, plus a fixed budget
+        of 16 chunk-sized arrays (DESIGN.md, "Codec data path")."""
+        ctrl = make_controller()
+        geom = ctrl.geometry
+        pages = np.arange(geom.total_bytes // geom.page_bytes)
+        content = benchmark_profile("mcf").generate_pages(
+            len(pages), np.random.default_rng(12), geom.lines_per_page)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            ctrl.populate_pages(pages, content)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        bank_bytes = geom.rows_per_bank * geom.row_bytes
+        assert geom.total_bytes == 8 << 20 and bank_bytes == 1 << 20
+        assert peak <= 2 * bank_bytes + 16 * CHUNK_LINES * geom.line_bytes
 
     def test_mismatched_codec_rejected(self):
         geom = DramGeometry(rows_per_bank=256, rows_per_ar=32,

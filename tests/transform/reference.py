@@ -1,8 +1,8 @@
 """Reference implementations the codec's fast paths are tested against.
 
-``permute`` is the bit-plane kernel the codec used before the transpose
-kernel replaced it: unpack every line to bits and gather them through a
-``delta_words * word_bits``-entry index.  ``reference_encode`` and
+``permute`` is the oracle of the SWAR bit-plane kernel, and the kernel
+the codec used two replacements before it: unpack every line to bits
+and gather them through a ``delta_words * word_bits``-entry index.  ``reference_encode`` and
 ``reference_decode`` compose the pipeline one stage at a time, one line
 at a time: EBDI, the reference bit-plane permutation, the complement of
 lines bound for predicted anti-cell rows, then a per-chip scatter whose

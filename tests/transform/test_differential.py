@@ -3,7 +3,9 @@
 The references in :mod:`tests.transform.reference` are the codec as it
 was written before the batched path: the 448-entry permutation kernel
 for the bit-plane stage, and one line at a time through every stage.
-Every fast path must agree with them bit for bit.
+Every fast path must agree with them bit for bit: the SWAR bit-plane
+kernel in both directions, and the chunked write path of
+``encode_row`` on both sides of every chunk edge.
 """
 
 import numpy as np
@@ -40,6 +42,28 @@ def line_batches(draw, word_bytes, max_lines=24):
     raw = draw(st.binary(min_size=64 * n, max_size=64 * n))
     return np.frombuffer(raw, dtype=word_dtype(word_bytes)).reshape(
         n, 64 // word_bytes).copy()
+
+
+@st.composite
+def edge_lines(draw, word_bytes, max_lines=16):
+    """Lines of arbitrary bits mixed with all-zero and all-one lines,
+    lines with one bit set and lines with one bit clear."""
+    dtype = word_dtype(word_bytes)
+    kinds = draw(st.lists(st.sampled_from(
+        ["bits", "zero", "ones", "one-bit", "one-hole"]), max_size=max_lines))
+    lines = np.zeros((len(kinds), 64 // word_bytes), dtype=dtype)
+    for line, kind in zip(lines, kinds):
+        raw = line.view(np.uint8)
+        if kind == "bits":
+            raw[:] = np.frombuffer(draw(st.binary(min_size=64, max_size=64)),
+                                   dtype=np.uint8)
+        elif kind != "zero":
+            if kind != "ones":
+                bit = draw(st.integers(min_value=0, max_value=511))
+                raw[bit // 8] = 1 << (bit % 8)
+            if kind != "one-bit":
+                np.invert(line, out=line)
+    return lines
 
 
 def random_lines(word_bytes, n, seed):
@@ -79,6 +103,78 @@ class TestTransposeKernel:
         np.testing.assert_array_equal(bitplane.invert(lines),
                                       reference_invert(bitplane, lines))
         np.testing.assert_array_equal(bitplane.invert(applied), lines)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), word_bytes=st.sampled_from(WORD_SIZES))
+    def test_matches_permutation_kernel_on_edge_lines(self, data, word_bytes):
+        bitplane = BitPlaneTransform(word_bytes)
+        lines = data.draw(edge_lines(word_bytes))
+        applied = bitplane.apply(lines)
+        np.testing.assert_array_equal(applied, reference_apply(bitplane, lines))
+        np.testing.assert_array_equal(bitplane.invert(lines),
+                                      reference_invert(bitplane, lines))
+        np.testing.assert_array_equal(bitplane.invert(applied), lines)
+
+    def test_single_bits_land_plane_major(self):
+        """Every one-bit line of every word size: bit j of delta word w
+        moves to flat delta position j*D + w, the base stays put."""
+        for word_bytes in WORD_SIZES:
+            bitplane = BitPlaneTransform(word_bytes)
+            d, b = bitplane.delta_words, bitplane.word_bits
+            lines = np.zeros((512, 64 // word_bytes), dtype=bitplane.dtype)
+            lines.view(np.uint8)[np.arange(512), np.arange(512) // 8] = (
+                1 << (np.arange(512) % 8))
+            applied = bitplane.apply(lines)
+            for bit in range(512):
+                word, j = divmod(bit, b)
+                target = bit if word == 0 else b + j * d + (word - 1)
+                got = np.flatnonzero(np.unpackbits(
+                    applied[bit].view(np.uint8), bitorder="little"))
+                assert got.tolist() == [target], (word_bytes, bit)
+            np.testing.assert_array_equal(bitplane.invert(applied), lines)
+
+
+class TestChunkedEncode:
+    """``encode_row`` walks chunks of ``CHUNK_LINES``: the result must
+    not depend on where the chunk edges fall."""
+
+    N = 3 * CHUNK_LINES + 7
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        codec = make_codec(StageSelection.full(), error_rate=0.25, seed=9)
+        lines = random_lines(8, self.N, seed=13)
+        # runs of true and anti rows, so every chunk mixes both kinds
+        rows = (np.arange(self.N) // 5) % NUM_ROWS
+        anti = codec.predictor.predict_anti(rows[:CHUNK_LINES])
+        assert anti.any() and not anti.all()
+        return codec, lines, rows, reference_encode(codec, lines, rows)
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_LINES - 1, CHUNK_LINES,
+                                   CHUNK_LINES + 1, 3 * CHUNK_LINES + 7])
+    def test_row_vector_matches_stage_by_stage(self, case, n):
+        codec, lines, rows, expected = case
+        encoded = codec.encode_row(lines[:n], rows[:n])
+        assert encoded.shape == (codec.num_chips, n, 1)
+        np.testing.assert_array_equal(encoded, expected[:, :n])
+        np.testing.assert_array_equal(codec.decode_row(encoded, rows[:n]),
+                                      lines[:n])
+
+    @pytest.mark.parametrize("row", [2, 4])
+    def test_one_int_row_across_chunk_edges(self, row):
+        codec = make_codec(StageSelection.full(), error_rate=0.25, seed=9)
+        n = CHUNK_LINES + 1
+        lines = random_lines(8, n, seed=row)
+        encoded = codec.encode_row(lines, row)
+        np.testing.assert_array_equal(encoded,
+                                      reference_encode(codec, lines, [row] * n))
+        np.testing.assert_array_equal(codec.decode_row(encoded, row), lines)
+
+    def test_row_vector_of_the_wrong_length_is_rejected(self):
+        codec = make_codec(StageSelection.full())
+        lines = random_lines(8, 5, seed=0)
+        with pytest.raises(ValueError):
+            codec.encode_row(lines, np.arange(6))
 
 
 class TestBatchedCodec:
