@@ -1,9 +1,10 @@
 """The blessed public interface for running paper experiments.
 
 One entry path instead of three: ``python -m repro.experiments``,
-``run_experiments.py``, the examples and the serving daemon all route
-through this module — and since the run-lifecycle redesign they all
-describe a run the same way, with a :class:`RunRequest`:
+``run_experiments.py``, the examples and the serving daemon all
+describe a run the same way, with a :class:`RunRequest` (the daemon's
+parser builds one straight from the HTTP body), and assemble runners
+with the one recipe, :func:`make_runner`:
 
     >>> import repro.api as api
     >>> api.list_experiments()[:3]
@@ -29,13 +30,12 @@ are all fields on :class:`RunRequest` — see
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.experiments import REGISTRY, SCENARIOS
-from repro.experiments.cache import ResultCache
 from repro.experiments.engine import Experiment, RetryPolicy, Runner
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.lifecycle import RunRequest, build_runner, execute
+from repro.experiments.lifecycle import RunRequest, execute, make_runner
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
 from repro.scenarios.executor import adhoc_sweep_spec
 from repro.scenarios.spec import ScenarioSpec, SweepAxis, spec_digest
@@ -156,39 +156,6 @@ def default_settings(**overrides) -> ExperimentSettings:
 def quick_settings(**overrides) -> ExperimentSettings:
     """CI/bench scale (16 MB, 2 windows, 9 benchmarks)."""
     return ExperimentSettings.quick(**overrides)
-
-
-def make_runner(
-    jobs: Optional[int] = None,
-    cache: Union[bool, ResultCache] = True,
-    cache_dir: Optional[os.PathLike] = None,
-    watchdog: bool = False,
-    *,
-    timeout_s: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    backend=None,
-    workers: Optional[int] = None,
-    worker_address: Optional[str] = None,
-) -> Runner:
-    """A configured engine :class:`Runner`.
-
-    ``jobs=None`` uses every core; ``cache`` accepts ``True`` (default
-    location), ``False`` (no caching) or a ready :class:`ResultCache`.
-    ``watchdog=True`` runs every job under an invariant watchdog whose
-    findings land in the runner's metrics manifest.  ``backend``
-    selects the execution vehicle (``"serial"`` | ``"pool"`` |
-    ``"cluster"``; default derives from ``jobs``) — a cluster runner
-    spawns ``workers`` local workers or binds ``worker_address`` for
-    external ones, and should be released with ``Runner.close()``.
-    The remaining knobs mirror :class:`RunRequest`'s lifecycle policy
-    fields.
-    """
-    return build_runner(
-        jobs=jobs, cache=cache, cache_dir=cache_dir, watchdog=watchdog,
-        timeout_s=timeout_s, retry=retry, faults=faults, backend=backend,
-        workers=workers, worker_address=worker_address,
-    )
 
 
 def fsck_store(cache_dir: Optional[os.PathLike] = None, *,

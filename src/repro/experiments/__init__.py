@@ -57,7 +57,6 @@ from repro.experiments.runner import (
     ExperimentResult,
     ExperimentSettings,
     simulate_benchmark,
-    sweep_benchmarks,
 )
 from repro.scenarios.executor import as_experiment
 
@@ -107,5 +106,4 @@ __all__ = [
     "SCENARIOS",
     "SimJob",
     "simulate_benchmark",
-    "sweep_benchmarks",
 ]

@@ -857,160 +857,3 @@ class Runner:
 
     def summary(self, elapsed_s: float) -> str:
         return self.stats.merged_into_summary(elapsed_s)
-
-
-# ----------------------------------------------------------------------
-# submittable experiment requests (the serving layer's job unit)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ExperimentRequest:
-    """One self-contained, picklable experiment execution request.
-
-    This is the unit :mod:`repro.serve` ships to a worker process: it
-    names the experiment, carries the settings overrides in wire form
-    (see :meth:`ExperimentSettings.from_dict`), the cache location and
-    the backend, and nothing else — so :func:`execute_request` can run
-    it in any process with no shared state beyond the on-disk result
-    cache and run store.
-
-    ``spec`` is the ad-hoc sweep path: a
-    :class:`~repro.scenarios.spec.ScenarioSpec` wire dict run by the
-    generic executor instead of a registered experiment.  Exactly one
-    of ``experiment_id`` and ``spec`` must be set; the spec's
-    ``scenario_id`` then serves as the experiment id everywhere (cache,
-    run id, response payload).
-    """
-
-    experiment_id: Optional[str] = None
-    quick: bool = True
-    overrides: Optional[Dict[str, object]] = None
-    use_cache: bool = True
-    cache_dir: Optional[str] = None
-    spec: Optional[Dict[str, object]] = None
-    backend: Optional[str] = None
-    workers: Optional[int] = None
-
-
-def _request_spec(request: ExperimentRequest):
-    """The request's parsed :class:`ScenarioSpec`, or ``None``."""
-    if request.spec is None:
-        return None
-    from repro.scenarios.spec import ScenarioSpec
-
-    return ScenarioSpec.from_dict(request.spec)
-
-
-def _request_id(request: ExperimentRequest) -> str:
-    """The id the request runs under: experiment or scenario id."""
-    if request.spec is not None:
-        return str(dict(request.spec).get("scenario_id", ""))
-    return request.experiment_id or ""
-
-
-def request_digest(request: ExperimentRequest) -> str:
-    """Stable identity of a request's *outcome* (not its cache config).
-
-    Two requests that must produce byte-identical results — same
-    experiment, same settings — share a digest even if one disables
-    the cache; the serving layer uses this for single-flight
-    coalescing of concurrent identical submissions.
-    """
-    settings = ExperimentSettings.from_dict(request.overrides, request.quick)
-    if request.spec is not None:
-        from repro.scenarios.spec import spec_digest
-
-        return stable_digest("sweep-request",
-                             spec_digest(_request_spec(request)), settings)
-    return stable_digest("experiment-request", request.experiment_id, settings)
-
-
-def request_run_id(request: ExperimentRequest) -> str:
-    """The deterministic run id this request will write under."""
-    settings = ExperimentSettings.from_dict(request.overrides, request.quick)
-    return default_run_id(_request_id(request), settings)
-
-
-def execute_request(request: ExperimentRequest) -> dict:
-    """Run one :class:`ExperimentRequest` to completion, synchronously.
-
-    Importable at module top level and driven only by its picklable
-    argument, so it can be submitted to a ``ProcessPoolExecutor`` (or a
-    thread executor) via ``loop.run_in_executor`` — the asyncio serving
-    layer's offload path.  Internally the request is translated to a
-    :class:`repro.experiments.lifecycle.RunRequest`, so serve-submitted
-    runs get exactly the same store/retry lifecycle as API and CLI
-    runs, in-process (``jobs=1``) unless the request names a backend.
-    Returns a JSON-able payload: the rendered result (``result_json``
-    is deterministic for identical requests), engine cache statistics,
-    the run's merged metrics snapshot, its run and trace ids and any
-    partial-failure records.
-    """
-    from repro.experiments.lifecycle import RunRequest, execute, runner_for
-
-    spec = _request_spec(request)
-    if spec is not None:
-        if request.experiment_id:
-            raise ValueError(
-                "give experiment_id or spec, not both"
-            )
-        # Expand eagerly so an unresolvable spec fails before any
-        # scheduling (the serve layer turns this into a 400).
-        from repro.scenarios.executor import expand
-
-        expand(spec, ExperimentSettings.from_dict(request.overrides,
-                                                  request.quick))
-    else:
-        from repro.experiments import REGISTRY
-
-        if request.experiment_id not in REGISTRY:
-            raise KeyError(f"unknown experiment {request.experiment_id!r}")
-    settings = ExperimentSettings.from_dict(request.overrides, request.quick)
-    run_request = RunRequest(
-        experiment_id=None if spec is not None else request.experiment_id,
-        spec=spec,
-        settings=settings,
-        jobs=1,
-        cache=request.use_cache,
-        cache_dir=request.cache_dir,
-        backend=request.backend,
-        workers=request.workers,
-    )
-    runner = runner_for(run_request)
-    start = time.perf_counter()
-    try:
-        result = execute(run_request, runner=runner)
-    finally:
-        runner.close()
-    return {
-        "experiment_id": _request_id(request),
-        "digest": request_digest(request),
-        "result_json": result.to_json(indent=2),
-        "cache_hits": runner.stats.cache_hits,
-        "cache_misses": runner.stats.cache_misses,
-        "wall_s": round(time.perf_counter() - start, 4),
-        "metrics": runner.merged_metrics,
-        "run_id": runner.last_run_id,
-        "trace_id": runner.last_trace_id,
-        "retries": runner.stats.retries,
-        "failures": [asdict(f) for f in runner.failures],
-    }
-
-
-def sweep_jobs(
-    settings: ExperimentSettings,
-    allocated_fraction: float = 1.0,
-    config_overrides: Optional[Dict[str, object]] = None,
-) -> List[SimJob]:
-    """Jobs equivalent to one :func:`~repro.experiments.runner.sweep_benchmarks`
-    call: one per benchmark, ``seed_offset`` equal to its suite index,
-    so migrated experiments reproduce the serial harness bit for bit.
-    """
-    return [
-        SimJob(
-            benchmark=name,
-            allocated_fraction=allocated_fraction,
-            config_overrides=config_overrides,
-            seed_offset=i,
-        )
-        for i, name in enumerate(settings.benchmarks)
-    ]

@@ -1,8 +1,7 @@
 """The unified run lifecycle: one request object, one runner recipe.
 
 Every way to ask for a run — :func:`repro.api.run`, the CLI's flags
-and the serving layer's
-:class:`~repro.experiments.engine.ExperimentRequest` — builds one
+and the serving daemon's request parser — builds one
 :class:`RunRequest`, so the policy knobs (cache, timeout,
 retry, run id, fault injection) and what ``probes`` or ``jobs`` mean
 are defined exactly once, here.
@@ -12,11 +11,11 @@ The functions below are the whole lifecycle:
 :func:`resolve_jobs`
     The one place the ``probes`` → ``jobs=1`` coercion lives (and
     warns when it overrides an explicit ``jobs``).
-:func:`build_runner`
+:func:`make_runner`
     The one place a :class:`~repro.experiments.engine.Runner` is
-    assembled from policy knobs.
+    assembled from policy knobs (``repro.api`` re-exports it).
 :func:`runner_for`
-    ``build_runner`` applied to a request.
+    ``make_runner`` applied to a request.
 :func:`execute`
     Run the request (optionally on a shared runner), installing its
     probe bus and threading its run id through to the run store.
@@ -27,7 +26,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import RetryPolicy, Runner
@@ -37,8 +36,8 @@ from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "RunRequest",
-    "build_runner",
     "execute",
+    "make_runner",
     "resolve_jobs",
     "runner_for",
 ]
@@ -101,7 +100,7 @@ class RunRequest:
         :class:`~repro.experiments.backends.ExecutionBackend`.
         ``None`` (default) derives serial/pool from ``jobs``.  A
         cluster run spawns ``workers`` local worker processes (a
-        runner from ``build_runner(worker_address=...)`` waits for
+        runner from ``make_runner(worker_address=...)`` waits for
         external ``repro worker --connect`` processes instead).
         Everything else on this request — retry, quarantine, faults,
         the run store — behaves identically across backends.
@@ -147,12 +146,12 @@ def resolve_jobs(jobs: Optional[int], probes) -> Optional[int]:
     return 1
 
 
-def build_runner(
-    *,
+def make_runner(
     jobs: Optional[int] = None,
     cache: Union[bool, ResultCache] = True,
     cache_dir: Optional[os.PathLike] = None,
     watchdog: bool = False,
+    *,
     timeout_s: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
@@ -160,13 +159,18 @@ def build_runner(
     workers: Optional[int] = None,
     worker_address: Optional[str] = None,
 ) -> Runner:
-    """Assemble a :class:`Runner` from policy knobs.
+    """A configured engine :class:`Runner`.
 
-    The single runner-construction recipe shared by ``repro.api``
-    (``make_runner``, ``run``), the CLI and the serving layer.  A
-    runner whose backend holds long-lived machinery (a cluster fleet)
-    should be released with ``Runner.close()`` when the caller is done
-    with it.
+    ``jobs=None`` uses every core; ``cache`` accepts ``True`` (default
+    location), ``False`` (no caching) or a ready :class:`ResultCache`.
+    ``watchdog=True`` runs every job under an invariant watchdog whose
+    findings land in the runner's metrics manifest.  ``backend``
+    selects the execution vehicle (``"serial"`` | ``"pool"`` |
+    ``"cluster"``; default derives from ``jobs``) — a cluster runner
+    spawns ``workers`` local workers or binds ``worker_address`` for
+    external ones, and should be released with ``Runner.close()``.
+    The remaining knobs mirror :class:`RunRequest`'s lifecycle policy
+    fields.
     """
     from repro.experiments.backends import resolve_backend
 
@@ -190,7 +194,7 @@ def build_runner(
 
 def runner_for(request: RunRequest) -> Runner:
     """The runner a :class:`RunRequest` asks for."""
-    return build_runner(
+    return make_runner(
         jobs=resolve_jobs(request.jobs, request.probes),
         cache=request.cache,
         cache_dir=request.cache_dir,
@@ -207,12 +211,12 @@ def execute(request: RunRequest, runner: Optional[Runner] = None) -> ExperimentR
     """Run one :class:`RunRequest` to completion.
 
     Pass a shared ``runner`` to reuse one cache/manifest across several
-    requests (:func:`execute_all` and the CLI's ``all`` do); it is
-    built from the request otherwise — and an internally-built runner
-    is closed before returning, so its backend machinery and the run's
-    advisory lock are released the moment the run ends rather than at
-    garbage-collection time.  The request's probe bus and run id are
-    threaded through either way.
+    requests (the CLI's ``all`` does); it is built from the request
+    otherwise — and an internally-built runner is closed before
+    returning, so its backend machinery and the run's advisory lock are
+    released the moment the run ends rather than at garbage-collection
+    time.  The request's probe bus and run id are threaded through
+    either way.
     """
     if (request.experiment_id is None) == (request.spec is None):
         raise ValueError(
@@ -248,29 +252,3 @@ def execute(request: RunRequest, runner: Optional[Runner] = None) -> ExperimentR
     finally:
         if owned:
             runner.close()
-
-
-def execute_all(
-    request_defaults: RunRequest,
-    runner: Optional[Runner] = None,
-) -> Dict[str, ExperimentResult]:
-    """Run every registered experiment with one shared runner.
-
-    ``request_defaults.experiment_id`` is ignored; each experiment runs
-    with the same settings/policy.  The shared runner means one cache,
-    one run-id namespace and one merged metrics manifest across the
-    whole sweep.
-    """
-    from dataclasses import replace
-
-    from repro.experiments import REGISTRY
-
-    if runner is None:
-        runner = runner_for(request_defaults)
-    return {
-        experiment_id: execute(
-            replace(request_defaults, experiment_id=experiment_id),
-            runner=runner,
-        )
-        for experiment_id in REGISTRY
-    }

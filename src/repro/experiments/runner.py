@@ -164,17 +164,3 @@ def simulate_benchmark(
     profile = benchmark_profile(benchmark)
     system.populate(profile, allocated_fraction=allocated_fraction)
     return system.run_windows(settings.windows)
-
-
-def sweep_benchmarks(
-    settings: ExperimentSettings,
-    allocated_fraction: float = 1.0,
-    config_overrides: Optional[dict] = None,
-) -> Dict[str, RunResult]:
-    """Simulate every benchmark in the settings at one allocation level."""
-    results = {}
-    for i, name in enumerate(settings.benchmarks):
-        results[name] = simulate_benchmark(
-            settings, name, allocated_fraction, config_overrides, seed_offset=i
-        )
-    return results

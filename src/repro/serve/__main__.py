@@ -41,16 +41,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=2,
                         help="experiment worker processes "
                              "(0: in-process threads)")
-    parser.add_argument("--experiment-backend",
-                        choices=["serial", "pool", "cluster"], default=None,
-                        help="execution backend for offloaded experiment "
-                             "runs (default: derived from jobs=1); "
-                             "'cluster' schedules each run's jobs over "
-                             "--experiment-workers cluster workers")
-    parser.add_argument("--experiment-workers", type=int, default=None,
-                        metavar="N",
-                        help="(with --experiment-backend cluster) cluster "
-                             "fleet size per offloaded run (default 2)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the engine result cache")
     parser.add_argument("--cache-dir", type=Path, default=None,
@@ -59,33 +49,12 @@ def main(argv=None) -> int:
     parser.add_argument("--drain-grace", type=float, default=10.0,
                         metavar="SECONDS",
                         help="in-flight grace period on shutdown")
-    parser.add_argument("--gc-interval", type=float, default=0.0,
-                        metavar="SECONDS",
-                        help="run a store retention GC sweep every N "
-                             "seconds (0: disabled)")
-    parser.add_argument("--gc-max-bytes", type=int, default=None,
-                        metavar="N",
-                        help="GC policy: cache payload byte budget")
-    parser.add_argument("--gc-max-age", default=None, metavar="AGE",
-                        help="GC policy: drop state older than AGE "
-                             "(e.g. 90s, 15m, 6h, 7d)")
-    parser.add_argument("--gc-keep-runs", type=int, default=None,
-                        metavar="N",
-                        help="GC policy: keep only the newest N runs' "
-                             "span stores")
     parser.add_argument("--metrics-json", type=Path, default=None,
                         metavar="PATH",
                         help="write the final metrics snapshot on exit")
     args = parser.parse_args(argv)
 
     from repro.serve import ServeConfig, serve
-    from repro.store.gc import parse_age
-
-    try:
-        gc_max_age_s = (parse_age(args.gc_max_age)
-                        if args.gc_max_age is not None else None)
-    except ValueError as exc:
-        parser.error(str(exc))
 
     config = ServeConfig(
         host=args.host,
@@ -96,12 +65,6 @@ def main(argv=None) -> int:
         use_cache=not args.no_cache,
         cache_dir=str(args.cache_dir) if args.cache_dir else None,
         drain_grace_s=args.drain_grace,
-        experiment_backend=args.experiment_backend,
-        experiment_workers=args.experiment_workers,
-        gc_interval_s=args.gc_interval,
-        gc_max_bytes=args.gc_max_bytes,
-        gc_max_age_s=gc_max_age_s,
-        gc_keep_runs=args.gc_keep_runs,
     )
     server = asyncio.run(serve(config))
     if args.metrics_json is not None:

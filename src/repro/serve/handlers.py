@@ -66,7 +66,7 @@ def handle_metrics(server, request: HttpRequest) -> Response:
 # ----------------------------------------------------------------------
 def parse_run_request(server, request: HttpRequest,
                       experiment_id: Optional[str] = None):
-    """Validate a run body into an engine ExperimentRequest.
+    """Validate a run body into the engine's :class:`RunRequest`.
 
     With ``experiment_id`` the body runs that registered experiment;
     without it the body must carry a full
@@ -74,10 +74,13 @@ def parse_run_request(server, request: HttpRequest,
     ``spec``.  Both take the ``quick``/``overrides`` knobs.
     Settings are parsed, and a spec expanded, eagerly, so an unknown
     key, benchmark, axis or reduction is a 400 here, never a failed
-    engine run.
+    engine run.  The request runs in-process in one offload worker
+    (``jobs=1``) under its deterministic run id, fixed here so a status
+    query matches the run while it executes.
     """
     from repro.experiments import REGISTRY
-    from repro.experiments.engine import ExperimentRequest
+    from repro.experiments.engine import default_run_id
+    from repro.experiments.lifecycle import RunRequest
     from repro.experiments.runner import ExperimentSettings
     from repro.scenarios.executor import expand
     from repro.scenarios.spec import ScenarioSpec
@@ -98,8 +101,8 @@ def parse_run_request(server, request: HttpRequest,
     quick = payload.get("quick", True)
     if not isinstance(quick, bool):
         raise HttpError(400, "quick must be a boolean")
-    overrides = payload.get("overrides") or {}
-    if not isinstance(overrides, dict):
+    overrides = payload.get("overrides")
+    if overrides is not None and not isinstance(overrides, dict):
         raise HttpError(400, "overrides must be a JSON object")
     spec_data = payload.get("spec")
     if experiment_id is None and not isinstance(spec_data, dict):
@@ -118,25 +121,24 @@ def parse_run_request(server, request: HttpRequest,
             expand(spec, settings)
         except ValueError as exc:
             raise HttpError(400, f"invalid sweep spec: {exc}") from None
-    return ExperimentRequest(
+    return RunRequest(
         experiment_id=experiment_id,
-        spec=spec.to_dict() if spec is not None else None,
-        quick=quick,
-        overrides=overrides or None,
-        use_cache=server.config.use_cache,
+        spec=spec,
+        settings=settings,
+        jobs=1,
+        cache=server.config.use_cache,
         cache_dir=server.config.cache_dir,
-        backend=server.config.experiment_backend,
-        workers=server.config.experiment_workers,
+        run_id=default_run_id(experiment_id or spec.scenario_id, settings),
     )
 
 
 async def handle_run(server, request: HttpRequest,
                      experiment_id: Optional[str] = None) -> Response:
-    engine_request = parse_run_request(server, request, experiment_id)
+    run_request = parse_run_request(server, request, experiment_id)
     if experiment_id is None:
         server.bus.count("serve.sweep_requests")
     try:
-        payload = await server.submit_experiment(engine_request)
+        payload = await server.submit_experiment(run_request, request.body)
     except ValueError as exc:
         raise HttpError(400, str(exc)) from None
     # the run id rides in a header so the body stays byte-identical
@@ -161,12 +163,11 @@ def handle_run_status(server, run_id: str, request: HttpRequest) -> Response:
     ``interrupted`` for a run killed before finishing — issuing it
     again finishes it).
     """
-    from repro.experiments.engine import request_run_id
     from repro.obs.inspect import UnknownRunError, inspect_run
 
     running = any(
-        request_run_id(req) == run_id
-        for req in list(server._inflight_experiments.values())
+        req.run_id == run_id
+        for req, _ in server._inflight_experiments.values()
     )
     try:
         doc = inspect_run(server.cache_root, run_id)

@@ -6,16 +6,18 @@ planes:
 * **control** — ``GET /healthz`` and ``GET /metrics`` answer
   immediately, bypassing admission control, so the server stays
   observable even when saturated (the backpressure tests rely on it);
-* **data** — ``POST /v1/experiments/{id}`` submissions are
-  single-flighted by request digest (concurrent identical requests
-  share one execution) and offloaded to a ``ProcessPoolExecutor`` via
-  :func:`~repro.experiments.engine.execute_request`, so CPU-bound
+* **data** — ``POST /v1/experiments/{id}`` bodies are parsed once
+  into a :class:`~repro.experiments.lifecycle.RunRequest`,
+  single-flighted by :func:`run_key` (concurrent identical requests
+  share one execution) and offloaded unchanged to a
+  ``ProcessPoolExecutor`` via :func:`execute_run`, so CPU-bound
   simulation never blocks the event loop; the engine's
   content-addressed result cache makes repeat submissions cache hits.
   ``POST /v1/sweeps`` is the same machinery for ad-hoc
   :class:`~repro.scenarios.spec.ScenarioSpec` bodies: the spec digest
-  keys the single-flight table and the cache, so a never-registered
-  user sweep coalesces and caches exactly like a registered figure.
+  enters the run key and the spec's jobs key the cache, so a
+  never-registered user sweep coalesces and caches exactly like a
+  registered figure.
   ``GET /v1/runs/{id}`` reports one run's state from its span store.
 
 Robustness is structural, not best-effort: a bounded in-flight counter
@@ -23,11 +25,11 @@ rejects excess data-plane requests with ``429`` + ``Retry-After``
 before any work is queued for them; every data-plane request runs
 under a deadline (``504`` on expiry); and ``drain()`` — wired to
 SIGTERM/SIGINT by ``repro-serve`` — stops the listener, lets in-flight
-work finish within a grace period, journals any experiment requests
-still executing to ``<cache>/journal/serve-inflight.json``, and only
-then tears down the worker pool.  The next ``start()`` picks that file
-up and resubmits each interrupted request as a plain request: every
-job the cut-short run already completed is a cache hit.
+work finish within a grace period, journals the HTTP bodies of the
+requests still executing to ``<cache>/journal/serve-inflight.json``,
+and only then tears down the worker pool.  The next ``start()`` picks
+that file up and parses each body again, exactly like a new request:
+every job the cut-short run already completed is a cache hit.
 
 Observability rides the ambient :mod:`repro.obs` machinery: request
 latency and experiment wall-time histograms, an in-flight gauge,
@@ -45,18 +47,15 @@ import os
 import signal
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.experiments.cache import default_cache_dir
-from repro.experiments.engine import (
-    ExperimentRequest,
-    execute_request,
-    request_digest,
-)
+from repro.experiments.cache import default_cache_dir, stable_digest
+from repro.experiments.lifecycle import RunRequest, execute, runner_for
 from repro.obs import ProbeBus, merge_snapshots
 from repro.obs.spans import SpanTracer, append_spans, root_context
+from repro.scenarios.spec import spec_digest
 from repro.serve import handlers
 from repro.serve.http import (
     HttpError,
@@ -83,20 +82,47 @@ class ServeConfig:
     workers: int = 2
     use_cache: bool = True
     cache_dir: Optional[str] = None
-    # Execution backend the offloaded engine run uses inside its
-    # worker process ("serial" | "pool" | "cluster"); cluster runs
-    # spawn `experiment_workers` cluster workers per request.
-    experiment_backend: Optional[str] = None
-    experiment_workers: Optional[int] = None
-    # -- store retention GC --------------------------------------------
-    # A background sweep applies the GC policy to the cache dir every
-    # `gc_interval_s` seconds (0 disables it).  The policy knobs mirror
-    # `repro gc`: unset knobs impose no bound, and state referenced by
-    # an in-progress run's lock is never removed.
-    gc_interval_s: float = 0.0
-    gc_max_bytes: Optional[int] = None
-    gc_max_age_s: Optional[float] = None
-    gc_keep_runs: Optional[int] = None
+
+
+def run_key(request: RunRequest) -> str:
+    """Identity of a request's *outcome*: its single-flight key.
+
+    Two requests that must produce byte-identical results — same
+    experiment or same spec content, same settings — share a key.  A
+    spec enters through its content digest, so two specs that share a
+    ``scenario_id`` but differ never coalesce.
+    """
+    spec = spec_digest(request.spec) if request.spec is not None else None
+    return stable_digest("run-request", request.experiment_id, spec,
+                         request.settings)
+
+
+def execute_run(request: RunRequest) -> dict:
+    """Run one parsed request to completion: the offload body.
+
+    Importable at module top level and driven only by its picklable
+    argument, so it runs in a ``ProcessPoolExecutor`` worker (or a
+    thread) via ``loop.run_in_executor``, with the same store and
+    retry lifecycle as API and CLI runs.  Returns what the daemon
+    reads: the rendered result (deterministic for identical requests),
+    cache statistics, wall time, the merged metrics snapshot and the
+    run and trace ids.
+    """
+    runner = runner_for(request)
+    start = time.perf_counter()
+    try:
+        result = execute(request, runner=runner)
+    finally:
+        runner.close()
+    return {
+        "result_json": result.to_json(indent=2),
+        "cache_hits": runner.stats.cache_hits,
+        "cache_misses": runner.stats.cache_misses,
+        "wall_s": round(time.perf_counter() - start, 4),
+        "metrics": runner.merged_metrics,
+        "run_id": runner.last_run_id,
+        "trace_id": runner.last_trace_id,
+    }
 
 
 class ReproServer:
@@ -117,15 +143,14 @@ class ReproServer:
         self._connections: "set[asyncio.Task]" = set()
         self._executor: Optional[Executor] = None
         self._singleflight: Dict[str, asyncio.Task] = {}
-        # experiment requests currently executing in a worker, keyed by
-        # request digest — drained servers journal these to disk so a
-        # restart can resubmit them
-        self._inflight_experiments: Dict[str, ExperimentRequest] = {}
+        # requests currently executing in a worker, with the body they
+        # were parsed from, keyed by run key — drained servers journal
+        # the bodies to disk so a restart can resubmit them
+        self._inflight_experiments: Dict[str, Tuple[RunRequest, bytes]] = {}
         # created in start(): asyncio primitives bind the running loop
         # on Python 3.9, and servers may be constructed outside one
         self._idle_event: Optional[asyncio.Event] = None
         self._stopped_event: Optional[asyncio.Event] = None
-        self._gc_task: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -154,23 +179,12 @@ class ReproServer:
         self.host, self.port = sock[0], sock[1]
         self.state = "serving"
         self._resume_journaled_experiments()
-        if self.config.gc_interval_s > 0:
-            self._gc_task = asyncio.get_running_loop().create_task(
-                self._gc_loop()
-            )
 
     async def drain(self) -> None:
         """Graceful shutdown: stop listening, finish in-flight, stop."""
         if self.state in ("draining", "stopped"):
             return
         self.state = "draining"
-        if self._gc_task is not None:
-            self._gc_task.cancel()
-            try:
-                await self._gc_task
-            except asyncio.CancelledError:
-                pass
-            self._gc_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -344,22 +358,24 @@ class ReproServer:
     # ------------------------------------------------------------------
     # experiment submission: single-flight + executor offload
     # ------------------------------------------------------------------
-    async def submit_experiment(self, request: ExperimentRequest) -> dict:
+    async def submit_experiment(self, request: RunRequest,
+                                body: bytes) -> dict:
         """Run ``request``, coalescing concurrent identical submissions.
 
-        The digest covers the experiment id and fully-resolved settings
-        — the same identity the result cache keys on — so while one
-        execution is in flight every further identical submission
-        awaits it instead of spawning another worker job.  The shared
-        task is shielded: one waiter timing out does not cancel the
-        execution for the others.
+        :func:`run_key` covers the experiment id or spec digest and the
+        fully-resolved settings, so while one execution is in flight
+        every further identical submission awaits it instead of
+        spawning another worker job.  The shared task is shielded: one
+        waiter timing out does not cancel the execution for the others.
+        ``body`` is what the request was parsed from; a drain journals
+        it.
         """
-        key = request_digest(request)
+        key = run_key(request)
         task = self._singleflight.get(key)
         coalesced = task is not None
         if not coalesced:
             task = asyncio.get_running_loop().create_task(
-                self._execute_experiment(request)
+                self._execute_experiment(key, request, body)
             )
             self._singleflight[key] = task
             task.add_done_callback(
@@ -372,20 +388,20 @@ class ReproServer:
         if coalesced:
             # followers joined an execution the leader's spans cover;
             # their own wait still gets a (coalesced) request span
-            self._record_serve_spans(request, payload, t_req,
+            self._record_serve_spans(key, payload, t_req,
                                      time.time() - t_req, coalesced=True)
         return payload
 
-    async def _execute_experiment(self, request: ExperimentRequest) -> dict:
+    async def _execute_experiment(self, key: str, request: RunRequest,
+                                  body: bytes) -> dict:
         self.bus.count("serve.experiments_submitted")
         loop = asyncio.get_running_loop()
-        key = request_digest(request)
-        self._inflight_experiments[key] = request
+        self._inflight_experiments[key] = (request, body)
         t_req = time.time()
         t_mono = loop.time()
         try:
             payload = await loop.run_in_executor(
-                self._executor, execute_request, request
+                self._executor, execute_run, request
             )
         finally:
             self._inflight_experiments.pop(key, None)
@@ -399,12 +415,12 @@ class ReproServer:
         if payload.get("metrics"):
             self.bus.merge_snapshot(payload["metrics"])
         self._record_serve_spans(
-            request, payload, t_req, time.time() - t_req,
+            key, payload, t_req, time.time() - t_req,
             coalesced=False, offload_s=offload_s,
         )
         return payload
 
-    def _record_serve_spans(self, request: ExperimentRequest, payload: dict,
+    def _record_serve_spans(self, key: str, payload: dict,
                             t_req: float, dur_s: float, *, coalesced: bool,
                             offload_s: Optional[float] = None) -> None:
         """Append this submission's serve-side spans to the run's store.
@@ -425,7 +441,7 @@ class ReproServer:
             q = f"{os.getpid()}.{int(t_req * 1e6)}"
             req_ctx = tracer.record_span(
                 "serve.request", parent=root_context(trace_id), qualifier=q,
-                t0=t_req, dur_s=dur_s, digest=request_digest(request),
+                t0=t_req, dur_s=dur_s, digest=key,
                 coalesced=True if coalesced else None,
             )
             if offload_s is not None:
@@ -448,18 +464,24 @@ class ReproServer:
         return self.cache_root / "journal" / "serve-inflight.json"
 
     def _journal_inflight_experiments(self) -> None:
-        """Persist experiment requests still executing at drain time.
+        """Persist the requests still executing at drain time.
 
         The engine records each run's per-job progress under the result
         cache as it goes; this file only records *which* requests were
-        cut short, so :meth:`start` can resubmit them, and every job
-        the interrupted run already finished is a cache hit.
+        cut short — each as its route's experiment id (``None`` for a
+        sweep) and the body the client sent — so :meth:`start` can
+        resubmit them, and every job the interrupted run already
+        finished is a cache hit.
         """
         if not self._inflight_experiments:
             return
         from repro.store.envelope import snapshot_digest
 
-        records = [asdict(req) for req in self._inflight_experiments.values()]
+        records = [
+            {"experiment_id": req.experiment_id,
+             "body": body.decode("utf-8", "surrogateescape")}
+            for req, body in self._inflight_experiments.values()
+        ]
         path = self._inflight_journal_path()
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -478,7 +500,12 @@ class ReproServer:
         self.bus.count("serve.journaled_inflight", len(records))
 
     def _resume_journaled_experiments(self) -> None:
-        """Resubmit the requests a previous drain journaled."""
+        """Resubmit the requests a previous drain journaled.
+
+        Each record goes back through the request parser, so it is
+        checked exactly like a new request; one it rejects (or one in
+        another format) is counted as corrupt and skipped.
+        """
         path = self._inflight_journal_path()
         try:
             raw = path.read_text()
@@ -509,55 +536,20 @@ class ReproServer:
         loop = asyncio.get_running_loop()
         for record in records:
             try:
-                request = ExperimentRequest(**record)
-            except (TypeError, ValueError):
+                body = record["body"].encode("utf-8", "surrogateescape")
+                request = handlers.parse_run_request(
+                    self, HttpRequest("POST", "", body=body),
+                    record["experiment_id"])
+            except (HttpError, KeyError, TypeError, AttributeError):
                 self.bus.count("serve.resume_journal_corrupt")
                 continue
             self.bus.count("serve.resumed_runs")
-            task = loop.create_task(self.submit_experiment(request))
+            task = loop.create_task(self.submit_experiment(request, body))
             # background resubmission: nobody awaits this response, so
             # retrieve any exception to keep the loop's logs quiet
             task.add_done_callback(
                 lambda t: t.cancelled() or t.exception()
             )
-
-    # ------------------------------------------------------------------
-    # store retention GC (background sweep)
-    # ------------------------------------------------------------------
-    def _gc_policy(self):
-        from repro.store.gc import GCPolicy
-
-        return GCPolicy(max_bytes=self.config.gc_max_bytes,
-                        max_age_s=self.config.gc_max_age_s,
-                        keep_runs=self.config.gc_keep_runs)
-
-    def _gc_once(self) -> dict:
-        """One synchronous GC sweep of the configured cache dir.
-
-        Separated from the async loop so tests (and operators via a
-        REPL) can invoke a sweep directly; the sweep's ``store.gc.*``
-        gauges land on this server's bus.
-        """
-        from repro.obs import use_probes
-        from repro.store.gc import collect
-
-        with use_probes(self.bus):
-            stats = collect(self.cache_root, self._gc_policy())
-        self.bus.count("serve.gc_sweeps")
-        return stats
-
-    async def _gc_loop(self) -> None:
-        """Apply the retention policy on a fixed interval until drain."""
-        while True:
-            await asyncio.sleep(self.config.gc_interval_s)
-            try:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self._gc_once
-                )
-            except asyncio.CancelledError:
-                raise
-            except OSError:
-                self.bus.count("serve.gc_errors")
 
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> dict:

@@ -15,7 +15,6 @@ from repro.experiments.engine import (
     Runner,
     SimJob,
     execute_job,
-    sweep_jobs,
 )
 from repro.transform.codec import StageSelection
 
@@ -153,17 +152,6 @@ class TestEngineExecution:
         assert len(results) == 3
         assert results[0] is results[1] is results[2]
         assert len(list(cache.entries())) == 1
-
-    def test_sweep_jobs_mirror_serial_harness(self):
-        jobs = sweep_jobs(MICRO, allocated_fraction=0.7)
-        assert [j.benchmark for j in jobs] == list(MICRO.benchmarks)
-        assert [j.seed_offset for j in jobs] == [0, 1]
-        from repro.experiments.runner import sweep_benchmarks
-
-        direct = sweep_benchmarks(MICRO, allocated_fraction=0.7)
-        via_engine = [execute_job(MICRO, j) for j in jobs]
-        for name, result in zip(MICRO.benchmarks, via_engine):
-            assert result.normalized_refresh == direct[name].normalized_refresh
 
     def test_run_result_pickles(self):
         result = execute_job(MICRO, SimJob(benchmark="gemsFDTD"))

@@ -26,7 +26,6 @@ from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.experiments.lifecycle import (
     RunRequest,
     execute,
-    execute_all,
     resolve_jobs,
     runner_for,
 )
@@ -109,22 +108,17 @@ class TestRunRequestRouting:
         ))
         assert result.experiment_id == "_lifecycle_tiny"
 
-    def test_execute_all_shares_one_runner(self, monkeypatch, tmp_path):
+    def test_execute_shares_one_runner(self, monkeypatch, tmp_path):
         other = Experiment("_lifecycle_other", plan=tiny_plan,
                            reduce=tiny_reduce)
-        monkeypatch.setattr(
-            "repro.experiments.REGISTRY",
-            {"_lifecycle_tiny": TINY, "_lifecycle_other": other},
-        )
+        monkeypatch.setitem(REGISTRY, "_lifecycle_other", other)
         runner = runner_for(RunRequest(
             "_lifecycle_tiny", settings=MICRO, jobs=1,
             cache_dir=tmp_path / "cache",
         ))
-        results = execute_all(
-            RunRequest("_lifecycle_tiny", settings=MICRO, jobs=1),
-            runner=runner,
-        )
-        assert set(results) == {"_lifecycle_tiny", "_lifecycle_other"}
+        for experiment_id in ("_lifecycle_tiny", "_lifecycle_other"):
+            execute(RunRequest(experiment_id, settings=MICRO, jobs=1),
+                    runner=runner)
         # one shared runner saw both plans; the second experiment's
         # identical jobs hit the shared cache instead of re-executing
         assert runner.stats.jobs == 6

@@ -11,7 +11,12 @@ import json
 from types import SimpleNamespace
 
 from repro.experiments import REGISTRY
-from repro.experiments.engine import Experiment, RetryPolicy, SimJob
+from repro.experiments.engine import (
+    Experiment,
+    RetryPolicy,
+    SimJob,
+    default_run_id,
+)
 from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.experiments.lifecycle import RunRequest, execute, runner_for
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
@@ -83,6 +88,41 @@ class TestRunsEndpoint:
         names = {s["name"] for s in spans}
         assert "serve.request" in names
         assert "serve.offload" in names
+
+    def test_status_while_running(self, monkeypatch, tmp_path):
+        """The parser fixes the run id, so a status query finds the run
+        while its worker still executes it."""
+        calls = []
+        monkeypatch.setitem(
+            REGISTRY, "_svc_busy", fake_experiment("_svc_busy", calls, 0.5))
+        run_id = default_run_id("_svc_busy", ExperimentSettings.quick())
+
+        async def scenario():
+            server = ReproServer(ServeConfig(
+                port=0, workers=0, cache_dir=str(tmp_path / "cache"),
+            ))
+            await server.start()
+            try:
+                async def post():
+                    async with ClientConnection(server.host,
+                                                server.port) as conn:
+                        return await conn.request(
+                            "POST", "/v1/experiments/_svc_busy")
+
+                pending = asyncio.ensure_future(post())
+                while not calls:
+                    await asyncio.sleep(0.01)
+                async with ClientConnection(server.host, server.port) as conn:
+                    status, _, body = await conn.request(
+                        "GET", f"/v1/runs/{run_id}")
+                await pending
+                return status, json.loads(body)
+            finally:
+                await server.drain()
+
+        status, doc = run_async(scenario())
+        assert status == 200
+        assert doc["state"] == "running"
 
     def test_unknown_run_is_404(self):
         async def scenario():

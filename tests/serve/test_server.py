@@ -173,15 +173,25 @@ class TestExperimentEndpoint:
                         "POST", "/v1/experiments/tab01",
                         body=json.dumps({"surprise": 1}).encode(),
                     )
-                return status_unknown, status_overrides, body, status_field
+                    # a falsy non-object is no more "no overrides" than
+                    # a truthy one
+                    falsy = [await conn.request(
+                        "POST", "/v1/experiments/tab01",
+                        body=json.dumps({"overrides": value}).encode(),
+                    ) for value in ([], False)]
+                return (status_unknown, status_overrides, body, status_field,
+                        falsy)
             finally:
                 await server.drain()
 
-        unknown, overrides, body, field = run_async(scenario())
+        unknown, overrides, body, field, falsy = run_async(scenario())
         assert unknown == 404
         assert overrides == 400
         assert b"bogus_field" in body
         assert field == 400
+        for status, _, falsy_body in falsy:
+            assert status == 400
+            assert b"overrides must be a JSON object" in falsy_body
 
     def test_unknown_benchmark_override_is_400(self):
         async def scenario():

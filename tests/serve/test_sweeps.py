@@ -8,9 +8,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import get_scenario
+from repro.api import RunRequest, get_scenario, quick_settings
 from repro.serve import ReproServer, ServeConfig
 from repro.serve.http import ClientConnection
+from repro.serve.server import run_key
 
 
 def run_async(coro, timeout=120.0):
@@ -96,6 +97,19 @@ class TestSweepEndpoint:
         assert first[0] == second[0] == 200
         assert first[2] == second[2]
         assert snap["counters"]["serve.experiments_coalesced"] == 1
+
+    def test_specs_sharing_an_id_never_share_a_run_key(self):
+        """Single-flight keys on spec content, not the scenario id."""
+        spec = get_scenario("fig19")
+        variant = replace(spec, description="a variant under fig19's id")
+        settings = quick_settings()
+        keys = {run_key(RunRequest(spec=spec, settings=settings)),
+                run_key(RunRequest(spec=variant, settings=settings)),
+                run_key(RunRequest("fig19", settings=settings)),
+                run_key(RunRequest("fig19", settings=quick_settings(seed=8)))}
+        assert len(keys) == 4
+        assert run_key(RunRequest(spec=spec, settings=quick_settings())) \
+            in keys
 
     def test_invalid_specs_are_400_not_engine_failures(self):
         async def scenario():
