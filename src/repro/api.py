@@ -33,9 +33,14 @@ import os
 from typing import Dict, List, Optional
 
 from repro.experiments import REGISTRY, SCENARIOS
-from repro.experiments.engine import Experiment, RetryPolicy, Runner
+from repro.experiments.engine import RetryPolicy, Runner
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.lifecycle import RunRequest, execute, make_runner
+from repro.experiments.lifecycle import (
+    RunRequest,
+    execute,
+    get_experiment,
+    make_runner,
+)
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
 from repro.scenarios.executor import adhoc_sweep_spec
 from repro.scenarios.spec import ScenarioSpec, SweepAxis, spec_digest
@@ -113,17 +118,6 @@ def make_server(config=None, **overrides):
 def list_experiments() -> List[str]:
     """Every runnable experiment id, in paper order."""
     return list(REGISTRY)
-
-
-def get_experiment(experiment_id: str) -> Experiment:
-    """The :class:`Experiment` registered under ``experiment_id``."""
-    try:
-        return REGISTRY[experiment_id]
-    except KeyError:
-        known = ", ".join(REGISTRY)
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; known ids: {known}"
-        ) from None
 
 
 def list_scenarios() -> Dict[str, str]:

@@ -93,9 +93,9 @@ REGISTRY = {
     scenario_id: as_experiment(spec)
     for scenario_id, spec in SCENARIOS.items()
 }
-"""Every experiment, by id.  Values are callable (``REGISTRY[id](settings)``
-runs serially without caching); engine-aware callers hand them to a
-:class:`~repro.experiments.engine.Runner` or use :mod:`repro.api`."""
+"""Every experiment, by id, as a plan/reduce
+:class:`~repro.experiments.engine.Experiment`; run one with
+``repro.api.run(RunRequest(id))``."""
 
 __all__ = [
     "Experiment",

@@ -187,6 +187,10 @@ def main(argv=None) -> int:
     if args.backend != "cluster" and (args.workers is not None
                                       or args.bind is not None):
         parser.error("--workers/--bind require --backend cluster")
+    if args.retries is not None and args.retries < 1:
+        parser.error(f"--retries must be at least 1, got {args.retries}")
+    if args.job_timeout is not None and not args.job_timeout > 0:
+        parser.error(f"--job-timeout must be positive, got {args.job_timeout}")
 
     if args.experiment == "list":
         from repro.experiments import SCENARIOS
@@ -196,21 +200,19 @@ def main(argv=None) -> int:
             print(f"{scenario_id:<{width}}  {spec.description}")
         return 0
 
-    settings = (api.quick_settings(seed=args.seed)
-                if args.quick else api.default_settings(seed=args.seed))
-    overrides = {}
+    overrides = {"seed": args.seed}
     if args.memory_mb is not None:
-        overrides["memory_bytes"] = args.memory_mb << 20
+        overrides["memory_mb"] = args.memory_mb
     if args.windows is not None:
         overrides["windows"] = args.windows
-    if overrides:
-        from dataclasses import replace
-
-        settings = replace(settings, **overrides)
+    try:
+        settings = api.settings_from_dict(overrides, quick=args.quick)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     sweep_spec = None
     if args.experiment == "sweep":
-        sweep_spec = build_sweep_spec(parser, args)
+        sweep_spec = build_sweep_spec(parser, args, settings)
         names = [sweep_spec.scenario_id]
     else:
         names = (list(REGISTRY) if args.experiment == "all"
@@ -333,7 +335,7 @@ def main(argv=None) -> int:
     return 0
 
 
-def build_sweep_spec(parser, args):
+def build_sweep_spec(parser, args, settings):
     """An ad-hoc :class:`ScenarioSpec` from ``--axis``/``--set`` flags.
 
     Axis and override values parse as JSON scalars with a bare-string
@@ -366,7 +368,7 @@ def build_sweep_spec(parser, args):
         # Fail on unknown keys/values now, before any engine setup.
         from repro.scenarios import expand
 
-        expand(spec)
+        expand(spec, settings)
     except ValueError as exc:  # ScenarioError, or a bad temperature name
         parser.error(str(exc))
     return spec

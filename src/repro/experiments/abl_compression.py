@@ -62,14 +62,3 @@ def compression_point(settings, job) -> list:
             skippable / 8.0,
         ])
     return rows
-
-
-def run(settings=None, lines_per_class: int = 512):
-    from dataclasses import replace
-
-    from repro.scenarios.executor import as_experiment
-
-    spec = SPEC
-    if lines_per_class != 512:
-        spec = replace(SPEC, point_params={"lines_per_class": lines_per_class})
-    return as_experiment(spec)(settings)

@@ -175,32 +175,3 @@ def reduce_policy(spec, settings, axes, results):
         notes="identical skip counts; all-bank recovers less bank time "
               "(rank blocked by its slowest bank)",
     )
-
-
-# ----------------------------------------------------------------------
-# serial entry points (uncached), kept for the bench suite
-# ----------------------------------------------------------------------
-def _run(spec, settings):
-    from repro.scenarios.executor import as_experiment
-
-    return as_experiment(spec)(settings)
-
-
-def run_stages(settings=None):
-    return _run(STAGES_SPEC, settings)
-
-
-def run_celltype(settings=None):
-    return _run(CELLTYPE_SPEC, settings)
-
-
-def run_wordsize(settings=None):
-    return _run(WORDSIZE_SPEC, settings)
-
-
-def run_policy(settings=None):
-    return _run(POLICY_SPEC, settings)
-
-
-def run_tracking(settings=None):
-    return _run(TRACKING_SPEC, settings)

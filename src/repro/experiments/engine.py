@@ -1,10 +1,7 @@
 """Parallel, cache-aware, fault-tolerant experiment execution engine.
 
-The serial harness regenerated every figure by looping over
-``REGISTRY[name](settings)``; a full sweep re-simulated the same
-(benchmark, allocation, config) point dozens of times across figures
-and used one core.  This module splits experiments into *planning* and
-*reduction* around a fan-out middle:
+An experiment is split into *planning* and *reduction* around a
+fan-out middle:
 
 ``plan(settings) -> list[SimJob]``
     Pure description of the simulation points the experiment needs.
@@ -201,9 +198,8 @@ def _unpack_cached(payload):
 class Experiment:
     """A registered experiment: its ``plan`` and its ``reduce``.
 
-    Calling the experiment directly (``REGISTRY[name](settings)``) runs
-    it serially with no cache.  The engine-aware paths (:mod:`repro.api`,
-    the CLI) construct a :class:`Runner` instead.
+    A :class:`Runner` executes it (``Runner.run_experiment``); callers
+    outside the engine go through :func:`repro.api.run`.
     """
 
     def __init__(
@@ -216,11 +212,6 @@ class Experiment:
         self.experiment_id = experiment_id
         self.plan = plan
         self.reduce = reduce
-
-    def __call__(
-        self, settings: Optional[ExperimentSettings] = None
-    ) -> ExperimentResult:
-        return Runner(jobs=1, cache=None).run_experiment(self, settings)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Experiment({self.experiment_id!r})"
@@ -310,6 +301,8 @@ class Runner:
         clock: Optional[Callable[[], float]] = None,
         sleep: Optional[Callable[[float], None]] = None,
     ):
+        if timeout_s is not None and not timeout_s > 0:
+            raise ValueError(f"timeout_s must be positive, got {timeout_s!r}")
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
         self.cache = cache
         self.watchdog = watchdog

@@ -90,14 +90,3 @@ def reduce_scenario(spec, settings, axes, results):
             "rotation diagonal activated"
         ),
     )
-
-
-def run(settings=None, benchmark: str = "mcf"):
-    from dataclasses import replace
-
-    from repro.scenarios.executor import as_experiment
-
-    spec = SPEC
-    if benchmark != "mcf":
-        spec = replace(SPEC, point_params={"benchmark": benchmark})
-    return as_experiment(spec)(settings)

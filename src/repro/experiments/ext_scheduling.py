@@ -71,17 +71,3 @@ def scheduling_point(settings, job) -> list:
          pausing.mean_stall_ns, combined_stall,
          combined_stall / baseline.stall_per_access_ns],
     ]
-
-
-def run(settings=None, benchmark: str = "mcf",
-        busy_time_fraction: float = 0.5):
-    from dataclasses import replace
-
-    from repro.scenarios.executor import as_experiment
-
-    spec = SPEC
-    params = {"benchmark": benchmark,
-              "busy_time_fraction": busy_time_fraction}
-    if params != SPEC.point_params_dict:
-        spec = replace(SPEC, point_params=params)
-    return as_experiment(spec)(settings)

@@ -77,17 +77,3 @@ def vrt_point(settings, job) -> list:
         0.0,
     ])
     return rows
-
-
-def run(settings=None, num_rows: int = 65536,
-        flips_per_row_per_hour: float = 0.02):
-    from dataclasses import replace
-
-    from repro.scenarios.executor import as_experiment
-
-    spec = SPEC
-    params = {"num_rows": num_rows,
-              "flips_per_row_per_hour": flips_per_row_per_hour}
-    if params != SPEC.point_params_dict:
-        spec = replace(SPEC, point_params=params)
-    return as_experiment(spec)(settings)

@@ -8,8 +8,6 @@ than half its power on refresh.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.dram.timing import TemperatureMode
 from repro.energy.dram_power import DramPowerModel
 from repro.scenarios.spec import ScenarioSpec, SweepAxis
@@ -54,18 +52,3 @@ def power_point(settings, job) -> list:
         breakdown.total_mw,
         breakdown.refresh_share,
     ]
-
-
-def run(settings=None, densities: Sequence[int] = DENSITIES_GBIT):
-    from dataclasses import replace
-
-    from repro.scenarios.executor import as_experiment
-
-    spec = SPEC
-    if tuple(densities) != DENSITIES_GBIT:
-        spec = replace(SPEC, axes=(
-            SPEC.axes[0],
-            SweepAxis("params.density_gbit",
-                      values=[int(d) for d in densities]),
-        ))
-    return as_experiment(spec)(settings)

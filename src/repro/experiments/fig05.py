@@ -45,9 +45,3 @@ def cdf_point(settings, job) -> list:
     trace = paper_traces()[name]
     cdf = empirical_cdf(trace.samples, GRID)
     return [name] + [float(v) for v in cdf]
-
-
-def run(settings=None):
-    from repro.scenarios.executor import as_experiment
-
-    return as_experiment(SPEC)(settings)

@@ -54,16 +54,3 @@ def zero_fraction_point(settings, job) -> list:
     rows.append(["average", float(np.mean(block_fracs)),
                  float(np.mean(byte_fracs))])
     return rows
-
-
-def run(settings=None, pages_per_benchmark: int = 1024):
-    from dataclasses import replace
-
-    from repro.scenarios.executor import as_experiment
-
-    spec = SPEC
-    if pages_per_benchmark != 1024:
-        spec = replace(
-            SPEC, point_params={"pages_per_benchmark": pages_per_benchmark}
-        )
-    return as_experiment(spec)(settings)

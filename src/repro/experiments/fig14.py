@@ -35,9 +35,3 @@ SPEC = ScenarioSpec(
                             for s in SCENARIO_ORDER},
     },
 )
-
-
-def run(settings=None):
-    from repro.scenarios.executor import as_experiment
-
-    return as_experiment(SPEC)(settings)

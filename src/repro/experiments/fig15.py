@@ -38,9 +38,3 @@ SPEC = ScenarioSpec(
                  "(overheads)",
     },
 )
-
-
-def run(settings=None):
-    from repro.scenarios.executor import as_experiment
-
-    return as_experiment(SPEC)(settings)

@@ -53,9 +53,3 @@ def reduce_scenario(spec, settings, axes, results):
         paper_reference={"reduction delta (ext - norm)": 0.044},
         notes=f"measured delta: {avg_ext - avg_norm:+.3f}",
     )
-
-
-def run(settings=None):
-    from repro.scenarios.executor import as_experiment
-
-    return as_experiment(SPEC)(settings)

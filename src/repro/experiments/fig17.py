@@ -40,9 +40,3 @@ def reduce_scenario(spec, settings, axes, results):
         paper_reference={"avg": "+5.7%", "max (gemsFDTD)": "+10.8%",
                          "min (gobmk)": "+0.3%"},
     )
-
-
-def run(settings=None):
-    from repro.scenarios.executor import as_experiment
-
-    return as_experiment(SPEC)(settings)

@@ -34,9 +34,3 @@ SPEC = ScenarioSpec(
         ),
     },
 )
-
-
-def run(settings=None):
-    from repro.scenarios.executor import as_experiment
-
-    return as_experiment(SPEC)(settings)

@@ -31,14 +31,12 @@ from repro.workloads.benchmarks import benchmark_profile
 
 CAPACITIES_MB = (4, 8, 16, 32)  # stand-ins for 4/8/16/32 GB
 
-DEFAULT_BENCHMARK = "mcf"
-
 SPEC = ScenarioSpec(
     scenario_id="fig19",
     description="Smart Refresh vs ZERO-REFRESH across capacities (mcf)",
     axes=(SweepAxis("params.cap_mb", values=list(CAPACITIES_MB)),),
     point="repro.experiments.fig19:capacity_point",
-    point_params={"benchmark": DEFAULT_BENCHMARK},
+    point_params={"benchmark": "mcf"},
     reduction="repro.experiments.fig19:reduce_scenario",
 )
 
@@ -115,16 +113,3 @@ def reduce_scenario(spec, settings, axes, results):
                          "zero-refresh": "~flat"},
         notes="capacities simulated at 1/1024 scale with a fixed working set",
     )
-
-
-def run(settings=None, benchmark: str = DEFAULT_BENCHMARK):
-    from dataclasses import replace
-
-    from repro.scenarios.executor import as_experiment
-
-    spec = SPEC
-    if benchmark != DEFAULT_BENCHMARK:
-        # Same sweep, different workload: the spec is data, so rebind
-        # its point parameter instead of re-rolling the loop.
-        spec = replace(SPEC, point_params={"benchmark": benchmark})
-    return as_experiment(spec)(settings)

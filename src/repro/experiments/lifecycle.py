@@ -16,6 +16,8 @@ The functions below are the whole lifecycle:
     assembled from policy knobs (``repro.api`` re-exports it).
 :func:`runner_for`
     ``make_runner`` applied to a request.
+:func:`get_experiment`
+    The one registry lookup (``repro.api`` re-exports it).
 :func:`execute`
     Run the request (optionally on a shared runner), installing its
     probe bus and threading its run id through to the run store.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.engine import RetryPolicy, Runner
+from repro.experiments.engine import Experiment, RetryPolicy, Runner
 from repro.experiments.faults import FaultPlan
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
 from repro.scenarios.spec import ScenarioSpec
@@ -37,6 +39,7 @@ from repro.scenarios.spec import ScenarioSpec
 __all__ = [
     "RunRequest",
     "execute",
+    "get_experiment",
     "make_runner",
     "resolve_jobs",
     "runner_for",
@@ -207,6 +210,19 @@ def runner_for(request: RunRequest) -> Runner:
     )
 
 
+def get_experiment(experiment_id: str) -> Experiment:
+    """The :class:`Experiment` registered under ``experiment_id``."""
+    from repro.experiments import REGISTRY
+
+    try:
+        return REGISTRY[experiment_id]
+    except KeyError:
+        known = ", ".join(REGISTRY)
+        raise KeyError(
+            f"unknown experiment {experiment_id!r}; known ids: {known}"
+        ) from None
+
+
 def execute(request: RunRequest, runner: Optional[Runner] = None) -> ExperimentResult:
     """Run one :class:`RunRequest` to completion.
 
@@ -227,16 +243,7 @@ def execute(request: RunRequest, runner: Optional[Runner] = None) -> ExperimentR
 
         experiment = as_experiment(request.spec)
     else:
-        from repro.experiments import REGISTRY
-
-        try:
-            experiment = REGISTRY[request.experiment_id]
-        except KeyError:
-            known = ", ".join(REGISTRY)
-            raise KeyError(
-                f"unknown experiment {request.experiment_id!r}; "
-                f"known ids: {known}"
-            ) from None
+        experiment = get_experiment(request.experiment_id)
     owned = runner is None
     if owned:
         runner = runner_for(request)

@@ -30,6 +30,11 @@ QUICK_BENCHMARKS = (
 """Representative subset spanning the reduction range, for quick runs."""
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSettings:
     """Scale knobs shared by all experiments.
@@ -45,6 +50,24 @@ class ExperimentSettings:
     temperature: TemperatureMode = TemperatureMode.EXTENDED
     rows_per_ar: int = 128
     seed: int = 7
+
+    def __post_init__(self):
+        """Reject settings no run can use, naming the field."""
+        for name in ("memory_bytes", "windows", "rows_per_ar"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(
+                    f"{name} must be a positive int, got {value!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if not self.benchmarks:
+            raise ValueError("benchmarks must name at least one benchmark")
+        try:
+            self.config()
+        except ValueError as exc:
+            raise ValueError(
+                f"memory_bytes={self.memory_bytes} with "
+                f"rows_per_ar={self.rows_per_ar}: {exc}") from None
 
     @classmethod
     def quick(cls, **overrides) -> "ExperimentSettings":

@@ -61,9 +61,3 @@ def tracking_cost_point(settings, job) -> list:
          f"{status.costs.sram_bits // 8} B register",
          0.0, 0.0],
     ]
-
-
-def run(settings=None):
-    from repro.scenarios.executor import as_experiment
-
-    return as_experiment(SPEC)(settings)

@@ -31,9 +31,3 @@ def trace_point(settings, job) -> list:
     name = str(job.params["trace"])
     trace = paper_traces()[name]
     return [name, trace.source, trace.mean, PAPER_MEANS[name]]
-
-
-def run(settings=None):
-    from repro.scenarios.executor import as_experiment
-
-    return as_experiment(SPEC)(settings)

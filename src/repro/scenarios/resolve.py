@@ -110,8 +110,10 @@ def apply_settings(settings, settings_map):
     ``memory_mb``; ``temperature`` resolves through
     :meth:`TemperatureMode.parse` (a bad name raises ``ValueError``
     listing the valid mode names), ``benchmarks`` coerces to a string
-    tuple of known benchmark names.  Returns ``settings`` untouched for
-    an empty mapping.
+    tuple of known benchmark names.  A malformed value of a known
+    field (``windows: 0``, ``seed: null``, a geometry
+    :class:`SystemConfig` rejects) raises :class:`ScenarioError` naming
+    the field.  Returns ``settings`` untouched for an empty mapping.
     """
     data = dict(settings_map or {})
     if not data:
@@ -119,11 +121,18 @@ def apply_settings(settings, settings_map):
     if "memory_mb" in data:
         if "memory_bytes" in data:
             raise ScenarioError("give memory_mb or memory_bytes, not both")
-        data["memory_bytes"] = int(data.pop("memory_mb")) << 20
+        memory_mb = data.pop("memory_mb")
+        if isinstance(memory_mb, bool) or not isinstance(memory_mb, int):
+            raise ScenarioError(
+                f"memory_mb must be an int, got {memory_mb!r}")
+        data["memory_bytes"] = memory_mb << 20
     if "benchmarks" in data:
         benchmarks = data["benchmarks"]
         if isinstance(benchmarks, str):
             benchmarks = [benchmarks]
+        if not isinstance(benchmarks, (list, tuple)):
+            raise ScenarioError(
+                f"benchmarks must be a list of names, got {benchmarks!r}")
         data["benchmarks"] = tuple(str(b) for b in benchmarks)
         for name in data["benchmarks"]:
             check_benchmark(name)
@@ -136,7 +145,10 @@ def apply_settings(settings, settings_map):
             f"unknown settings field(s): {', '.join(unknown)}; "
             f"known: {', '.join(sorted(field_names))}"
         )
-    return replace(settings, **data)
+    try:
+        return replace(settings, **data)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _parse_cleanse_policy(value) -> CleansePolicy:

@@ -23,8 +23,8 @@ is a concurrent ``put`` re-creating an entry the sweep just removed,
 which the content-addressed rename discipline already makes idempotent.
 
 Results surface as ``store.gc.*`` gauges on the ambient probe bus and
-as the JSON document the ``repro gc --json`` CLI prints; the serving
-daemon runs the same :func:`collect` on a background interval.
+as the JSON document the ``repro gc --json`` CLI prints.  The serving
+daemon collects nothing itself: run ``repro gc`` beside it.
 """
 
 from __future__ import annotations

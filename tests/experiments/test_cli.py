@@ -22,6 +22,12 @@ class TestCli:
         assert main(["fig04", "--memory-mb", "8", "--windows", "1"]) == 0
         assert "refresh share" in capsys.readouterr().out
 
+    def test_scale_flag_no_run_can_use_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["fig14", "--quick", "--windows", "0"])
+        assert err.value.code == 2
+        assert "windows must be a positive int" in capsys.readouterr().err
+
     def test_tab01(self, capsys):
         assert main(["tab01", "--quick", "--seed", "3"]) == 0
         assert "bitbrains" in capsys.readouterr().out
@@ -37,6 +43,15 @@ class TestCli:
 
 
 class TestEngineFlags:
+    @pytest.mark.parametrize("flags", [
+        ["--retries", "0"], ["--job-timeout", "0"], ["--job-timeout", "-1"],
+    ])
+    def test_policy_no_run_can_use_is_a_usage_error(self, capsys, flags):
+        with pytest.raises(SystemExit) as err:
+            main(["sram", "--quick", "--no-cache", "--jobs", "1", *flags])
+        assert err.value.code == 2
+        assert f"{flags[0]} must be" in capsys.readouterr().err
+
     def test_json_output(self, capsys):
         import json
 

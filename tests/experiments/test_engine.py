@@ -161,10 +161,10 @@ class TestEngineExecution:
 
 
 class TestLegacyShim:
-    """What outlived the legacy ``run()`` shim: direct calls, and every
-    registered module as a plan/reduce experiment."""
+    """What outlived the legacy ``run()`` shim: a hand-built plan/reduce
+    experiment on a runner, and every registered module as one."""
 
-    def test_direct_call_still_works(self):
+    def test_toy_plan_reduce_runs(self):
         from repro.experiments.runner import ExperimentResult
 
         plans = []
@@ -177,7 +177,8 @@ class TestLegacyShim:
         def reduce(settings, results):
             return ExperimentResult("toy", "toy", ["a"], [results])
 
-        result = Experiment("toy", plan=plan, reduce=reduce)(MICRO)
+        result = Runner(jobs=1, cache=None).run_experiment(
+            Experiment("toy", plan=plan, reduce=reduce), MICRO)
         assert result.rows == [[1]] and plans == [MICRO]
 
     def test_registry_wraps_every_legacy_module(self):

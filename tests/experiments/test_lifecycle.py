@@ -172,6 +172,8 @@ class TestRetryBackoff:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(max_worker_crashes=0)
+        with pytest.raises(ValueError, match="timeout_s"):
+            Runner(timeout_s=0)
 
     def test_serial_retries_sleep_the_backoff_sequence(self):
         """Three failing attempts produce exactly the two scheduled

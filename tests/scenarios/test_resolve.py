@@ -97,6 +97,29 @@ class TestApplySettings:
         with pytest.raises(ScenarioError, match="unknown settings field"):
             apply_settings(ExperimentSettings(), {"wat": 1})
 
+    @pytest.mark.parametrize("overrides,field", [
+        ({"windows": -1}, "windows"),
+        ({"windows": 0}, "windows"),
+        ({"windows": 1.5}, "windows"),
+        ({"windows": True}, "windows"),
+        ({"seed": None}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"memory_mb": 0}, "memory_bytes"),
+        ({"memory_mb": -4}, "memory_bytes"),
+        ({"memory_mb": None}, "memory_mb"),
+        ({"memory_mb": 1, "rows_per_ar": 128}, "rows_per_ar"),
+        ({"rows_per_ar": 0}, "rows_per_ar"),
+        ({"rows_per_ar": 3}, "rows_per_ar"),
+        ({"rows_per_ar": None}, "rows_per_ar"),
+        ({"memory_bytes": "16"}, "memory_bytes"),
+        ({"benchmarks": []}, "benchmarks"),
+        ({"benchmarks": 5}, "benchmarks"),
+    ])
+    def test_value_no_run_can_use_rejected_naming_the_field(self, overrides,
+                                                            field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentSettings.from_dict(overrides, quick=True)
+
 
 class TestTemperatureParsing:
     """Satellite contract: a bad temperature raises ValueError naming

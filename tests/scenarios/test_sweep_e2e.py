@@ -57,6 +57,8 @@ class TestCliSweep:
         (["--benchmarks", "nope"], "unknown benchmark 'nope'"),
         (["--set", "benchmarks=nope"], "unknown benchmark 'nope'"),
         (["--set", "temperature=tropical"], "unknown temperature 'tropical'"),
+        (["--set", "seed=null"], "seed must be an int"),
+        (["--set", "rows_per_ar=3"], "rows_per_ar=3"),
     ])
     def test_bad_value_is_a_usage_error(self, capsys, flags, message):
         """Rejected while the spec expands, before any job is planned."""

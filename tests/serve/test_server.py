@@ -179,12 +179,22 @@ class TestExperimentEndpoint:
                         "POST", "/v1/experiments/tab01",
                         body=json.dumps({"overrides": value}).encode(),
                     ) for value in ([], False)]
+                    # settings no run can use, before any job is planned
+                    unusable = [(await conn.request(
+                        "POST", "/v1/experiments/fig14",
+                        body=json.dumps({"overrides": value}).encode(),
+                    ))[0] for value in (
+                        {"memory_mb": None}, {"benchmarks": 5},
+                        {"windows": -1, "memory_mb": 4,
+                         "benchmarks": ["mcf"]},
+                    )]
                 return (status_unknown, status_overrides, body, status_field,
-                        falsy)
+                        falsy, unusable)
             finally:
                 await server.drain()
 
-        unknown, overrides, body, field, falsy = run_async(scenario())
+        unknown, overrides, body, field, falsy, unusable = run_async(
+            scenario())
         assert unknown == 404
         assert overrides == 400
         assert b"bogus_field" in body
@@ -192,6 +202,7 @@ class TestExperimentEndpoint:
         for status, _, falsy_body in falsy:
             assert status == 400
             assert b"overrides must be a JSON object" in falsy_body
+        assert unusable == [400, 400, 400]
 
     def test_unknown_benchmark_override_is_400(self):
         async def scenario():

@@ -227,14 +227,24 @@ class TestBatchedCodec:
             encoded, reference_encode(codec, lines, [row] * 5))
         np.testing.assert_array_equal(codec.decode_row(encoded, row), lines)
 
-    @pytest.mark.parametrize("word_bytes", WORD_SIZES)
-    def test_encode_rows_matches_stage_by_stage(self, word_bytes):
+    @pytest.mark.parametrize("word_bytes,rows,lines_per_row", [
+        *(pytest.param(wb, [0, 5, 9, 12, 13, 40, 63], 16, id=str(wb))
+          for wb in WORD_SIZES),
+        # 512 whole rows: eight chunks of full-range lines
+        pytest.param(8, [r % NUM_ROWS for r in range(512)], 64,
+                     id="512-rows"),
+    ])
+    def test_encode_rows_matches_stage_by_stage(self, word_bytes, rows,
+                                                lines_per_row):
         codec = make_codec(StageSelection.full(), word_bytes, 0.3, seed=5)
-        rows = np.array([0, 5, 9, 12, 13, 40, 63])
-        lines = random_lines(word_bytes, len(rows) * 16, seed=1).reshape(
-            len(rows), 16, -1)
+        rows = np.array(rows)
+        lines = random_lines(word_bytes, len(rows) * lines_per_row,
+                             seed=1).reshape(len(rows), lines_per_row, -1)
         encoded = codec.encode_rows(lines, rows)
+        assert encoded.shape == (len(rows), codec.num_chips, lines_per_row,
+                                 codec.rotation.words_per_chip)
         for i, row in enumerate(rows):
             np.testing.assert_array_equal(
-                encoded[i], reference_encode(codec, lines[i], [row] * 16))
+                encoded[i],
+                reference_encode(codec, lines[i], [row] * lines_per_row))
         np.testing.assert_array_equal(codec.decode_rows(encoded, rows), lines)
