@@ -22,9 +22,9 @@ same request again: its finished jobs are cache hits.
 
 Pass ``cache=False`` to force fresh simulation, or a ``cache_dir`` to
 relocate the store (default: ``$REPRO_CACHE_DIR`` or ``.repro-cache``).
-Retry/timeout policy, fault injection for chaos tests and the run id
-are all fields on :class:`RunRequest` — see
-:mod:`repro.experiments.lifecycle` for the field-by-field contract.
+The run id is a :class:`RunRequest` field; retry/timeout policy, fault
+injection for chaos tests, the backend and invariant checks are
+:func:`make_runner` arguments — see :mod:`repro.experiments.lifecycle`.
 """
 
 from __future__ import annotations

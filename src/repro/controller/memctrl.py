@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.controller.mapping import AddressMapper
 from repro.dram.device import DramDevice, LineWrites
-from repro.obs.invariants import get_watchdog
 from repro.obs.probes import NULL_PROBES
 from repro.transform.codec import ValueTransformCodec
 
@@ -43,7 +42,6 @@ class MemoryController:
         self.geometry = geometry
         self.mapper = mapper or AddressMapper(geometry)
         self.probes = probes if probes is not None else NULL_PROBES
-        self.watchdog = get_watchdog()
         self.ebdi_ops = 0
         self.line_reads = 0
         self.line_writes = 0
@@ -102,8 +100,8 @@ class MemoryController:
         ``time_s`` is the write time of every line, or one per line.
         Each run of lines with equal times is one write batch: it counts
         its EBDI ops and line writes, makes one
-        ``codec.encoded_zero_fraction`` observation and, under the
-        watchdog, one round-trip check of its first line.  All lines go
+        ``codec.encoded_zero_fraction`` observation and, on a checking
+        bus, one round-trip check of its first line.  All lines go
         through one :meth:`ValueTransformCodec.encode_row` call, and the
         round-trip checks through one ``decode_row`` call.
         """
@@ -132,15 +130,15 @@ class MemoryController:
                          for z, size in zip(zeros, sizes)]
             self.probes.observe_many("codec.encoded_zero_fraction",
                                      fractions, sums=fractions)
-        if self.watchdog.enabled:
+        if self.probes.checking:
             # decode every batch's first line from the words it stores
             decoded = self.codec.decode_row(chip_words[:, starts], rows[starts])
             round_trips = (decoded == lines[starts]).all(axis=1)
         for k, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
             t = float(times[start])
-            if self.watchdog.enabled:
-                self.watchdog.check("codec.round_trip", bool(round_trips[k]),
-                                    row=int(rows[start]), t=round(t, 6))
+            if self.probes.checking:
+                self.probes.check("codec.round_trip", bool(round_trips[k]),
+                                  row=int(rows[start]), t=round(t, 6))
             if self.probes.tracing:
                 self.probes.event("ctrl.write_batch", n=size, t=t)
         return LineWrites(banks, rows, lines_in_row, chip_words)

@@ -55,7 +55,6 @@ from repro.dram.tracking import (
     DischargedStatusTable,
     NaiveSramTracker,
 )
-from repro.obs.invariants import get_watchdog
 from repro.obs.probes import NULL_PROBES
 
 MODES = ("zero-refresh", "conventional", "naive")
@@ -211,7 +210,6 @@ class RefreshEngine:
             raise ValueError(f"policy must be one of {POLICIES}")
         self.policy = policy
         self.probes = probes if probes is not None else NULL_PROBES
-        self.watchdog = get_watchdog()
         self.device = device
         self.geometry: DramGeometry = device.geometry
         self.timing = timing or TimingParams()
@@ -374,7 +372,7 @@ class RefreshEngine:
             self.probes.observe_many("refresh.row_charge_lifetime_s", values,
                                      sums=sums)
         checks = ()
-        if self.watchdog.enabled and clean is not None and clean.any():
+        if self.probes.checking and clean is not None and clean.any():
             checks = self._clean_skip_evidence(banks[clean], ar_sets[clean],
                                                refresh[clean], stored)
         if self.probes.tracing or checks:
@@ -450,13 +448,13 @@ class RefreshEngine:
 
     def _record(self, banks, ar_sets, times, refreshed, dirty, derived,
                 checks) -> None:
-        """Trace events and watchdog checks, command by command in
+        """Trace events and invariant checks, command by command in
         schedule order.
 
         ``dirty`` marks the commands that renewed their status vector
         (``derived``), ``None`` outside zero-refresh mode; ``checks``
         holds :meth:`_clean_skip_evidence` for the clean ones, or
-        nothing without a watchdog.
+        nothing on a bus that is not checking.
         """
         tracing = self.probes.tracing
         flags = dirty.tolist() if dirty is not None else [None] * len(banks)
@@ -475,14 +473,14 @@ class RefreshEngine:
                 evidence = next(checks, None)
                 if evidence is not None:
                     no_discharged, safe, marked, charged = evidence
-                    self.watchdog.check("refresh.no_discharged_refresh",
-                                        no_discharged, bank=bank,
-                                        ar_set=ar_set, t=round(t, 6))
-                    self.watchdog.check("refresh.skip_safety", safe,
-                                        bank=bank, ar_set=ar_set,
-                                        t=round(t, 6),
-                                        marked_discharged=marked,
-                                        actually_charged=charged)
+                    self.probes.check("refresh.no_discharged_refresh",
+                                      no_discharged, bank=bank,
+                                      ar_set=ar_set, t=round(t, 6))
+                    self.probes.check("refresh.skip_safety", safe,
+                                      bank=bank, ar_set=ar_set,
+                                      t=round(t, 6),
+                                      marked_discharged=marked,
+                                      actually_charged=charged)
             if tracing:
                 self.probes.event("refresh.ar", bank=bank, ar_set=ar_set,
                                   t=t, refreshed=count, mode=self.mode)
@@ -589,12 +587,12 @@ class RefreshEngine:
             name: value - getattr(before, name)
             for name, value in vars(self.stats).items()
         })
-        if self.watchdog.enabled:
+        if self.probes.checking:
             # conservation: every group in the schedule is either
             # refreshed or deliberately skipped, exactly once per window
             expected = (geometry.num_banks * geometry.ar_sets_per_bank
                         * geometry.rows_per_ar)
-            self.watchdog.check(
+            self.probes.check(
                 "refresh.window_conservation",
                 delta.groups_total == expected,
                 groups_total=delta.groups_total, expected=expected,

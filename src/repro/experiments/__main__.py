@@ -170,7 +170,7 @@ def main(argv=None) -> int:
                              "Perfetto JSON file (open at "
                              "https://ui.perfetto.dev); implies --jobs 1")
     parser.add_argument("--watchdog", action="store_true",
-                        help="run invariant watchdogs in every job; "
+                        help="run invariant checks in every job; "
                              "violations land in the metrics manifest "
                              "and a summary prints on stderr")
     parser.add_argument("--metrics-json", type=Path, default=None,

@@ -44,7 +44,12 @@ from typing import Optional
 
 from repro.experiments.engine import RetryPolicy
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.lifecycle import RunRequest, execute, runner_for
+from repro.experiments.lifecycle import (
+    RunRequest,
+    execute,
+    make_runner,
+    resolve_jobs,
+)
 from repro.experiments.runner import ExperimentSettings
 from repro.obs import ProbeBus
 from repro.obs.spans import dedupe_spans, read_spans, span_path
@@ -100,19 +105,17 @@ def _run(cache_dir: Path, *, jobs: Optional[int] = None,
          probes: Optional[ProbeBus] = None, backend: Optional[str] = None,
          workers: Optional[int] = None):
     """One lifecycle execution; returns ``(result, runner)``."""
-    request = RunRequest(
-        experiment_id=EXPERIMENT_ID,
-        settings=MICRO_SETTINGS,
-        jobs=jobs,
+    request = RunRequest(experiment_id=EXPERIMENT_ID,
+                         settings=MICRO_SETTINGS, probes=probes)
+    runner = make_runner(
+        jobs=resolve_jobs(jobs, probes),
         cache_dir=str(cache_dir),
-        probes=probes,
         timeout_s=120.0,
         retry=RETRY,
         faults=faults,
         backend=backend,
         workers=workers,
     )
-    runner = runner_for(request)
     try:
         result = execute(request, runner=runner)
     except BaseException:

@@ -31,9 +31,9 @@ is stored with it in the cache, and is folded into the runner's
 Plan-order merging makes the manifest independent of fan-out: a
 ``jobs=4`` run merges to exactly the ``jobs=1`` numbers, and cache hits
 replay the stored snapshot so warm runs report the same simulation
-counters as cold ones.  ``Runner(watchdog=True)`` additionally installs
-a per-job :class:`~repro.obs.invariants.InvariantWatchdog` whose
-findings ride along in the snapshot's ``invariants`` section.
+counters as cold ones.  ``Runner(watchdog=True)`` makes each job's bus
+a checking bus (:meth:`~repro.obs.ProbeBus.check`), whose findings ride
+along in the snapshot's ``invariants`` section.
 
 **Run lifecycle.**  With a cache attached, every ``run_experiment``
 streams its span tree to the run's store
@@ -263,8 +263,7 @@ class Runner:
         also disables the on-disk run store — it lives under the cache
         root and its done jobs are promises the cache keeps).
     watchdog:
-        When true, every job runs under its own
-        :class:`~repro.obs.invariants.InvariantWatchdog`; check and
+        When true, every job runs on a checking probe bus; check and
         violation totals land in the merged metrics manifest.
     timeout_s:
         Per-job wall-clock budget, counted from submission; a job over

@@ -2,9 +2,10 @@
 
 Every way to ask for a run — :func:`repro.api.run`, the CLI's flags
 and the serving daemon's request parser — builds one
-:class:`RunRequest`, so the policy knobs (cache, timeout,
-retry, run id, fault injection) and what ``probes`` or ``jobs`` mean
-are defined exactly once, here.
+:class:`RunRequest`, and every runner comes from :func:`make_runner`,
+so the execution policy (backend, timeout, retry, fault injection,
+invariant checks) and what ``probes`` or ``jobs`` mean are defined
+exactly once, here.
 
 The functions below are the whole lifecycle:
 
@@ -52,8 +53,9 @@ class RunRequest:
 
     This is the blessed entry point for running experiments
     (``repro.api.run(RunRequest(...))``); the engine, the CLI and the
-    serving layer all construct runs from it, so retry/timeout policy
-    has exactly one definition.
+    serving layer all construct runs from it.  It names *what* to run;
+    *how* (backend, timeout, retry, faults, invariant checks) is the
+    runner's, built by :func:`make_runner`.
 
     Fields
     ------
@@ -85,30 +87,14 @@ class RunRequest:
         ``$REPRO_CACHE_DIR`` or ``.repro-cache``).
     probes:
         A :class:`repro.obs.ProbeBus` installed for the run's duration.
-    watchdog:
-        Run every job under an invariant watchdog.
-    timeout_s / retry:
-        Per-job wall-clock budget and :class:`RetryPolicy` (defaults:
-        no timeout; 3 attempts, 2 worker crashes, exponential backoff).
     run_id:
         Override the (otherwise deterministic) run id, which names the
         span store the run records into.  A store of the same plan is
         appended to; its done jobs are cache hits, so issuing a killed
         or partly failed run again finishes it.
-    faults:
-        A :class:`FaultPlan` for deterministic chaos testing.
-    backend:
-        Execution backend name — ``"serial"``, ``"pool"`` or
-        ``"cluster"`` — or a ready
-        :class:`~repro.experiments.backends.ExecutionBackend`.
-        ``None`` (default) derives serial/pool from ``jobs``.  A
-        cluster run spawns ``workers`` local worker processes (a
-        runner from ``make_runner(worker_address=...)`` waits for
-        external ``repro worker --connect`` processes instead).
-        Everything else on this request — retry, quarantine, faults,
-        the run store — behaves identically across backends.
-    workers:
-        Cluster fleet size (``backend="cluster"`` only; default 2).
+
+    ``jobs``, ``cache`` and ``cache_dir`` build the runner when
+    :func:`execute` gets none; a passed runner keeps its own.
     """
 
     experiment_id: Optional[str] = None
@@ -118,13 +104,7 @@ class RunRequest:
     cache: Union[bool, ResultCache] = True
     cache_dir: Optional[os.PathLike] = None
     probes: Optional[object] = None
-    watchdog: bool = False
-    timeout_s: Optional[float] = None
-    retry: Optional[RetryPolicy] = None
     run_id: Optional[str] = None
-    faults: Optional[FaultPlan] = None
-    backend: Optional[object] = None
-    workers: Optional[int] = None
 
 
 def resolve_jobs(jobs: Optional[int], probes) -> Optional[int]:
@@ -162,18 +142,19 @@ def make_runner(
     workers: Optional[int] = None,
     worker_address: Optional[str] = None,
 ) -> Runner:
-    """A configured engine :class:`Runner`.
+    """A configured engine :class:`Runner`: the one definition of a
+    run's execution policy.
 
     ``jobs=None`` uses every core; ``cache`` accepts ``True`` (default
     location), ``False`` (no caching) or a ready :class:`ResultCache`.
-    ``watchdog=True`` runs every job under an invariant watchdog whose
+    ``watchdog=True`` runs every job on a checking probe bus whose
     findings land in the runner's metrics manifest.  ``backend``
     selects the execution vehicle (``"serial"`` | ``"pool"`` |
     ``"cluster"``; default derives from ``jobs``) — a cluster runner
-    spawns ``workers`` local workers or binds ``worker_address`` for
-    external ones, and should be released with ``Runner.close()``.
-    The remaining knobs mirror :class:`RunRequest`'s lifecycle policy
-    fields.
+    spawns ``workers`` local workers (default 2) or binds
+    ``worker_address`` for external ones, and should be released with
+    ``Runner.close()``.  ``timeout_s``, ``retry`` and ``faults`` are
+    the :class:`Runner`'s.
     """
     from repro.experiments.backends import resolve_backend
 
@@ -201,12 +182,6 @@ def runner_for(request: RunRequest) -> Runner:
         jobs=resolve_jobs(request.jobs, request.probes),
         cache=request.cache,
         cache_dir=request.cache_dir,
-        watchdog=request.watchdog,
-        timeout_s=request.timeout_s,
-        retry=request.retry,
-        faults=request.faults,
-        backend=request.backend,
-        workers=request.workers,
     )
 
 

@@ -60,6 +60,10 @@ class ExperimentSettings:
                     f"{name} must be a positive int, got {value!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if not isinstance(self.temperature, TemperatureMode):
+            names = ", ".join(mode.name for mode in TemperatureMode)
+            raise ValueError(f"temperature must be a TemperatureMode "
+                             f"({names}), got {self.temperature!r}")
         if not self.benchmarks:
             raise ValueError("benchmarks must name at least one benchmark")
         try:

@@ -8,9 +8,9 @@ other processes or hosts.  They all need the same per-job environment:
 * a **fresh probe bus** (a fork of the ambient bus when one is
   installed, so live tracing keeps streaming; otherwise a standalone
   bus) whose snapshot ships back with the result and is what makes
-  fan-out transparent to the metrics manifest;
-* an optional **invariant watchdog**, whose findings ride along in
-  the snapshot;
+  fan-out transparent to the metrics manifest.  Under ``--watchdog``
+  it is a checking bus, whose invariant findings ride along in the
+  snapshot;
 * the runner's **span wire context**, under which the worker opens an
   ``attempt`` span so the job's phases nest below the exact job span
   the runner minted — deterministic ids keep serial, pool and cluster
@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
 from typing import Callable, Tuple
 
 from repro.experiments import faults as faults_mod
 from repro.obs import ProbeBus, get_probes, use_probes
-from repro.obs.invariants import InvariantWatchdog, use_watchdog
 from repro.obs.spans import SpanContext, SpanTracer, use_tracer
 
 __all__ = ["captured_call", "run_job_in_worker"]
@@ -48,19 +46,15 @@ def captured_call(fn: Callable[[], object],
     histograms and gauges accumulate separately for the per-job
     snapshot.  In workers (no ambient bus) a fresh bus captures
     the same metrics, which is what makes fan-out transparent to the
-    metrics manifest.  ``watchdog=True`` also installs a fresh
-    :class:`InvariantWatchdog` and attaches its findings to the
-    snapshot.
+    metrics manifest.  ``watchdog=True`` makes the scoped bus a
+    checking bus, so its snapshot carries an ``invariants`` section.
     """
     ambient = get_probes()
-    bus = ambient.fork() if ambient.enabled else ProbeBus()
-    watch_ctx = use_watchdog(InvariantWatchdog()) if watchdog else nullcontext()
-    with watch_ctx as wd, use_probes(bus):
+    bus = (ambient.fork(checks=watchdog) if ambient.enabled
+           else ProbeBus(checks=watchdog))
+    with use_probes(bus):
         result = fn()
-    snapshot = bus.snapshot()
-    if wd is not None:
-        snapshot["invariants"] = wd.snapshot()
-    return result, snapshot
+    return result, bus.snapshot()
 
 
 def run_job_in_worker(settings, job, watchdog: bool, fault,

@@ -1,4 +1,4 @@
-"""Observability — probe bus, spans, metrics, watchdogs — ambient activation.
+"""Observability — probe bus, spans, metrics — ambient activation.
 
 Components accept a ``probes`` argument and default to the ambient bus,
 so instrumentation normally flows in one of two ways:
@@ -10,6 +10,9 @@ so instrumentation normally flows in one of two ways:
   installs the bus as the process default picked up by every system
   constructed inside the block (what the ``--trace``/``--profile`` CLI
   flags do).
+
+A bus built with ``checks=True`` also records runtime invariant checks
+(:meth:`ProbeBus.check`); ``Runner(watchdog=True)`` gives every job one.
 
 The ambient bus is per-process, but since PR 3 that no longer limits
 fan-out: the experiment engine runs every job under its own bus, ships
@@ -24,7 +27,6 @@ time went is recorded only as spans.  Tooling around the bus:
   one timing mechanism (``phase_seconds`` feeds ``--profile``);
 * :mod:`repro.obs.metrics` — histogram/gauge types and the snapshot
   algebra;
-* :mod:`repro.obs.invariants` — opt-in runtime invariant watchdogs;
 * :mod:`repro.obs.export` — JSONL trace → Chrome-trace/Perfetto;
 * :mod:`repro.obs.report` — bench-artifact regression reporter.
 """
@@ -62,19 +64,16 @@ from repro.obs.spans import (
 __all__ = [
     "Gauge",
     "Histogram",
-    "InvariantWatchdog",
     "JsonlTraceSink",
     "ListTraceSink",
     "NULL_PROBES",
     "NULL_TRACER",
-    "NULL_WATCHDOG",
     "ProbeBus",
     "SpanContext",
     "SpanTracer",
     "empty_snapshot",
     "get_probes",
     "get_tracer",
-    "get_watchdog",
     "instrument",
     "merge_snapshots",
     "prometheus_text",
@@ -84,8 +83,6 @@ __all__ = [
     "tree_signature",
     "use_probes",
     "use_tracer",
-    "use_watchdog",
-    "watch",
 ]
 
 _ACTIVE: Optional[ProbeBus] = None
@@ -127,14 +124,3 @@ def instrument(trace: Optional[Union[str, object]] = None) -> Iterator[ProbeBus]
             yield bus
     finally:
         bus.close()
-
-
-# imported after get_probes exists: invariants report violations on the
-# ambient bus
-from repro.obs.invariants import (  # noqa: E402
-    NULL_WATCHDOG,
-    InvariantWatchdog,
-    get_watchdog,
-    use_watchdog,
-    watch,
-)

@@ -8,7 +8,7 @@ assert).  Components take a bus at construction time and default to
 :data:`NULL_PROBES`, a no-op singleton cheap enough to leave the calls
 in hot paths.
 
-Four facilities share the bus:
+Five facilities share the bus:
 
 * **counters** — ``bus.count("refresh.groups_skipped", n)``; dotted
   names, ``<subsystem>.<quantity>``, accumulated over the bus lifetime;
@@ -22,7 +22,12 @@ Four facilities share the bus:
   stream).  Events carry *simulated* time where available, never wall
   time, so traces are deterministic; a monotone ``seq`` field orders
   them.  Guard construction of expensive event payloads with
-  ``bus.tracing``.
+  ``bus.tracing``;
+* **checks** — ``bus.check("refresh.skip_safety", ok, bank=0, ...)``
+  records one runtime invariant outcome on a bus built with
+  ``checks=True`` (``--watchdog``).  Checks only read simulation state,
+  so a checked run is bit-identical to a bare one; components gather
+  the evidence only when ``bus.checking`` is set.
 
 The bus holds no wall-clock time at all: where the time went is the
 job of spans (:mod:`repro.obs.spans`), so a snapshot is a pure function
@@ -44,7 +49,12 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Dict, List, Optional, TextIO, Union
 
-from repro.obs.metrics import Gauge, Histogram, bounds_for
+from repro.obs.metrics import (
+    MAX_RECORDED_VIOLATIONS,
+    Gauge,
+    Histogram,
+    bounds_for,
+)
 
 
 def _ends_mid_line(path: Path) -> bool:
@@ -171,11 +181,12 @@ class ListTraceSink:
 
 
 class ProbeBus:
-    """Collects counters, histograms, gauges and trace events."""
+    """Collects counters, histograms, gauges, trace events and, when
+    built with ``checks=True``, invariant check outcomes."""
 
     enabled = True
 
-    def __init__(self, trace=None):
+    def __init__(self, trace=None, checks: bool = False):
         self.counters: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.gauges: Dict[str, Gauge] = {}
@@ -183,6 +194,10 @@ class ProbeBus:
         self.events_emitted = 0
         self._seq = 0
         self._delegate: Optional["ProbeBus"] = None
+        self.checking = checks
+        self.checks_run = 0
+        self.violation_count = 0
+        self.violations: List[dict] = []
 
     # ------------------------------------------------------------------
     @property
@@ -232,19 +247,40 @@ class ProbeBus:
         self.trace.emit(record)
         self.events_emitted += 1
 
+    def check(self, name: str, ok: bool, **context) -> bool:
+        """Record one invariant check outcome; returns ``ok`` unchanged.
+
+        On a violation the context is recorded (up to
+        :data:`~repro.obs.metrics.MAX_RECORDED_VIOLATIONS`), the bus
+        counts ``invariant.violations`` and ``invariant.<name>`` and
+        emits an ``invariant.violation`` event.  Nothing is raised:
+        checks observe, they never alter the run.
+        """
+        self.checks_run += 1
+        if ok:
+            return True
+        self.violation_count += 1
+        if len(self.violations) < MAX_RECORDED_VIOLATIONS:
+            self.violations.append(dict(context, check=name))
+        self.count("invariant.violations")
+        self.count(f"invariant.{name}")
+        self.event("invariant.violation", check=name, **context)
+        return False
+
     # ------------------------------------------------------------------
     # composition: per-job capture
     # ------------------------------------------------------------------
-    def fork(self) -> "ProbeBus":
+    def fork(self, checks: bool = False) -> "ProbeBus":
         """A child bus for scoped capture (one engine job).
 
-        The child accumulates counters, histograms and gauges
-        separately — snapshot it for the per-job record — while its
-        events still flow to this bus's sink with this bus's sequence
-        numbers, so the trace stream stays ordered and whole.  Fold the
-        child back with ``merge_snapshot(child.snapshot())``.
+        The child accumulates counters, histograms, gauges and (with
+        ``checks=True``) check outcomes separately — snapshot it for
+        the per-job record — while its events still flow to this bus's
+        sink with this bus's sequence numbers, so the trace stream
+        stays ordered and whole.  Fold the child back with
+        ``merge_snapshot(child.snapshot())``.
         """
-        child = ProbeBus()
+        child = ProbeBus(checks=checks)
         child._delegate = self
         return child
 
@@ -252,9 +288,10 @@ class ProbeBus:
         """Fold a snapshot dict into the live bus (a finished job, a
         cache-hit replay, a forked child).
 
-        Counters, histograms and gauges merge.  Events are never
-        replayed: a forked child already delivered them to this bus's
-        sink as they happened.
+        Counters, histograms and gauges merge; an ``invariants``
+        section does not (:func:`repro.obs.metrics.merge_snapshots`
+        sums those).  Events are never replayed: a forked child already
+        delivered them to this bus's sink as they happened.
         """
         for name, value in snap.get("counters", {}).items():
             self.count(name, value)
@@ -275,9 +312,10 @@ class ProbeBus:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """JSON-able, mergeable state: counters, event volume, histograms
-        and gauges (see :func:`repro.obs.metrics.merge_snapshots`)."""
-        return {
+        """JSON-able, mergeable state: counters, event volume, histograms,
+        gauges and, on a checking bus, an ``invariants`` section (see
+        :func:`repro.obs.metrics.merge_snapshots`)."""
+        snap = {
             "counters": dict(sorted(self.counters.items())),
             "events": self.events_emitted,
             "histograms": {name: self.histograms[name].snapshot()
@@ -285,6 +323,11 @@ class ProbeBus:
             "gauges": {name: self.gauges[name].snapshot()
                        for name in sorted(self.gauges)},
         }
+        if self.checking:
+            snap["invariants"] = {"checks": self.checks_run,
+                                  "violation_count": self.violation_count,
+                                  "violations": list(self.violations)}
+        return snap
 
     def close(self) -> None:
         if self.trace is not None:
@@ -305,6 +348,7 @@ class _NullProbes:
 
     enabled = False
     tracing = False
+    checking = False
     events_emitted = 0
 
     @property
@@ -335,6 +379,9 @@ class _NullProbes:
 
     def event(self, name: str, **fields) -> None:
         pass
+
+    def check(self, name: str, ok: bool, **context) -> bool:
+        return True
 
     def snapshot(self) -> dict:
         return {"counters": {}, "events": 0, "histograms": {}, "gauges": {}}

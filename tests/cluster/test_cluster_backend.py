@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments.backends import resolve_backend
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.lifecycle import RunRequest, execute, runner_for
+from repro.experiments.lifecycle import RunRequest, execute, make_runner
 from repro.experiments.runner import ExperimentSettings
 from repro.obs import ProbeBus
 from repro.obs.spans import dedupe_spans, read_spans, span_path, tree_signature
@@ -20,12 +20,11 @@ MICRO = ExperimentSettings.quick(
 )
 
 
-def run_fig17(cache_dir, **request_overrides):
-    request = RunRequest(
-        "fig17", settings=MICRO, cache_dir=str(cache_dir),
-        **request_overrides,
-    )
-    runner = runner_for(request)
+def run_fig17(cache_dir, probes=None, **policy):
+    """fig17 on a runner built from ``policy`` (``make_runner``
+    keywords) into ``cache_dir``; returns ``(result, runner)``."""
+    request = RunRequest("fig17", settings=MICRO, probes=probes)
+    runner = make_runner(cache_dir=str(cache_dir), **policy)
     try:
         result = execute(request, runner=runner)
     finally:
@@ -86,11 +85,9 @@ class TestBackendResolution:
         finally:
             backend.close()
 
-    def test_runrequest_threads_the_backend_name(self, tmp_path):
-        request = RunRequest("fig17", settings=MICRO,
-                             cache_dir=str(tmp_path),
-                             backend="cluster", workers=2)
-        runner = runner_for(request)
+    def test_make_runner_threads_the_backend_name(self, tmp_path):
+        runner = make_runner(cache_dir=str(tmp_path), backend="cluster",
+                             workers=2)
         try:
             assert runner.backend is not None
             assert runner.backend.name == "cluster"

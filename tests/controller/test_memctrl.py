@@ -8,7 +8,6 @@ import pytest
 from repro.controller.memctrl import MemoryController
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
-from repro.obs.invariants import InvariantWatchdog, use_watchdog
 from repro.obs.probes import ProbeBus
 from repro.transform.bitplane import CHUNK_LINES
 from repro.transform.celltype import CellType
@@ -17,7 +16,8 @@ from repro.transform.codec import StageSelection, ValueTransformCodec
 from repro.workloads.benchmarks import benchmark_profile
 
 
-def make_controller(row_bytes=4096, stages=StageSelection.full()):
+def make_controller(row_bytes=4096, stages=StageSelection.full(),
+                    probes=None):
     geom = DramGeometry(rows_per_bank=(8 << 20) // (8 * row_bytes),
                         row_bytes=row_bytes, rows_per_ar=32,
                         cell_interleave=32)
@@ -26,7 +26,7 @@ def make_controller(row_bytes=4096, stages=StageSelection.full()):
     predictor = CellTypePredictor.from_layout(layout, geom.rows_per_bank)
     codec = ValueTransformCodec(predictor, line_bytes=geom.line_bytes,
                                 stages=stages)
-    return MemoryController(device, codec)
+    return MemoryController(device, codec, probes=probes)
 
 
 class TestLineInterface:
@@ -136,12 +136,11 @@ class TestLineInterface:
 
 class TestRoundTripWatchdog:
     """write_lines decodes the first line of each batch from the words
-    it stores and checks it against the input."""
+    it stores and checks it against the input, on a checking bus."""
 
     def armed_controller(self):
-        watchdog = InvariantWatchdog()
-        with use_watchdog(watchdog):
-            ctrl = make_controller()
+        watchdog = ProbeBus(checks=True)
+        ctrl = make_controller(probes=watchdog)
         rng = np.random.default_rng(8)
         lines = rng.integers(1, 2**64, size=(4, 8), dtype=np.uint64)
         return ctrl, watchdog, np.array([5, 900, 4100, 9000]), lines
@@ -168,9 +167,8 @@ class TestRoundTripWatchdog:
         """A multi-batch write decodes all batches' first lines in one
         call; a stored word corrupted in one batch fails exactly that
         batch's check, with its row and time."""
-        watchdog = InvariantWatchdog()
-        with use_watchdog(watchdog):
-            ctrl = make_controller()
+        watchdog = ProbeBus(checks=True)
+        ctrl = make_controller(probes=watchdog)
         rng = np.random.default_rng(11)
         addrs = rng.choice(ctrl.geometry.total_lines, size=12, replace=False)
         lines = rng.integers(1, 2**64, size=(12, 8), dtype=np.uint64)

@@ -109,21 +109,21 @@ class ReferenceRefreshEngine(RefreshEngine):
             skipped = int(status.sum())
             self.stats.groups_skipped += skipped
             self.probes.count("refresh.groups_skipped", skipped)
-            if self.watchdog.enabled:
-                self._watchdog_clean_skip(bank, ar_set, status, ~status,
+            if self.probes.checking:
+                self._check_clean_skip(bank, ar_set, status, ~status,
                                           time_s)
         return refreshed
 
-    def _watchdog_clean_skip(self, bank: int, ar_set: int,
+    def _check_clean_skip(self, bank: int, ar_set: int,
                              status: np.ndarray, refresh_mask: np.ndarray,
                              time_s: float) -> None:
         truth = self.derive_group_status(bank, ar_set)
-        self.watchdog.check(
+        self.probes.check(
             "refresh.no_discharged_refresh",
             not bool((refresh_mask & truth).any()),
             bank=bank, ar_set=ar_set, t=round(time_s, 6),
         )
-        self.watchdog.check(
+        self.probes.check(
             "refresh.skip_safety",
             not bool((status & ~truth).any()),
             bank=bank, ar_set=ar_set, t=round(time_s, 6),
@@ -188,10 +188,10 @@ class ReferenceRefreshEngine(RefreshEngine):
         after = RefreshStats(**vars(self.stats))
         delta = RefreshStats(**{name: value - getattr(before, name)
                                 for name, value in vars(after).items()})
-        if self.watchdog.enabled:
+        if self.probes.checking:
             expected = (geometry.num_banks * geometry.ar_sets_per_bank
                         * geometry.rows_per_ar)
-            self.watchdog.check(
+            self.probes.check(
                 "refresh.window_conservation",
                 delta.groups_total == expected,
                 groups_total=delta.groups_total, expected=expected,
@@ -263,8 +263,8 @@ class ReferenceHybridEngine(ReferenceRefreshEngine):
             recency_only = int((recent & ~status).sum())
             self.recency_skips += recency_only
             self.probes.count("refresh.recency_skips", recency_only)
-            if self.watchdog.enabled:
-                self._watchdog_clean_skip(bank, ar_set, status, ~skip,
+            if self.probes.checking:
+                self._check_clean_skip(bank, ar_set, status, ~skip,
                                           time_s)
         return refreshed
 
@@ -319,10 +319,10 @@ def write_lines(ctrl, line_addrs, lines, time_s=0.0) -> None:
             float((transformed == zero).mean()),
         )
     chip_words = ctrl.codec.rotation.scatter(transformed, rows)
-    if ctrl.watchdog.enabled:
+    if ctrl.probes.checking:
         row0 = int(rows[0])
         decoded = ctrl.codec.decode_row(chip_words[:, :1], row0)
-        ctrl.watchdog.check(
+        ctrl.probes.check(
             "codec.round_trip",
             bool(np.array_equal(decoded, lines[:1])),
             row=row0, t=round(time_s, 6),

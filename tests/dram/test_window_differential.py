@@ -5,7 +5,7 @@ before every AR slot and one ``process_ar`` per (bank, set).  These
 tests drive it and the array pass from identical seeds and require the
 same state after every window: the stats delta, the bank arrays, the
 tracking tables, the controller counts, the probe snapshot (histogram
-sums included), the trace events and the watchdog's checks.
+sums and invariant checks included) and the trace events.
 
 * ``TestSystemRuns``: whole ``ZeroRefreshSystem`` runs in four modes,
   both AR policies, staggered counters on and off and 2/4/8 KB rows,
@@ -29,7 +29,6 @@ from repro.dram.device import DramDevice, LineWrites
 from repro.dram.geometry import DramGeometry
 from repro.dram.refresh import RefreshEngine
 from repro.obs import ListTraceSink, ProbeBus
-from repro.obs.invariants import InvariantWatchdog, use_watchdog
 from repro.transform.celltype import CellTypeLayout, CellTypePredictor
 from repro.transform.codec import ValueTransformCodec
 from repro.workloads.benchmarks import benchmark_profile
@@ -103,17 +102,15 @@ def system_run(old: bool, mode, policy, staggered, row_bytes, busy):
         refresh_mode=mode, refresh_policy=policy,
         staggered_counters=staggered)
     sink = ListTraceSink()
-    bus = ProbeBus(trace=sink)
-    wd = InvariantWatchdog()
-    with use_watchdog(wd):
-        system = ZeroRefreshSystem(config, probes=bus)
-        if old:
-            reference.install(system)
-        system.populate(benchmark_profile("gcc"),
-                        allocated_fraction=0.7 if busy else 0.0,
-                        working_set_fraction=0.3)
-        run = reference.run_windows if old else ZeroRefreshSystem.run_windows
-        result = run(system, 2)
+    bus = ProbeBus(trace=sink, checks=True)
+    system = ZeroRefreshSystem(config, probes=bus)
+    if old:
+        reference.install(system)
+    system.populate(benchmark_profile("gcc"),
+                    allocated_fraction=0.7 if busy else 0.0,
+                    working_set_fraction=0.3)
+    run = reference.run_windows if old else ZeroRefreshSystem.run_windows
+    result = run(system, 2)
     return {
         "result": (vars(result.refresh), repr(result.energy), repr(result.ipc)),
         "device": device_state(system.device),
@@ -122,7 +119,7 @@ def system_run(old: bool, mode, policy, staggered, row_bytes, busy):
                  system.controller.line_reads),
         "probes": bus.snapshot(),
         "events": split_events(sink.records),
-        "watchdog": wd.snapshot(),
+        "checks": bus.snapshot()["invariants"],
         "rng": system.rng.integers(0, 2**32, size=4),
     }
 
@@ -149,8 +146,8 @@ class TestSystemRuns:
     def test_watched_runs_exercise_the_clean_skip_checks(self):
         new = system_run(False, "zero-refresh", "per-bank", True, 4096,
                          busy=True)
-        assert new["watchdog"]["checks"] > 0
-        assert new["watchdog"]["violation_count"] == 0
+        assert new["checks"]["checks"] > 0
+        assert new["checks"]["violation_count"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +158,7 @@ GEOMETRY = DramGeometry(rows_per_bank=64, rows_per_ar=16, cell_interleave=16,
 
 
 def build(old: bool, mode: str, policy: str, staggered: bool):
-    """Device, engine, codec, bus and watchdog over mixed content, one
+    """Device, engine, codec and checking bus over mixed content, one
     kind per block of ``num_chips`` rows (a group's diagonal): zero
     blocks, random blocks, and zero blocks with a few random lines in
     one row."""
@@ -181,19 +178,17 @@ def build(old: bool, mode: str, policy: str, staggered: bool):
                 lines[:3] = rng.integers(0, 2**64, size=(3, 8), dtype=np.uint64)
             device.write_row(bank, row, codec.encode_row(lines, row))
     sink = ListTraceSink()
-    bus = ProbeBus(trace=sink)
-    wd = InvariantWatchdog()
+    bus = ProbeBus(trace=sink, checks=True)
     kwargs = dict(staggered=staggered, policy=policy, probes=bus)
-    with use_watchdog(wd):
-        if old:
-            engine = (reference.ReferenceHybridEngine(device, **kwargs)
-                      if mode == "hybrid" else
-                      reference.ReferenceRefreshEngine(device, mode=mode,
-                                                       **kwargs))
-        else:
-            engine = (HybridRefreshEngine(device, **kwargs) if mode == "hybrid"
-                      else RefreshEngine(device, mode=mode, **kwargs))
-    return device, engine, codec, bus, sink, wd
+    if old:
+        engine = (reference.ReferenceHybridEngine(device, **kwargs)
+                  if mode == "hybrid" else
+                  reference.ReferenceRefreshEngine(device, mode=mode,
+                                                   **kwargs))
+    else:
+        engine = (HybridRefreshEngine(device, **kwargs) if mode == "hybrid"
+                  else RefreshEngine(device, mode=mode, **kwargs))
+    return device, engine, codec, bus, sink
 
 
 def slot_relative(engine, t0, picks):
@@ -213,62 +208,61 @@ def slot_relative(engine, t0, picks):
 
 
 def run_posted(old, mode, policy, staggered, windows):
-    device, engine, codec, bus, sink, wd = build(old, mode, policy, staggered)
+    device, engine, codec, bus, sink = build(old, mode, policy, staggered)
     tret = engine.timing.tret_s
     states = []
-    with use_watchdog(wd):
-        engine.run_window(0.0)
-        states.append(bus.snapshot())
-        for w, (writes, reads) in enumerate(windows, start=1):
-            t0 = w * tret
-            wtimes = slot_relative(engine, t0, [p for _, _, p in writes])
-            rtimes = slot_relative(engine, t0, [p for _, p in reads])
-            banks = np.array([b for (b, _), _, _ in writes], dtype=np.int64)
-            rows = np.array([r for (_, r), _, _ in writes], dtype=np.int64)
-            lines_in_row = np.array([line for _, line, _ in writes],
-                                    dtype=np.int64)
-            content = np.random.default_rng(w).integers(
-                0, 2**64, size=(len(writes), 8), dtype=np.uint64)
-            content[::2] = 0
-            chip_words = (codec.encode_row(content, rows) if len(writes) else
-                          np.empty((GEOMETRY.num_chips, 0, 1), np.uint64))
-            # a read opens every row of a chip block: recency skips need
-            # the whole diagonal of a group activated
-            rbanks = np.repeat([b for (b, _), _ in reads],
-                               GEOMETRY.num_chips).astype(np.int64)
-            rrows = (np.array([r for (_, r), _ in reads], dtype=np.int64)
-                     // GEOMETRY.num_chips * GEOMETRY.num_chips)
-            rrows = (rrows[:, None] + np.arange(GEOMETRY.num_chips)).ravel()
-            rtimes = np.repeat(rtimes, GEOMETRY.num_chips)
-            if old:
-                def apply_writes(index, stamp):
-                    for i in index:
-                        device.write_line(int(banks[i]), int(rows[i]),
-                                          int(lines_in_row[i]),
-                                          chip_words[:, i], stamp)
+    engine.run_window(0.0)
+    states.append(bus.snapshot())
+    for w, (writes, reads) in enumerate(windows, start=1):
+        t0 = w * tret
+        wtimes = slot_relative(engine, t0, [p for _, _, p in writes])
+        rtimes = slot_relative(engine, t0, [p for _, p in reads])
+        banks = np.array([b for (b, _), _, _ in writes], dtype=np.int64)
+        rows = np.array([r for (_, r), _, _ in writes], dtype=np.int64)
+        lines_in_row = np.array([line for _, line, _ in writes],
+                                dtype=np.int64)
+        content = np.random.default_rng(w).integers(
+            0, 2**64, size=(len(writes), 8), dtype=np.uint64)
+        content[::2] = 0
+        chip_words = (codec.encode_row(content, rows) if len(writes) else
+                      np.empty((GEOMETRY.num_chips, 0, 1), np.uint64))
+        # a read opens every row of a chip block: recency skips need
+        # the whole diagonal of a group activated
+        rbanks = np.repeat([b for (b, _), _ in reads],
+                           GEOMETRY.num_chips).astype(np.int64)
+        rrows = (np.array([r for (_, r), _ in reads], dtype=np.int64)
+                 // GEOMETRY.num_chips * GEOMETRY.num_chips)
+        rrows = (rrows[:, None] + np.arange(GEOMETRY.num_chips)).ravel()
+        rtimes = np.repeat(rtimes, GEOMETRY.num_chips)
+        if old:
+            def apply_writes(index, stamp):
+                for i in index:
+                    device.write_line(int(banks[i]), int(rows[i]),
+                                      int(lines_in_row[i]),
+                                      chip_words[:, i], stamp)
 
-                def apply_reads(index, stamp):
-                    for i in index:
-                        bank = device.banks[int(rbanks[i])]
-                        bank.last_refresh[rrows[i]] = np.maximum(
-                            bank.last_refresh[rrows[i]], stamp)
-                        engine.note_access(int(rbanks[i]), int(rrows[i]))
+            def apply_reads(index, stamp):
+                for i in index:
+                    bank = device.banks[int(rbanks[i])]
+                    bank.last_refresh[rrows[i]] = np.maximum(
+                        bank.last_refresh[rrows[i]], stamp)
+                    engine.note_access(int(rbanks[i]), int(rrows[i]))
 
-                hook = reference.make_write_hook(
-                    apply_writes, apply_reads, np.arange(len(writes)), wtimes,
-                    np.arange(len(rrows)), rtimes)
-                delta = engine.run_window(t0, hook)
-            else:
-                engine.post_writes(
-                    LineWrites(banks, rows, lines_in_row, chip_words), wtimes)
-                if len(rrows):
-                    engine.post_reads(rbanks, rrows, rtimes)
-                delta = engine.run_window(t0)
-            states.append({"delta": vars(delta), "device": device_state(device),
-                           "engine": engine_state(engine),
-                           "probes": bus.snapshot()})
+            hook = reference.make_write_hook(
+                apply_writes, apply_reads, np.arange(len(writes)), wtimes,
+                np.arange(len(rrows)), rtimes)
+            delta = engine.run_window(t0, hook)
+        else:
+            engine.post_writes(
+                LineWrites(banks, rows, lines_in_row, chip_words), wtimes)
+            if len(rrows):
+                engine.post_reads(rbanks, rrows, rtimes)
+            delta = engine.run_window(t0)
+        states.append({"delta": vars(delta), "device": device_state(device),
+                       "engine": engine_state(engine),
+                       "probes": bus.snapshot()})
     return {"windows": states, "events": split_events(sink.records),
-            "watchdog": wd.snapshot()}
+            "checks": bus.snapshot()["invariants"]}
 
 
 TIME_PICK = st.tuples(st.sampled_from(["at", "before", "any", "last", "end"]),

@@ -26,6 +26,7 @@ from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.experiments.lifecycle import (
     RunRequest,
     execute,
+    make_runner,
     resolve_jobs,
     runner_for,
 )
@@ -219,14 +220,13 @@ class TestQuarantine:
         """A job that fails every attempt is quarantined; the rest of
         the plan completes and the result is the partial report."""
         bus = ProbeBus()
-        request = RunRequest(
-            "_lifecycle_tiny", settings=MICRO,
-            cache_dir=tmp_path / "cache", probes=bus,
+        request = RunRequest("_lifecycle_tiny", settings=MICRO, probes=bus)
+        runner = make_runner(
+            jobs=1, cache_dir=tmp_path / "cache",
             retry=RetryPolicy(max_attempts=2, backoff_base_s=0.001),
             faults=FaultPlan((FaultSpec(job_index=1, kind="crash",
                                         times=99),)),
         )
-        runner = runner_for(request)
         result = execute(request, runner=runner)
 
         assert "PARTIAL FAILURE" in result.title
@@ -246,15 +246,14 @@ class TestQuarantine:
         """After the fault is gone, issuing the partial run again serves
         the recorded jobs from the cache and finishes the one that was
         quarantined, in the same run."""
-        faulty = RunRequest(
-            "_lifecycle_tiny", settings=MICRO,
+        faulty_runner = make_runner(
             cache_dir=tmp_path / "cache",
             retry=RetryPolicy(max_attempts=2, backoff_base_s=0.001),
             faults=FaultPlan((FaultSpec(job_index=1, kind="crash",
                                         times=99),)),
         )
-        faulty_runner = runner_for(faulty)
-        execute(faulty, runner=faulty_runner)
+        execute(RunRequest("_lifecycle_tiny", settings=MICRO),
+                runner=faulty_runner)
 
         request = RunRequest(
             "_lifecycle_tiny", settings=MICRO,

@@ -8,6 +8,8 @@ hold no wall-clock time, so whole manifests compare equal.
 
 import json
 
+import pytest
+
 from repro.experiments import REGISTRY, ExperimentSettings
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import Runner, SimJob
@@ -89,6 +91,44 @@ class TestCacheReplay:
         runner = Runner(jobs=1, cache=None)
         runner.run_experiment(REGISTRY["fig17"], MICRO)
         assert "invariants" not in runner.merged_metrics
+
+
+class TestChecksStayOutOfJobCounters:
+    """A checking bus adds an ``invariants`` section to each job's
+    snapshot and changes nothing else in it, whatever the fan-out:
+    perfbench compares job counters exactly, and turning checks on for
+    every run must not move them."""
+
+    @pytest.fixture(scope="class")
+    def manifests(self):
+        runs = {}
+
+        def manifest(jobs, watchdog):
+            if (jobs, watchdog) not in runs:
+                runner = Runner(jobs=jobs, cache=None, watchdog=watchdog)
+                runner.run_experiment(REGISTRY["fig17"], MICRO)
+                runs[jobs, watchdog] = runner.metrics_manifest()
+            return runs[jobs, watchdog]
+
+        return manifest
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_watched_jobs_equal_unwatched_but_for_invariants(
+            self, manifests, jobs):
+        watched = manifests(jobs, True)["jobs"]
+        bare = manifests(jobs, False)["jobs"]
+        assert len(watched) == len(bare) == len(MICRO.benchmarks)
+        for w, b in zip(watched, bare):
+            assert w["digest"] == b["digest"]
+            metrics = dict(w["metrics"])
+            assert metrics.pop("invariants")["checks"] > 0
+            assert "invariants" not in b["metrics"]
+            assert metrics == b["metrics"]
+
+    def test_merged_invariants_equal_across_fan_out(self, manifests):
+        serial = manifests(1, True)["merged"]["invariants"]
+        assert serial["checks"] > 0
+        assert manifests(2, True)["merged"]["invariants"] == serial
 
 
 class TestAmbientReplay:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.lifecycle import RunRequest, execute, runner_for
+from repro.experiments.lifecycle import RunRequest, execute, make_runner
 from repro.experiments.runner import ExperimentSettings
 from repro.obs.spans import dedupe_spans, read_spans, span_path
 
@@ -28,26 +28,24 @@ MICRO = ExperimentSettings.quick(**MICRO_KWARGS)
 ABORT_SCRIPT = """\
 import sys
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.lifecycle import RunRequest, execute
+from repro.experiments.lifecycle import RunRequest, execute, make_runner
 from repro.experiments.runner import ExperimentSettings
 
 settings = ExperimentSettings.quick(
     memory_bytes=8 << 20, windows=1, benchmarks=("mcf", "gcc"))
-execute(RunRequest(
-    "fig17", settings=settings, jobs=1, cache_dir=sys.argv[1],
-    run_id="itest-abort",
-    faults=FaultPlan((FaultSpec(job_index=0, kind="abort-run"),)),
-))
+execute(RunRequest("fig17", settings=settings, run_id="itest-abort"),
+        runner=make_runner(
+            jobs=1, cache_dir=sys.argv[1],
+            faults=FaultPlan((FaultSpec(job_index=0, kind="abort-run"),))))
 raise SystemExit("unreachable: the abort-run fault must SIGKILL us")
 """
 
 
-def run_fig17(cache_dir, **request_overrides):
-    request = RunRequest(
-        "fig17", settings=MICRO, cache_dir=str(cache_dir),
-        **request_overrides,
-    )
-    runner = runner_for(request)
+def run_fig17(cache_dir, run_id=None, **policy):
+    """fig17 on a runner built from ``policy`` (``make_runner``
+    keywords) into ``cache_dir``; returns ``(result, runner)``."""
+    request = RunRequest("fig17", settings=MICRO, run_id=run_id)
+    runner = make_runner(cache_dir=str(cache_dir), **policy)
     return execute(request, runner=runner), runner
 
 

@@ -151,6 +151,14 @@ class TestTemperatureParsing:
             apply_settings(ExperimentSettings(), {"temperature": "lukewarm"})
         assert "NORMAL" in str(err.value) and "EXTENDED" in str(err.value)
 
+    @pytest.mark.parametrize("raw", ["NORMAL", None])
+    def test_settings_reject_a_temperature_that_is_not_a_mode(self, raw):
+        # the wire parser maps names through TemperatureMode.parse; a
+        # library caller passing the name itself is refused, not coerced
+        with pytest.raises(ValueError, match="temperature") as err:
+            ExperimentSettings.quick(temperature=raw)
+        assert "NORMAL" in str(err.value) and "EXTENDED" in str(err.value)
+
 
 class TestMaterializeConfig:
     def test_empty_map_materialises_to_none(self):

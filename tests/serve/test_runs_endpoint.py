@@ -18,7 +18,7 @@ from repro.experiments.engine import (
     default_run_id,
 )
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.lifecycle import RunRequest, execute, runner_for
+from repro.experiments.lifecycle import RunRequest, execute, make_runner
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
 from repro.obs.inspect import inspect_run
 from repro.obs.spans import dedupe_spans, read_spans, span_path
@@ -200,11 +200,10 @@ class TestAgreesWithInspect:
     state and job counts agree for finished, partial and interrupted
     runs."""
 
-    def run(self, cache, run_id, **overrides):
-        request = RunRequest("_svc_tiny", settings=MICRO, cache_dir=cache,
-                             run_id=run_id, **overrides)
-        runner = runner_for(request)
-        execute(request, runner=runner)
+    def run(self, cache, run_id, **policy):
+        runner = make_runner(cache_dir=cache, **policy)
+        execute(RunRequest("_svc_tiny", settings=MICRO, run_id=run_id),
+                runner=runner)
         return runner
 
     def status(self, cache, run_id):
