@@ -123,29 +123,20 @@ class TraceDrivenDriver:
     def replay(self, trace: ProgramTrace) -> None:
         """Push trace accesses through the caches into DRAM.
 
-        The LLC's fills are read, and decoded, in one batch after the
-        cache loop, and its writebacks written in one batch after that.
+        The caches walk the slice in one batch; its fills are then read,
+        and decoded, in one batch, and its writebacks written in one.
         That is the same as one access at a time: every access happens
         at the system's current time, reads change no stored data, and
-        the writes wait for the loop either way.
+        the writes wait for the walk either way.
         """
-        fill_addrs, write_addrs = [], []
-        for core, addr, is_write in zip(trace.core.tolist(),
-                                        trace.line_addr.tolist(),
-                                        trace.is_write.tolist()):
-            for event in self.hierarchy.access(core, addr, is_write):
-                if event.is_write:
-                    write_addrs.append(event.line_addr)
-                else:
-                    fill_addrs.append(event.line_addr)
-        if fill_addrs:
-            self.system.controller.read_lines(np.asarray(fill_addrs),
-                                              self.system.time_s)
-            self.dram_reads += len(fill_addrs)
-        if write_addrs:
-            self.system._apply_writes(np.asarray(write_addrs),
-                                      self.system.time_s)
-            self.dram_writes += len(write_addrs)
+        fills, writebacks = self.hierarchy.replay(
+            trace.core, trace.line_addr, trace.is_write)
+        if len(fills):
+            self.system.controller.read_lines(fills, self.system.time_s)
+            self.dram_reads += len(fills)
+        if len(writebacks):
+            self.system._apply_writes(writebacks, self.system.time_s)
+            self.dram_writes += len(writebacks)
 
     def run_window(self, trace_slice: ProgramTrace):
         """Replay one window's trace then run its refresh schedule."""
@@ -153,13 +144,17 @@ class TraceDrivenDriver:
         return self.system.engine.run_window(self.system.time_s)
 
     def run(self, trace: ProgramTrace, n_windows: int):
-        """Split a trace evenly over windows and run them all."""
+        """Split a trace evenly over windows (the last takes the
+        remainder) and run them all."""
         from repro.dram.refresh import RefreshStats
 
+        if n_windows < 1:
+            raise ValueError("n_windows must be at least 1")
         per_window = max(1, len(trace) // n_windows)
         total = RefreshStats()
         for i in range(n_windows):
-            window_slice = trace.slice(i * per_window, (i + 1) * per_window)
+            stop = len(trace) if i == n_windows - 1 else (i + 1) * per_window
+            window_slice = trace.slice(i * per_window, stop)
             total = total.merged_with(self.run_window(window_slice))
             self.system.time_s += self.system.config.timing.tret_s
         return total

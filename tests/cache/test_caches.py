@@ -84,6 +84,33 @@ class TestCacheHierarchy:
         h = CacheHierarchy(num_cores=2)
         with pytest.raises(ValueError):
             h.access(2, 0, False)
+        with pytest.raises(ValueError):
+            CacheHierarchy(num_cores=0)
+
+        # a batch is checked whole: an out-of-range last core, or arrays
+        # of different lengths, leave no trace of the accesses before
+        def build():
+            h = CacheHierarchy(num_cores=2, l1_bytes=256, l1_ways=2,
+                               llc_bytes_per_core=512, llc_ways=2)
+            h.replay([0, 1, 0], [5, 9, 13], [True, False, True])
+            return h
+
+        def counters(h):
+            return [(c.hits, c.misses, c.writebacks) for c in [*h.l1, h.llc]]
+
+        h, untouched = build(), build()
+        with pytest.raises(ValueError, match="core index"):
+            h.replay([0, 1, 0, 1, 2], [40, 41, 42, 43, 5],
+                     [True, True, True, True, False])
+        with pytest.raises(ValueError, match="equal length"):
+            h.replay([0, 1], [40, 41, 42], [True, True])
+        assert counters(h) == counters(untouched)
+        batch = ([0, 1, 0, 1, 0], [40, 41, 42, 43, 5],
+                 [False, True, True, False, False])
+        for got, want in zip(h.replay(*batch), untouched.replay(*batch)):
+            np.testing.assert_array_equal(got, want)
+        assert counters(h) == counters(untouched)
+        assert h.drain() == untouched.drain()
 
     def test_drain_flushes_dirty_lines_to_memory(self):
         h = CacheHierarchy(num_cores=1)

@@ -85,6 +85,27 @@ class TestTraceDrivenDriver:
         dram_events = driver.dram_reads + driver.dram_writes
         assert dram_events < len(trace) * 0.2
 
+    @pytest.mark.parametrize("accesses, windows", [(4000, 3), (5, 8)])
+    def test_run_replays_every_access(self, system, accesses, windows):
+        """The last window takes what an uneven split leaves over."""
+        driver = TraceDrivenDriver(system)
+        rng = np.random.default_rng(8)
+        pages = system.allocator.allocated_pages[:64]
+        trace = ProgramTrace.generate(pages, accesses, rng=rng)
+        stats = driver.run(trace, n_windows=windows)
+        assert stats.windows == windows
+        assert sum(l1.hits + l1.misses
+                   for l1 in driver.hierarchy.l1) == accesses
+
+    @pytest.mark.parametrize("windows", [0, -1])
+    def test_run_rejects_window_count_below_one(self, system, windows):
+        driver = TraceDrivenDriver(system)
+        rng = np.random.default_rng(9)
+        trace = ProgramTrace.generate(system.allocator.allocated_pages[:4],
+                                      10, rng=rng)
+        with pytest.raises(ValueError, match="n_windows"):
+            driver.run(trace, n_windows=windows)
+
     def test_integrity_preserved(self, system):
         driver = TraceDrivenDriver(system)
         rng = np.random.default_rng(7)

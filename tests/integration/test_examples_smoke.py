@@ -44,6 +44,9 @@ class TestExamples:
         proc = run_example("trace_driven.py")
         assert proc.returncode == 0, proc.stderr
         assert "integrity: OK" in proc.stdout
+        # the LLC's fill and writeback stream, which feeds the codec
+        assert "DRAM traffic: 18831 fills, 3714 writebacks" in proc.stdout
+        assert "LLC: hit rate 74.0%, 3714 writebacks" in proc.stdout
 
     @pytest.mark.slow
     def test_benchmark_sweep_tiny(self):
