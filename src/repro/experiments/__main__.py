@@ -40,9 +40,10 @@ served from the cache.
 Simulation points fan out over ``--jobs`` worker processes and land in
 a content-addressed on-disk cache (``--cache-dir``, default
 ``$REPRO_CACHE_DIR`` or ``.repro-cache``), so re-runs and figures that
-share points are served from disk.  Every run appends a JSONL manifest
-(one line per job: digest, cache hit/miss, wall time, worker id) under
-``<cache-dir>/manifests/`` and prints a summary at the end.
+share points are served from disk.  Every run prints a summary at the
+end; a run with a cache also appends a JSONL manifest (one line per
+job: digest, cache hit/miss, wall time, worker id) under
+``<cache-dir>/manifests/``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from pathlib import Path
 
 import repro.api as api
 from repro.experiments import REGISTRY
-from repro.experiments.cache import default_cache_dir
 from repro.obs.spans import phase_seconds
 
 
@@ -144,7 +144,8 @@ def main(argv=None) -> int:
                         help="attempts per job before quarantine "
                              "(default 3)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write the result cache")
+                        help="ignore and do not write the result cache "
+                             "(nor a span store or manifest)")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="result cache location (default: "
                              "$REPRO_CACHE_DIR or .repro-cache)")
@@ -157,13 +158,8 @@ def main(argv=None) -> int:
                         help="write a JSONL probe event trace (default "
                              "path: repro-trace.jsonl); implies --jobs 1")
     parser.add_argument("--profile", action="store_true",
-                        help="collect probe counters and sum the phase "
-                             "spans' wall times, summarised on stderr; "
-                             "implies --jobs 1")
-    parser.add_argument("--bench-json", type=Path, default=None,
-                        metavar="PATH",
-                        help="with --profile: also write phase timings, "
-                             "counters and cache stats as JSON")
+                        help="print the populate/warmup/measure spans' "
+                             "summed wall times on stderr")
     parser.add_argument("--trace-chrome", type=Path, default=None,
                         metavar="PATH",
                         help="write probe events as a Chrome-trace/"
@@ -179,8 +175,6 @@ def main(argv=None) -> int:
                              "manifest (per-job probe snapshots folded "
                              "in plan order) as JSON")
     args = parser.parse_args(argv)
-    if args.bench_json is not None and not args.profile:
-        parser.error("--bench-json requires --profile")
     if (args.experiment != "sweep"
             and (args.axis or args.sets or args.benchmarks is not None)):
         parser.error("--axis/--set/--benchmarks only apply to 'sweep'")
@@ -223,25 +217,22 @@ def main(argv=None) -> int:
     if args.csv_out is not None:
         args.csv_out.mkdir(parents=True, exist_ok=True)
 
-    instrumented = (args.profile or args.trace is not None
-                    or args.trace_chrome is not None)
+    traced = args.trace is not None or args.trace_chrome is not None
     bus = None
     chrome_records = None
-    if instrumented:
+    if traced:
         from repro.obs import JsonlTraceSink, ListTraceSink, ProbeBus
 
         if args.trace is not None:
             sink = JsonlTraceSink(args.trace)
-        elif args.trace_chrome is not None:
+        else:
             # no JSONL requested: buffer events in memory for conversion
             sink = ListTraceSink()
             chrome_records = sink.records
-        else:
-            sink = None
         bus = ProbeBus(trace=sink)
 
-    # The probe bus is per-process: instrumented runs stay in-process.
-    jobs = 1 if instrumented else args.jobs
+    # The event stream is per-process: traced runs stay in-process.
+    jobs = 1 if traced else args.jobs
     retry = (api.RetryPolicy(max_attempts=args.retries)
              if args.retries is not None else None)
     runner = api.make_runner(jobs=jobs, cache=not args.no_cache,
@@ -290,11 +281,12 @@ def main(argv=None) -> int:
             bus.close()
 
     elapsed = time.time() - run_start
-    manifest_dir = (args.cache_dir or default_cache_dir()) / "manifests"
-    manifest_path = manifest_dir / f"run-{int(run_start)}-{os.getpid()}.jsonl"
-    runner.write_manifest(manifest_path)
     print(f"engine: {runner.summary(elapsed)}", file=sys.stderr)
-    print(f"manifest: {manifest_path}", file=sys.stderr)
+    if runner.cache is not None:
+        manifest_path = (runner.cache.root / "manifests"
+                         / f"run-{int(run_start)}-{os.getpid()}.jsonl")
+        runner.write_manifest(manifest_path)
+        print(f"manifest: {manifest_path}", file=sys.stderr)
     if args.profile:
         parts = [f"{name} {seconds:.3f}s" for name, seconds
                  in phase_seconds(runner.span_records).items()]
@@ -329,9 +321,6 @@ def main(argv=None) -> int:
                                for k, v in sorted(violation.items())
                                if k != "check")
             print(f"  {violation.get('check')}: {fields}", file=sys.stderr)
-    if args.bench_json is not None:
-        write_bench_json(args.bench_json, bus, runner, elapsed)
-        print(f"bench: {args.bench_json}", file=sys.stderr)
     return 0
 
 
@@ -372,33 +361,6 @@ def build_sweep_spec(parser, args, settings):
     except ValueError as exc:  # ScenarioError, or a bad temperature name
         parser.error(str(exc))
     return spec
-
-
-def write_bench_json(path: Path, bus, runner, elapsed_s: float) -> None:
-    """Write the benchmark-smoke artifact: phase timings from the span
-    tree, probe counters and engine cache statistics (the CI
-    ``BENCH_sim.json``)."""
-    stats = runner.stats
-    looked_up = stats.cache_hits + stats.cache_misses
-    invariants = runner.merged_metrics.get("invariants")
-    payload = {
-        "elapsed_s": round(elapsed_s, 3),
-        **bus.snapshot(),
-        "phases": phase_seconds(runner.span_records),
-        **({"invariants": {"checks": invariants["checks"],
-                           "violation_count": invariants["violation_count"]}}
-           if invariants else {}),
-        "engine": {
-            "jobs": stats.jobs,
-            "cache_hits": stats.cache_hits,
-            "cache_misses": stats.cache_misses,
-            "cache_hit_rate": (round(stats.cache_hits / looked_up, 4)
-                               if looked_up else None),
-            "sim_seconds": round(stats.sim_seconds, 3),
-        },
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

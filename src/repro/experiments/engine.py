@@ -33,7 +33,8 @@ Plan-order merging makes the manifest independent of fan-out: a
 replay the stored snapshot so warm runs report the same simulation
 counters as cold ones.  ``Runner(watchdog=True)`` makes each job's bus
 a checking bus (:meth:`~repro.obs.ProbeBus.check`), whose findings ride
-along in the snapshot's ``invariants`` section.
+along in the snapshot's ``invariants`` section; such a runner treats a
+cache entry without that section as a miss, so it checks every job.
 
 **Run lifecycle.**  With a cache attached, every ``run_experiment``
 streams its span tree to the run's store
@@ -264,7 +265,8 @@ class Runner:
         root and its done jobs are promises the cache keeps).
     watchdog:
         When true, every job runs on a checking probe bus; check and
-        violation totals land in the merged metrics manifest.
+        violation totals land in the merged metrics manifest.  A job
+        an unwatched run cached is run again and its entry rewritten.
     timeout_s:
         Per-job wall-clock budget, counted from submission; a job over
         budget counts as a failed attempt and is evicted (a pool is
@@ -525,24 +527,29 @@ class Runner:
                 continue
             t0 = time.time()
             cached = self.cache.get(key) if self.cache else None
-            if cached is not None:
-                result, snapshot = _unpack_cached(cached)
-                results[key] = result
-                metrics[key] = snapshot
-                hit_keys.add(key)
-                if key not in self._stored_keys:
-                    # record the hit as done: the store names every job
-                    # whose result the cache holds
-                    self._span_ctx[key] = self._span_root.child(
-                        "job", qualifier=key)
-                    self._job_t0[key] = t0
-                    self._emit_job_span(key, status="cached")
-                # cache hits replay their stored metrics, so a warm run
-                # reports the same simulation counters as a cold one
-                if ambient.enabled and snapshot:
-                    ambient.merge_snapshot(snapshot)
-            else:
+            if cached is None:
                 pending[key] = job
+                continue
+            result, snapshot = _unpack_cached(cached)
+            if self.watchdog and "invariants" not in (snapshot or {}):
+                # an unwatched run filled this entry, so nothing checked
+                # the job: run it again on a checking bus and rewrite it
+                pending[key] = job
+                continue
+            results[key] = result
+            metrics[key] = snapshot
+            hit_keys.add(key)
+            if key not in self._stored_keys:
+                # record the hit as done: the store names every job
+                # whose result the cache holds
+                self._span_ctx[key] = self._span_root.child(
+                    "job", qualifier=key)
+                self._job_t0[key] = t0
+                self._emit_job_span(key, status="cached")
+            # cache hits replay their stored metrics, so a warm run
+            # reports the same simulation counters as a cold one
+            if ambient.enabled and snapshot:
+                ambient.merge_snapshot(snapshot)
 
         timings = self._execute_pending(settings, pending, results, metrics)
         self._merge_metrics(keys, metrics)
@@ -769,8 +776,8 @@ class Runner:
         # cache first, then the job span: a done span is only ever a
         # promise the cache can keep
         self._emit_job_span(key, status="done")
-        # freshly executed jobs fold into the ambient bus so --profile
-        # and --trace runs see their counters live
+        # freshly executed jobs fold into the ambient bus, so a caller's
+        # bus (RunRequest(probes=...), --trace) sees their counters live
         ambient = get_probes()
         if ambient.enabled and snapshot:
             ambient.merge_snapshot(snapshot)

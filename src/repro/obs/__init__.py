@@ -8,8 +8,8 @@ so instrumentation normally flows in one of two ways:
   ``repro.api.run(RunRequest(..., probes=...))``);
 * ambiently — ``with repro.obs.instrument(trace="run.jsonl") as bus:``
   installs the bus as the process default picked up by every system
-  constructed inside the block (what the ``--trace``/``--profile`` CLI
-  flags do).
+  constructed inside the block (what the ``--trace``/``--trace-chrome``
+  CLI flags do).
 
 A bus built with ``checks=True`` also records runtime invariant checks
 (:meth:`ProbeBus.check`); ``Runner(watchdog=True)`` gives every job one.
@@ -27,8 +27,7 @@ time went is recorded only as spans.  Tooling around the bus:
   one timing mechanism (``phase_seconds`` feeds ``--profile``);
 * :mod:`repro.obs.metrics` — histogram/gauge types and the snapshot
   algebra;
-* :mod:`repro.obs.export` — JSONL trace → Chrome-trace/Perfetto;
-* :mod:`repro.obs.report` — bench-artifact regression reporter.
+* :mod:`repro.obs.export` — JSONL trace → Chrome-trace/Perfetto.
 """
 
 from __future__ import annotations

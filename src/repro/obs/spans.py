@@ -29,7 +29,7 @@ within the enclosing span.  :func:`span_tree` rebuilds the nested
 structure from records, :func:`tree_signature` reduces it to the
 timing-free shape used for equality properties and
 :func:`phase_seconds` totals the phases (``--profile``,
-``BENCH_sim.json``, ``repro inspect``).
+``repro inspect``).
 
 The span store is also the run's only durable record: the ``plan``
 span carries the plan and settings digests and ``done``/``cached``/

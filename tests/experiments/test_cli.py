@@ -117,6 +117,15 @@ class TestEngineFlags:
         manifests = list((cache_dir / "manifests").glob("*.jsonl"))
         assert manifests, "manifest JSONL not written"
 
+    def test_no_cache_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # no --cache-dir and no $REPRO_CACHE_DIR: the default cache dir
+        # would be .repro-cache under the working directory
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        monkeypatch.chdir(tmp_path)
+        assert main(["sram", "--quick", "--no-cache"]) == 0
+        assert "manifest:" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_jobs_flag_serial_equivalence(self, tmp_path, capsys):
         base = ["fig19", "--memory-mb", "4", "--windows", "1",
                 "--no-cache", "--cache-dir", str(tmp_path / "c")]
@@ -133,16 +142,20 @@ class TestInstrumentationFlags:
     BASE = ["ext-vrt", "--quick", "--no-cache"]
 
     def test_profile_reports_phases_without_changing_stdout(self, capsys):
-        assert main(self.BASE) == 0
+        # four jobs: at --jobs 2 they fan out over a pool, whose workers
+        # ship their phase spans back
+        base = ["fig19", "--memory-mb", "4", "--windows", "1", "--no-cache"]
+        assert main(base + ["--jobs", "1"]) == 0
         plain = capsys.readouterr()
-        assert main(self.BASE + ["--profile"]) == 0
-        profiled = capsys.readouterr()
-        assert profiled.out == plain.out
-        (line,) = [ln for ln in profiled.err.splitlines()
-                   if ln.startswith("profile:")]
-        assert re.fullmatch(
-            r"profile: measure \d+\.\d{3}s, populate \d+\.\d{3}s, "
-            r"warmup \d+\.\d{3}s", line), line
+        for jobs in ("1", "2"):
+            assert main(base + ["--jobs", jobs, "--profile"]) == 0
+            profiled = capsys.readouterr()
+            assert profiled.out == plain.out
+            (line,) = [ln for ln in profiled.err.splitlines()
+                       if ln.startswith("profile:")]
+            assert re.fullmatch(
+                r"profile: measure \d+\.\d{3}s, populate \d+\.\d{3}s, "
+                r"warmup \d+\.\d{3}s", line), (jobs, line)
 
     def test_trace_writes_jsonl(self, tmp_path, capsys):
         import json
@@ -157,24 +170,6 @@ class TestInstrumentationFlags:
         assert all("event" in rec and "seq" in rec for rec in events)
         assert [rec["seq"] for rec in events] == list(range(len(events)))
         assert any(rec["event"] == "sim.window" for rec in events)
-
-    def test_bench_json(self, tmp_path, capsys):
-        import json
-
-        bench = tmp_path / "BENCH_sim.json"
-        assert main(self.BASE + ["--profile",
-                                 "--bench-json", str(bench)]) == 0
-        payload = json.loads(bench.read_text())
-        assert set(payload["phases"]) == {"populate", "warmup", "measure"}
-        assert payload["counters"]["sim.windows"] >= 1
-        assert {"cache_hits", "cache_misses",
-                "cache_hit_rate"} <= payload["engine"].keys()
-
-    def test_bench_json_requires_profile(self, tmp_path):
-        import pytest
-
-        with pytest.raises(SystemExit):
-            main(self.BASE + ["--bench-json", str(tmp_path / "b.json")])
 
     def test_trace_chrome_without_jsonl(self, tmp_path, capsys):
         import json
@@ -232,15 +227,15 @@ class TestInstrumentationFlags:
         assert "invariants:" in watched.err
         assert "0 violations" in watched.err
 
-    def test_watchdog_findings_in_bench_json(self, tmp_path):
+    def test_watchdog_findings_in_metrics_json(self, tmp_path):
         import json
 
-        bench = tmp_path / "BENCH_sim.json"
-        assert main(self.BASE + ["--profile", "--watchdog",
-                                 "--bench-json", str(bench)]) == 0
-        payload = json.loads(bench.read_text())
-        assert payload["invariants"]["checks"] > 0
-        assert payload["invariants"]["violation_count"] == 0
+        metrics = tmp_path / "metrics.json"
+        assert main(self.BASE + ["--watchdog",
+                                 "--metrics-json", str(metrics)]) == 0
+        invariants = json.loads(metrics.read_text())["merged"]["invariants"]
+        assert invariants["checks"] > 0
+        assert invariants["violation_count"] == 0
 
 
 class TestVersionFlag:

@@ -87,6 +87,26 @@ class TestCacheReplay:
         assert (cold.merged_metrics["invariants"]
                 == warm.merged_metrics["invariants"])
 
+    def test_watched_run_over_an_unwatched_cache_checks_every_job(
+            self, tmp_path):
+        experiment = REGISTRY["fig17"]
+        cold = Runner(jobs=1, cache=None, watchdog=True)
+        cold.run_experiment(experiment, MICRO)
+        checked = cold.merged_metrics["invariants"]
+        assert checked["checks"] > 0
+        cache = ResultCache(tmp_path)
+        Runner(jobs=1, cache=cache).run_experiment(experiment, MICRO)
+        # entries without an invariants section are misses to a watched
+        # runner: it runs every job on a checking bus and rewrites them
+        watched = Runner(jobs=1, cache=cache, watchdog=True)
+        watched.run_experiment(experiment, MICRO)
+        assert watched.stats.cache_hits == 0
+        assert watched.merged_metrics["invariants"] == checked
+        again = Runner(jobs=1, cache=cache, watchdog=True)
+        again.run_experiment(experiment, MICRO)
+        assert again.stats.cache_hits == len(MICRO.benchmarks)
+        assert again.merged_metrics["invariants"] == checked
+
     def test_unwatched_runs_have_no_invariants_section(self):
         runner = Runner(jobs=1, cache=None)
         runner.run_experiment(REGISTRY["fig17"], MICRO)
@@ -133,9 +153,9 @@ class TestChecksStayOutOfJobCounters:
 
 class TestAmbientReplay:
     def test_cold_and_warm_ambient_counters_match(self, tmp_path):
-        """With --profile/--trace style instrumentation installed, a
-        cache-served run reports the same simulation counters on the
-        ambient bus as the run that computed them."""
+        """With a caller's bus installed (``RunRequest(probes=...)``,
+        ``--trace``), a cache-served run reports the same simulation
+        counters on the ambient bus as the run that computed them."""
         cache = ResultCache(tmp_path)
         experiment = REGISTRY["fig17"]
 
