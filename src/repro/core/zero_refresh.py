@@ -27,7 +27,7 @@ the access-bit protocol sees it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +49,13 @@ from repro.transform.celltype import CellTypeLayout, CellTypePredictor
 from repro.transform.codec import ValueTransformCodec
 from repro.workloads.access import WorkingSetTraceGenerator
 from repro.workloads.benchmarks import SEGMENT_ALIGN_PAGES, BenchmarkProfile
-from repro.workloads.synthetic import generate_lines
+from repro.workloads.synthetic import (
+    BATCHED,
+    CLASS_IDS,
+    CLASS_NAMES,
+    draw_lines_in_order,
+    generate_lines,
+)
 
 
 class ZeroRefreshSystem:
@@ -123,7 +129,10 @@ class ZeroRefreshSystem:
         )
         self.retention = RetentionTracker(self.device, physical_tret)
         self.profile: Optional[BenchmarkProfile] = None
-        self._page_class: Dict[int, str] = {}
+        # content class id of every page (CLASS_NAMES order); pages
+        # never populated stay zero
+        self._page_class = np.full(self.allocator.total_pages,
+                                   CLASS_IDS["zero"], dtype=np.int8)
         self._trace_generator: Optional[WorkingSetTraceGenerator] = None
         self.time_s = 0.0
 
@@ -263,8 +272,7 @@ class ZeroRefreshSystem:
         """Remember each page's content class so writes stay in-class."""
         cursor = 0
         for name, count in profile.segment_classes(len(pages), self.rng):
-            for page in pages[cursor:cursor + count]:
-                self._page_class[int(page)] = name
+            self._page_class[pages[cursor:cursor + count]] = CLASS_IDS[name]
             cursor += count
 
     # ------------------------------------------------------------------
@@ -341,7 +349,8 @@ class ZeroRefreshSystem:
         (hybrid mode) they are posted as row activations that recharge
         the row and feed the recency table.  Draws come in a fixed
         order: the trace, the write times, the read times, then the
-        content of every write that lands, line by line.
+        content of every write that lands, in line order
+        (:meth:`_draw_lines` rebuilds the per-line draws in one pass).
         """
         if self._trace_generator is None:
             return
@@ -384,13 +393,24 @@ class ZeroRefreshSystem:
                                     time_s)
 
     def _draw_lines(self, line_addrs: np.ndarray) -> np.ndarray:
-        """New in-class content for each line, drawn line by line in
-        order (the RNG stream every figure's numbers rest on)."""
-        lines = np.empty((len(line_addrs), 8), dtype=np.uint64)
-        pages = line_addrs // self.config.geometry.lines_per_page
-        for i, page in enumerate(pages.tolist()):
-            name = self._page_class.get(page, "zero")
-            lines[i] = generate_lines(name, 1, self.rng)[0]
+        """New in-class content for each line, exactly as one
+        ``generate_lines(name, 1, rng)`` call per line in order draws it
+        (the RNG stream every figure's numbers rest on).
+
+        Each run of lines whose classes ``draw_lines_in_order`` rebuilds
+        comes from one block of raw generator output; a ``text``,
+        ``uniform32`` or ``float64`` line, whose draws can reject, is
+        still one ``generate_lines`` call.
+        """
+        ids = self._page_class[line_addrs // self.config.geometry.lines_per_page]
+        lines = np.empty((len(ids), 8), dtype=np.uint64)
+        start = 0
+        for i in np.flatnonzero(~BATCHED[ids]).tolist() + [len(ids)]:
+            if start < i:
+                lines[start:i] = draw_lines_in_order(ids[start:i], self.rng)
+            if i < len(ids):
+                lines[i] = generate_lines(CLASS_NAMES[ids[i]], 1, self.rng)[0]
+            start = i + 1
         return self._as_words(lines)
 
     # ------------------------------------------------------------------

@@ -395,9 +395,11 @@ class Runner:
     # ------------------------------------------------------------------
     def _plan_keys(self, settings: ExperimentSettings,
                    jobs: Sequence[SimJob]) -> List[str]:
+        # without a cache the key still holds the settings: metrics are
+        # merged once per key, and one job runs at many settings
         return [
             self.cache.job_key(settings, job) if self.cache
-            else stable_digest(job)
+            else stable_digest(settings, job)
             for job in jobs
         ]
 

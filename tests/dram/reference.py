@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.dram.refresh import RefreshEngine, RefreshStats
 from repro.sim.kernel import SimKernel
-from repro.workloads.synthetic import generate_lines
+from repro.workloads.synthetic import CLASS_NAMES, generate_lines
 
 
 class ReferenceRefreshEngine(RefreshEngine):
@@ -355,7 +355,7 @@ def apply_writes(system, line_addrs, time_s) -> None:
     lines = np.empty((len(line_addrs), 8), dtype=np.uint64)
     pages = line_addrs // system.config.geometry.lines_per_page
     for i, page in enumerate(pages):
-        name = system._page_class.get(int(page), "zero")
+        name = CLASS_NAMES[system._page_class[page]]
         lines[i] = generate_lines(name, 1, system.rng)[0]
     write_lines(system.controller, line_addrs, system._as_words(lines), time_s)
 

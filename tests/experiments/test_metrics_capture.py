@@ -7,9 +7,11 @@ hold no wall-clock time, so whole manifests compare equal.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+import repro.api as api
 from repro.experiments import REGISTRY, ExperimentSettings
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import Runner, SimJob
@@ -59,6 +61,20 @@ class TestFanOutTransparency:
         single = Runner(jobs=1, cache=None)
         single.run_jobs("dup", MICRO, [job])
         assert manifest["merged"] == single.metrics_manifest()["merged"]
+
+    def test_cacheless_runner_merges_a_job_at_each_settings(self):
+        """A job run at two settings by one runner without a cache is
+        two metric entries: its key holds the settings, as a cache key
+        does."""
+        runner = api.make_runner(jobs=1, cache=False)
+        for seed in (3, 5):
+            settings = replace(MICRO, benchmarks=("mcf",), seed=seed)
+            api.run(api.RunRequest("fig17", settings=settings, jobs=1,
+                                   cache=False), runner=runner)
+        manifest = runner.metrics_manifest()
+        assert runner.stats.jobs == 2
+        assert len(manifest["jobs"]) == 2
+        assert manifest["merged"]["counters"]["sim.windows"] == 2
 
 
 class TestCacheReplay:
