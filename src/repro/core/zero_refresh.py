@@ -36,6 +36,7 @@ from repro.controller.scheduler import BankAvailabilityModel
 from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult
 from repro.cpu.core import AnalyticalCoreModel
+from repro.dram.bank import discharged_value
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
 from repro.dram.refresh import RefreshEngine
@@ -256,17 +257,11 @@ class ZeroRefreshSystem:
         banks, rows = self.controller.mapper.page_rows(np.asarray(pages))
         banks = np.ravel(np.atleast_1d(banks))
         rows = np.ravel(np.atleast_1d(rows))
-        full = self.device.banks[0]._full
-        anti = self.predictor.predict_anti(rows)
-        for bank_idx in np.unique(banks):
-            bank = self.device.banks[int(bank_idx)]
-            mask = banks == bank_idx
-            bank_rows = rows[mask]
-            bank.data[bank_rows] = np.where(anti[mask], full, 0)[
-                :, None, None, None
-            ].astype(bank.data.dtype)
-            bank.dirty[bank_rows] = True
-            bank.last_refresh[bank_rows] = self.time_s
+        device = self.device
+        device.data[banks, rows] = discharged_value(
+            self.predictor.predict_anti(rows), device.data.dtype)[:, None, None, None]
+        device.dirty[banks, rows] = True
+        device.last_refresh[banks, rows] = self.time_s
 
     def _record_classes(self, pages: np.ndarray, profile: BenchmarkProfile) -> None:
         """Remember each page's content class so writes stay in-class."""

@@ -18,12 +18,19 @@ The bank also keeps, per logical row:
   derived, consumed by the refresh engine when it renews the
   discharged-status table.
 
-The wire-OR discharged detector of Sec. IV-B is modelled by
-:meth:`Bank.detect_discharged`, which the refresh engine invokes only
-for rows it is refreshing anyway (detection is free during refresh).
+These arrays and the bank's anti-cell and spared flags are views of
+its slice of the rank's arrays (:func:`rank_state`, held by
+:class:`~repro.dram.device.DramDevice`), not copies.  Nothing may
+rebind them (``bank.data = ...``); write into them in place.
+
+The wire-OR discharged detector of Sec. IV-B is :func:`discharged`;
+the refresh engine invokes it only for rows it is refreshing anyway
+(detection is free during refresh).
 """
 
 from __future__ import annotations
+
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +39,64 @@ from repro.transform.celltype import CellTypeLayout
 from repro.transform.ebdi import word_dtype
 
 
+def rank_state(geometry: DramGeometry,
+               layouts: Sequence[CellTypeLayout]) -> Tuple[np.ndarray, ...]:
+    """Fresh state of a rank with one bank per layout, bank axis first:
+    ``(data, last_refresh, dirty, anti, spared)``.  Stored words are
+    ``(banks, rows, chips, lines, words)``; ``last_refresh`` is per
+    (bank, row, chip), since staggered counters recharge a row's chip
+    slices at different steps (Sec. IV-C); the flags are per (bank,
+    row), with every row dirty."""
+    rows = np.arange(geometry.rows_per_bank)
+    shape = (len(layouts), geometry.rows_per_bank)
+    return (
+        np.zeros(shape + (geometry.num_chips, geometry.lines_per_row,
+                          geometry.words_per_line_per_chip),
+                 dtype=word_dtype(geometry.word_bytes)),
+        np.zeros(shape + (geometry.num_chips,), dtype=np.float64),
+        np.ones(shape, dtype=bool),
+        np.stack([layout.cell_types(rows).astype(bool) for layout in layouts]),
+        np.zeros(shape, dtype=bool),
+    )
+
+
+def discharged_value(anti: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The word a fully discharged row reads back, per row: all 0s on
+    true-cell rows, all 1s on anti-cell rows."""
+    return np.where(anti, dtype.type(np.iinfo(dtype).max), 0).astype(dtype)
+
+
+def discharged(content: np.ndarray, anti: np.ndarray,
+               spared: np.ndarray) -> np.ndarray:
+    """Wire-OR detector: is each chip row slice of ``content`` (its last
+    two axes, lines and words) discharged?  ``anti`` and ``spared`` are
+    the flags of the slices' rows, shaped like ``content``'s row axes.
+    A slice is discharged when every stored bit equals its row's
+    discharged read value; spared rows always report charged."""
+    target = discharged_value(anti, content.dtype)
+    lines, words = content.shape[-2:]
+    flat = content.reshape(content.shape[:-2] + (lines * words,))
+    target = target.reshape(target.shape + (1,) * (flat.ndim - target.ndim))
+    out = (flat == target).all(axis=-1)
+    out[spared] = False
+    return out
+
+
+def overdue_slices(last_refresh: np.ndarray, time_s: float,
+                   tret_s: float) -> np.ndarray:
+    """Indices of the slices of ``last_refresh`` overdue at ``time_s``,
+    in index order.  A small relative tolerance absorbs floating-point
+    drift: a slice refreshed exactly one window ago is on time."""
+    deadline = tret_s * (1.0 + 1e-9)
+    return np.argwhere(time_s - last_refresh > deadline)
+
+
 class Bank:
     """One DRAM bank: (rows, chips, lines-per-row, words-per-line-per-chip).
+
+    ``data``, ``last_refresh``, ``dirty`` and the flags are views of the
+    rank's arrays: code writes into them in place and never rebinds
+    them (``bank.data = ...``), or the bank and its rank part ways.
 
     Parameters
     ----------
@@ -43,34 +106,20 @@ class Bank:
         Ground-truth true/anti cell layout of this bank's rows.
     index:
         Bank number within the rank (for diagnostics).
+    state:
+        Views of its slice of the rank's :func:`rank_state` arrays; by
+        default the bank is a rank of its own.
     """
 
-    def __init__(self, geometry: DramGeometry, layout: CellTypeLayout, index: int = 0):
+    def __init__(self, geometry: DramGeometry, layout: CellTypeLayout,
+                 index: int = 0, state: Optional[Sequence[np.ndarray]] = None):
         self.geometry = geometry
         self.layout = layout
         self.index = index
-        dtype = word_dtype(geometry.word_bytes)
-        self._full = dtype.type((1 << (geometry.word_bytes * 8)) - 1)
-        self.data = np.zeros(
-            (
-                geometry.rows_per_bank,
-                geometry.num_chips,
-                geometry.lines_per_row,
-                geometry.words_per_line_per_chip,
-            ),
-            dtype=dtype,
-        )
-        # Charge bookkeeping is per (row, chip): with staggered refresh
-        # counters the chip slices of one logical row are refreshed at
-        # different steps (Sec. IV-C).
-        self.last_refresh = np.zeros(
-            (geometry.rows_per_bank, geometry.num_chips), dtype=np.float64
-        )
-        self.dirty = np.ones(geometry.rows_per_bank, dtype=bool)
-        self._anti_rows = (
-            layout.cell_types(np.arange(geometry.rows_per_bank)).astype(bool)
-        )
-        self._spared = np.zeros(geometry.rows_per_bank, dtype=bool)
+        if state is None:
+            state = [array[0] for array in rank_state(geometry, [layout])]
+        (self.data, self.last_refresh, self.dirty, self._anti_rows,
+         self._spared) = state
         self.write_count = 0
         self.read_count = 0
 
@@ -89,29 +138,6 @@ class Bank:
         self.data[row, :, line_in_row, :] = chip_words
         self._touch(row, time_s)
         self.write_count += 1
-
-    def write_lines(self, rows: np.ndarray, lines_in_row: np.ndarray,
-                    chip_words: np.ndarray, time_s) -> None:
-        """Vectorised :meth:`write_line`, in order: the last write to a
-        line wins, and each row's ``last_refresh`` rises to the latest
-        of its writes' times (``time_s``: one time, or one per line).
-        ``chip_words`` has shape ``(num_chips, n, words_per_line_per_chip)``.
-        """
-        key = rows * self.geometry.lines_per_row + lines_in_row
-        _, from_end = np.unique(key[::-1], return_index=True)
-        last = len(key) - 1 - from_end
-        self.data[rows[last], :, lines_in_row[last], :] = (
-            chip_words[:, last].swapaxes(0, 1)
-        )
-        self.dirty[rows] = True
-        self.activate(rows, time_s)
-        self.write_count += len(rows)
-
-    def activate(self, rows: np.ndarray, time_s) -> None:
-        """Row activations at ``time_s`` (one time, or one per row):
-        each opened row is recharged."""
-        stamps = np.broadcast_to(np.asarray(time_s, dtype=float), np.shape(rows))
-        np.maximum.at(self.last_refresh, rows, stamps[:, None])
 
     def read_line(self, row: int, line_in_row: int, time_s: float = 0.0) -> np.ndarray:
         """Read one cacheline's per-chip words (activation recharges the row)."""
@@ -179,19 +205,10 @@ class Bank:
         return self.detect_discharged_per_chip(rows).all(axis=1)
 
     def detect_discharged_per_chip(self, rows: np.ndarray) -> np.ndarray:
-        """Per-(row, chip) discharged status; shape (n, num_chips).
-
-        A chip slice is discharged when every stored bit equals the
-        row's discharged read value: 0 for true-cell rows, 1 for
-        anti-cell rows.
-        """
+        """Per-(row, chip) discharged status; shape (n, num_chips)."""
         rows = np.asarray(rows)
-        content = self.data[rows]
-        target = np.where(self._anti_rows[rows], self._full, 0).astype(self.data.dtype)
-        flat = content.reshape(len(rows), self.geometry.num_chips, -1)
-        discharged = (flat == target[:, None, None]).all(axis=2)
-        discharged[self._spared[rows]] = False
-        return discharged
+        return discharged(self.data[rows], self._anti_rows[rows],
+                          self._spared[rows])
 
     # ------------------------------------------------------------------
     # refresh bookkeeping
@@ -201,39 +218,17 @@ class Bank:
         """Recharge specific (row, chip) slices (staggered refresh steps)."""
         self.last_refresh[np.asarray(rows), np.asarray(chips)] = time_s
 
-    def refresh_groups(self, rows: np.ndarray, mask: np.ndarray,
-                       times: np.ndarray) -> np.ndarray:
-        """Recharge the chip slices of refresh groups; returns their
-        previous ``last_refresh``.
-
-        ``rows[i, c, k]`` is the row chip ``c`` recharges for group
-        ``k`` of command ``i``, issued at ``times[i]``; ``mask[i, k]``
-        selects the groups actually refreshed.  No (row, chip) slice
-        may appear twice.
-        """
-        chips = np.arange(self.geometry.num_chips)[:, None]
-        flat = rows * self.geometry.num_chips + chips
-        stamps = self.last_refresh.reshape(-1)
-        last = stamps[flat]
-        stamps[flat] = np.where(mask[:, None, :], times[:, None, None], last)
-        return last
-
     def refresh_rows(self, rows: np.ndarray, time_s: float) -> None:
         """Recharge whole rows across all chips."""
         self.last_refresh[np.asarray(rows), :] = time_s
 
     def overdue_slices(self, time_s: float, tret_s: float) -> np.ndarray:
-        """(row, chip) index pairs overdue for refresh; shape (n, 2).
-
-        A small relative tolerance absorbs floating-point drift in the
-        simulated clock: a slice refreshed exactly one window ago is on
-        time, not overdue.
-        """
-        deadline = tret_s * (1.0 + 1e-9)
-        return np.argwhere(time_s - self.last_refresh > deadline)
+        """(row, chip) index pairs overdue for refresh; shape (n, 2)."""
+        return overdue_slices(self.last_refresh, time_s, tret_s)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Bank(index={self.index}, rows={self.geometry.rows_per_bank}, "
             f"chips={self.geometry.num_chips})"
         )
+

@@ -1,10 +1,13 @@
 """A DRAM rank: banks plus the bus-level read/write interface.
 
-:class:`DramDevice` owns one :class:`~repro.dram.bank.Bank` per bank and
-fans writes out to registered *write observers* — the access-bit table
-of the optimised tracking design, or the naive SRAM tracker, depending
-on configuration.  The device works purely in the stored-bit domain;
-value transformation happens in the memory controller above it.
+:class:`DramDevice` keeps the rank's state in rank-wide arrays, bank
+axis first (:func:`~repro.dram.bank.rank_state`), so its batch paths
+index every bank at once; each :class:`~repro.dram.bank.Bank` holds
+views of its slice, and nothing may rebind them.  The device fans
+writes out to registered *write observers* — the access-bit table of
+the optimised tracking design, or the naive SRAM tracker, depending on
+configuration.  It works purely in the stored-bit domain; value
+transformation happens in the memory controller above it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.dram.bank import Bank
+from repro.dram.bank import Bank, discharged, rank_state
 from repro.dram.geometry import DramGeometry
 from repro.transform.celltype import CellTypeLayout
 
@@ -63,8 +66,11 @@ class DramDevice:
             layouts = [layout] * geometry.num_banks
         if len(layouts) != geometry.num_banks:
             raise ValueError("need one layout per bank")
+        state = rank_state(geometry, layouts)
+        self.data, self.last_refresh, self.dirty, self.anti, self.spared = state
         self.banks: List[Bank] = [
-            Bank(geometry, layouts[b], index=b) for b in range(geometry.num_banks)
+            Bank(geometry, layouts[b], index=b, state=[array[b] for array in state])
+            for b in range(geometry.num_banks)
         ]
         self._write_observers: List[WriteObserver] = []
         self._access_observers: List[WriteObserver] = []
@@ -100,17 +106,21 @@ class DramDevice:
         """Write many transformed cachelines at once, at ``time_s`` (one
         time, or one per line): the same state as :meth:`write_line`
         line by line, in order."""
-        banks = writes.banks
+        banks, rows, lines = writes.banks, writes.rows, writes.lines_in_row
         if not len(banks):
             return
-        stamps = np.broadcast_to(np.asarray(time_s, dtype=float), banks.shape)
-        for bank in np.unique(banks).tolist():
-            mine = np.flatnonzero(banks == bank)
-            self.banks[bank].write_lines(writes.rows[mine],
-                                         writes.lines_in_row[mine],
-                                         writes.chip_words[:, mine],
-                                         stamps[mine])
-        self._notify(banks, writes.rows)
+        geometry = self.geometry
+        key = (banks * geometry.rows_per_bank + rows) * geometry.lines_per_row + lines
+        _, from_end = np.unique(key[::-1], return_index=True)
+        last = len(key) - 1 - from_end
+        # chips first, so (bank, row, line) indexes (chips, n, words)
+        np.moveaxis(self.data, 2, 0)[:, banks[last], rows[last], lines[last]] = (
+            writes.chip_words[:, last])
+        self.dirty[banks, rows] = True
+        self._recharge(banks, rows, time_s)
+        for bank, n in zip(self.banks, self._per_bank(banks)):
+            bank.write_count += n
+        self._notify(banks, rows)
 
     def read_line(self, bank: int, row: int, line_in_row: int,
                   time_s: float = 0.0) -> np.ndarray:
@@ -119,18 +129,12 @@ class DramDevice:
         return data
 
     def read_lines(self, banks: np.ndarray, rows: np.ndarray,
-                   lines_in_row: np.ndarray, time_s: float = 0.0) -> np.ndarray:
-        """Vectorised :meth:`read_line`; returns ``(num_chips, n,
-        words_per_chip)`` stored words."""
-        geometry = self.geometry
-        out = np.empty((geometry.num_chips, len(banks),
-                        geometry.words_per_line_per_chip),
-                       dtype=self.banks[0].data.dtype)
-        for bank in np.unique(banks).tolist():
-            mine = np.flatnonzero(banks == bank)
-            out[:, mine] = self.banks[bank].data[
-                rows[mine], :, lines_in_row[mine], :].swapaxes(0, 1)
-            self.banks[bank].read_count += len(mine)
+                   lines_in_row: np.ndarray, time_s=0.0) -> np.ndarray:
+        """Vectorised :meth:`read_line` at ``time_s`` (one time, or one
+        per line); returns ``(num_chips, n, words_per_chip)`` words."""
+        out = np.moveaxis(self.data, 2, 0)[:, banks, rows, lines_in_row]
+        for bank, n in zip(self.banks, self._per_bank(banks)):
+            bank.read_count += n
         self.activate_rows(banks, rows, time_s)
         return out
 
@@ -140,11 +144,17 @@ class DramDevice:
         time, or one per row): recharge the rows, tell access observers."""
         if not len(banks):
             return
-        stamps = np.broadcast_to(np.asarray(time_s, dtype=float), np.shape(banks))
-        for bank in np.unique(banks).tolist():
-            mine = np.flatnonzero(banks == bank)
-            self.banks[bank].activate(rows[mine], stamps[mine])
+        self._recharge(banks, rows, time_s)
         self._notify_access(banks, rows)
+
+    def _recharge(self, banks: np.ndarray, rows: np.ndarray, time_s) -> None:
+        """Each opened row's slices rise to its latest activation time."""
+        stamps = np.broadcast_to(np.asarray(time_s, dtype=float), np.shape(banks))
+        np.maximum.at(self.last_refresh, (banks, rows), stamps[:, None])
+
+    def _per_bank(self, banks: np.ndarray) -> list:
+        """How many of ``banks`` name each bank of the rank."""
+        return np.bincount(banks, minlength=self.geometry.num_banks).tolist()
 
     def write_row(self, bank: int, row: int, chip_data: np.ndarray,
                   time_s: float = 0.0) -> None:
@@ -186,13 +196,17 @@ class DramDevice:
     def total_reads(self) -> int:
         return sum(bank.read_count for bank in self.banks)
 
+    def detect_discharged_per_chip(self, banks: np.ndarray,
+                                   rows: np.ndarray) -> np.ndarray:
+        """Per-(row, chip) discharged status of row ``rows[...]`` of bank
+        ``banks[...]`` (broadcast together); shape ``(..., num_chips)``."""
+        return discharged(self.data[banks, rows], self.anti[banks, rows],
+                          self.spared[banks, rows])
+
     def discharged_row_fraction(self) -> float:
         """Fraction of logical rows currently fully discharged."""
-        rows = np.arange(self.geometry.rows_per_bank)
-        total = 0
-        for bank in self.banks:
-            total += int(bank.detect_discharged(rows).sum())
-        return total / self.geometry.total_rows
+        per_chip = discharged(self.data, self.anti, self.spared)
+        return int(per_chip.all(axis=2).sum()) / self.geometry.total_rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

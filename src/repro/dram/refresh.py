@@ -267,33 +267,28 @@ class RefreshEngine:
         Group ``k`` is discharged iff every chip's covered row slice is
         discharged.  Groups are diagonals, so this reads the per-chip
         detector output of each set's rows along the staggered row
-        matrix.  The detector runs only over the given sets' rows.
+        matrix.  The detector runs only over the given sets' rows, at
+        most ``DETECT_ROWS`` of them a call, whatever their banks.
         """
-        geometry = self.geometry
-        per_ar, chips = geometry.rows_per_ar, geometry.num_chips
+        per_ar = self.geometry.rows_per_ar
         out = np.empty((len(banks), per_ar), dtype=bool)
-        chip = np.arange(chips)[:, None]
+        chip = np.arange(self.geometry.num_chips)[:, None]
         step = max(1, DETECT_ROWS // per_ar)
-        for bank in np.unique(banks).tolist():
-            mine = np.flatnonzero(banks == bank)
-            for part in np.split(mine, range(step, len(mine), step)):
-                set_rows = (ar_sets[part, None] * per_ar
-                            + np.arange(per_ar)).ravel()
-                per_chip = self.device.banks[bank].detect_discharged_per_chip(
-                    set_rows).reshape(len(part), per_ar, chips)
-                out[part] = per_chip[:, self._diagonal, chip].all(axis=1)
+        for start in range(0, len(banks), step):
+            part = slice(start, start + step)
+            per_chip = self.device.detect_discharged_per_chip(
+                banks[part, None], ar_sets[part, None] * per_ar + np.arange(per_ar))
+            out[part] = per_chip[:, self._diagonal, chip].all(axis=1)
         return out
 
     def _take_dirty_rows(self, banks: np.ndarray, ar_sets: np.ndarray) -> np.ndarray:
         """Whether each set holds rows whose content changed since its
-        status was last derived; clears those bank-side flags."""
-        out = np.empty(len(banks), dtype=bool)
-        shape = (self.geometry.ar_sets_per_bank, self.geometry.rows_per_ar)
-        for bank in np.unique(banks).tolist():
-            mine = np.flatnonzero(banks == bank)
-            flags = self.device.banks[bank].dirty.reshape(shape)
-            out[mine] = flags[ar_sets[mine]].any(axis=1)
-            flags[ar_sets[mine]] = False
+        status was last derived; clears those flags."""
+        geometry = self.geometry
+        flags = self.device.dirty.reshape(
+            geometry.num_banks, geometry.ar_sets_per_bank, geometry.rows_per_ar)
+        out = flags[banks, ar_sets].any(axis=1)
+        flags[banks, ar_sets] = False
         return out
 
     def _recent_groups(self, banks: np.ndarray,
@@ -384,14 +379,17 @@ class RefreshEngine:
                  refresh: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Recharge the selected groups; returns each group's charge
         lifetime (command time minus the oldest chip slice's last
-        recharge, read before the refresh), ``(n, rows_per_ar)``."""
-        lifetimes = np.empty(refresh.shape)
-        for bank in np.unique(banks).tolist():
-            mine = np.flatnonzero(banks == bank)
-            last = self.device.banks[bank].refresh_groups(
-                rows[mine], refresh[mine], times[mine])
-            lifetimes[mine] = times[mine, None] - last.min(axis=1)
-        return lifetimes
+        recharge, read before the refresh), ``(n, rows_per_ar)``.  No
+        (bank, row, chip) slice appears twice, so one flat index reads
+        and writes them all."""
+        geometry = self.geometry
+        chips = np.arange(geometry.num_chips)[:, None]
+        flat = ((banks[:, None, None] * geometry.rows_per_bank + rows)
+                * geometry.num_chips + chips)
+        stamps = self.device.last_refresh.reshape(-1)
+        last = stamps[flat]
+        stamps[flat] = np.where(refresh[:, None, :], times[:, None, None], last)
+        return times[:, None] - last.min(axis=1)
 
     def _account(self, refreshed, skip, dirty, recent, stored) -> None:
         """Fold a pass into :attr:`stats` and the probe counters; each

@@ -4,18 +4,18 @@ A DRAM cell's capacitor leaks: a *charged* cell that is not recharged
 within the retention window loses its value, while a *discharged* cell
 has nothing to lose — the physical property the whole paper rests on
 (Sec. I).  :class:`RetentionTracker` models that decay against the
-per-(row, chip) recharge timestamps the banks maintain, and is used by
+per-(bank, row, chip) recharge timestamps the rank maintains, and is used by
 
 * integrity tests, proving that ZERO-REFRESH's skipping never lets a
   charged cell go overdue, and
 * failure-injection tests, showing that a *broken* tracker (e.g. one
   that skips charged rows) visibly corrupts data in this model.
 
-Decay is applied lazily: :meth:`RetentionTracker.decay` scans for
-overdue chip slices and, for each, drives every cell to the discharged
-state (stored bits become the row's discharged read value).  Slices
-that were already fully discharged decay to themselves — skipping them
-is safe by construction.
+Decay is applied lazily: :meth:`RetentionTracker.decay` scans the
+rank's arrays once for overdue chip slices and drives every cell of
+each to the discharged state (stored bits become the row's discharged
+read value).  Slices that were already fully discharged decay to
+themselves — skipping them is safe by construction.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+import numpy as np
+
+from repro.dram.bank import discharged, discharged_value, overdue_slices
 from repro.dram.device import DramDevice
 
 
@@ -59,11 +62,8 @@ class RetentionTracker:
 
     def overdue(self, time_s: float) -> List[Tuple[int, int, int]]:
         """(bank, row, chip) slices beyond the retention window."""
-        result = []
-        for bank_idx, bank in enumerate(self.device.banks):
-            for row, chip in bank.overdue_slices(time_s, self.tret_s):
-                result.append((bank_idx, int(row), int(chip)))
-        return result
+        slices = overdue_slices(self.device.last_refresh, time_s, self.tret_s)
+        return [tuple(where) for where in slices.tolist()]
 
     def decay(self, time_s: float) -> DecayReport:
         """Decay every overdue slice; report those that held charge.
@@ -72,33 +72,27 @@ class RetentionTracker:
         their timestamps reset (a decayed cell is stable).  A slice that
         contained any charged cell is recorded as corrupted.
         """
-        report = DecayReport()
-        for bank_idx, bank in enumerate(self.device.banks):
-            pairs = bank.overdue_slices(time_s, self.tret_s)
-            if not len(pairs):
-                continue
-            rows = pairs[:, 0]
-            per_chip = bank.detect_discharged_per_chip(rows)
-            for (row, chip), discharged_row in zip(pairs, per_chip):
-                report.overdue_slices += 1
-                if not discharged_row[chip]:
-                    report.corrupted.append(
-                        DecayEvent(bank_idx, int(row), int(chip), time_s)
-                    )
-                target = bank._full if bank.is_anti_row(int(row)) else 0
-                bank.data[int(row), int(chip)] = target
-                bank.last_refresh[int(row), int(chip)] = time_s
+        slices, charged = self._scan(time_s)
+        report = DecayReport(len(slices), [
+            DecayEvent(bank, row, chip, time_s)
+            for bank, row, chip in slices[charged].tolist()])
+        device = self.device
+        banks, rows, chips = slices.T
+        device.data[banks, rows, chips] = discharged_value(
+            device.anti[banks, rows], device.data.dtype)[:, None, None]
+        device.last_refresh[banks, rows, chips] = time_s
         return report
 
     def verify_no_loss(self, time_s: float) -> bool:
         """True when no charged slice is overdue at ``time_s``."""
-        for bank_idx, bank in enumerate(self.device.banks):
-            pairs = bank.overdue_slices(time_s, self.tret_s)
-            if not len(pairs):
-                continue
-            rows = pairs[:, 0]
-            per_chip = bank.detect_discharged_per_chip(rows)
-            for (row, chip), discharged_row in zip(pairs, per_chip):
-                if not discharged_row[chip]:
-                    return False
-        return True
+        return not self._scan(time_s)[1].any()
+
+    def _scan(self, time_s: float) -> Tuple[np.ndarray, np.ndarray]:
+        """The overdue slices as ``(bank, row, chip)`` rows in index
+        order, and whether each one holds charge."""
+        device = self.device
+        slices = overdue_slices(device.last_refresh, time_s, self.tret_s)
+        banks, rows, chips = slices.T
+        held = ~discharged(device.data[banks, rows, chips],
+                           device.anti[banks, rows], device.spared[banks, rows])
+        return slices, held

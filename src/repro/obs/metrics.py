@@ -105,8 +105,8 @@ class Histogram:
         if values.size == 0:
             return
         idx = np.searchsorted(self.bounds, values, side="left")
-        for bucket, n in zip(*np.unique(idx, return_counts=True)):
-            self.counts[int(bucket)] += int(n)
+        added = np.bincount(idx, minlength=len(self.counts)).tolist()
+        self.counts = [a + b for a, b in zip(self.counts, added)]
         self.count += int(values.size)
         if sums is None:
             self.sum += float(values.sum())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dram.bank import discharged_value
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
 from repro.dram.refresh import RefreshEngine
@@ -137,3 +138,56 @@ class TestIntegrityWithEngine:
         tracker = RetentionTracker(device, engine.timing.tret_s)
         report = tracker.decay(t + engine.timing.tret_s)
         assert report.data_loss
+
+
+class TestRankScanMatchesBankScan:
+    """The tracker scans the rank's arrays once; it must leave what a
+    scan of one bank at a time left, in the same order."""
+
+    @staticmethod
+    def bank_by_bank(device, time_s):
+        """The per-bank decay: each bank's overdue slices, its
+        detector, then every slice in (row, chip) order."""
+        overdue, corrupted = [], []
+        for b, bank in enumerate(device.banks):
+            pairs = bank.overdue_slices(time_s, TRET)
+            if not len(pairs):
+                continue
+            per_chip = bank.detect_discharged_per_chip(pairs[:, 0])
+            for (row, chip), discharged_row in zip(pairs.tolist(), per_chip):
+                overdue.append((b, row, chip))
+                if not discharged_row[chip]:
+                    corrupted.append((b, row, chip))
+                bank.data[row, chip] = (np.iinfo(np.uint64).max
+                                        if bank.is_anti_row(row) else 0)
+                bank.last_refresh[row, chip] = time_s
+        return overdue, corrupted
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_decay_matches_the_bank_scan(self, geom, seed):
+        def build():
+            device = DramDevice(geom, layouts=[
+                CellTypeLayout(32, phase=b % 2) for b in range(geom.num_banks)])
+            rng = np.random.default_rng(seed)
+            device.data[...] = discharged_value(
+                device.anti, device.data.dtype)[..., None, None, None]
+            charged = rng.random(device.data.shape[:3]) < 0.05
+            device.data[charged, 0, 0] ^= np.uint64(4)
+            device.last_refresh[...] = rng.choice([0.0, TRET],
+                                                  size=device.last_refresh.shape)
+            for bank, row in rng.integers(0, [geom.num_banks, 128], size=(6, 2)):
+                device.banks[bank].spare_row(row)
+            return device
+
+        device, twin = build(), build()
+        tracker = RetentionTracker(device, TRET)
+        assert not tracker.verify_no_loss(TRET * 1.5)
+        overdue = tracker.overdue(TRET * 1.5)
+        report = tracker.decay(TRET * 1.5)
+        want_overdue, want_corrupted = self.bank_by_bank(twin, TRET * 1.5)
+        assert overdue == want_overdue
+        assert report.overdue_slices == len(want_overdue)
+        assert [(e.bank, e.row, e.chip) for e in report.corrupted] == want_corrupted
+        np.testing.assert_array_equal(device.data, twin.data)
+        np.testing.assert_array_equal(device.last_refresh, twin.last_refresh)
+        assert tracker.verify_no_loss(TRET * 1.5)
