@@ -24,6 +24,7 @@ import numpy as np
 from repro.controller.mapping import AddressMapper
 from repro.dram.device import DramDevice, LineWrites
 from repro.obs.probes import NULL_PROBES
+from repro.transform.bitplane import CHUNK_LINES
 from repro.transform.codec import ValueTransformCodec
 
 
@@ -102,34 +103,39 @@ class MemoryController:
         its EBDI ops and line writes, makes one
         ``codec.encoded_zero_fraction`` observation and, on a checking
         bus, one round-trip check of its first line.  All lines go
-        through one :meth:`ValueTransformCodec.encode_row` call, and the
-        round-trip checks through one ``decode_row`` call.
+        through one :meth:`ValueTransformCodec.encode_row` call, the
+        zero fractions through one array division (exact: both operands
+        are small integers) and the round-trip checks through one
+        ``decode_row`` call; only a checking or tracing bus walks the
+        batches one by one.
         """
         lines = np.asarray(lines)
         banks, rows, lines_in_row = self._locate(line_addrs)
         chip_words = self.codec.encode_row(lines, rows)
         n = len(banks)
+        writes = LineWrites(banks, rows, lines_in_row, chip_words)
         if not n:
-            return LineWrites(banks, rows, lines_in_row, chip_words)
-        times = np.broadcast_to(np.asarray(time_s, dtype=float), (n,))
-        starts = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
-        sizes = np.diff(np.r_[starts, n])
+            return writes
         self.ebdi_ops += n
         self.line_writes += n
         self.probes.count("ctrl.ebdi_ops", n)
         self.probes.count("ctrl.line_writes", n)
-        if self.probes.enabled:
-            # zero fraction after value transformation, counted before
-            # the celltype complement (which flips anti rows to all-ones):
-            # the quantity Sec. V's discharged-row detection feeds on.
-            # Rotation only moves a line's words, so the chip words
-            # count the same.
-            zero = self.codec.stored_zero(rows)[None, :, None]
-            zeros = np.add.reduceat((chip_words == zero).sum(axis=(0, 2)), starts)
-            fractions = [int(z) / (int(size) * lines.shape[1])
-                         for z, size in zip(zeros, sizes)]
-            self.probes.observe_many("codec.encoded_zero_fraction",
-                                     fractions, sums=fractions)
+        if not self.probes.enabled:
+            return writes
+        times = np.broadcast_to(np.asarray(time_s, dtype=float), (n,))
+        starts = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
+        sizes = np.diff(np.r_[starts, n])
+        # zero fraction after value transformation, counted before the
+        # celltype complement (which flips anti rows to all-ones): the
+        # quantity Sec. V's discharged-row detection feeds on.  Rotation
+        # only moves a line's words, so the chip words count the same.
+        zero = self.codec.stored_zero(rows)[None, :, None]
+        zeros = np.add.reduceat((chip_words == zero).sum(axis=(0, 2)), starts)
+        fractions = zeros / (sizes * lines.shape[1])
+        self.probes.observe_many("codec.encoded_zero_fraction", fractions,
+                                 sums=fractions.tolist())
+        if not (self.probes.checking or self.probes.tracing):
+            return writes
         if self.probes.checking:
             # decode every batch's first line from the words it stores
             decoded = self.codec.decode_row(chip_words[:, starts], rows[starts])
@@ -141,7 +147,7 @@ class MemoryController:
                                   row=int(rows[start]), t=round(t, 6))
             if self.probes.tracing:
                 self.probes.event("ctrl.write_batch", n=size, t=t)
-        return LineWrites(banks, rows, lines_in_row, chip_words)
+        return writes
 
     def _locate(self, line_addrs):
         """``(banks, rows, lines_in_row)`` of line addresses, as 1-D arrays."""
@@ -225,8 +231,11 @@ class MemoryController:
         the bank-side dirty flags.  EBDI op counts are *not* charged for
         unnotified population.
 
-        Banks are encoded and filled one at a time, so the encoded image
-        held at once is never larger than one bank's share of the batch.
+        Each bank is encoded and stored a chunk of rows at a time (as
+        many whole rows as fill :data:`CHUNK_LINES` lines, one
+        ``encode_rows`` and one ``populate_rows`` call each), so what
+        population holds above its input is one chunk's lines and their
+        encoded image, never a bank's.
         """
         pages = np.ravel(pages)
         page_lines = np.asarray(page_lines)
@@ -234,28 +243,40 @@ class MemoryController:
         banks = np.ravel(banks)
         rows = np.ravel(rows)
         ppr = self.mapper.pages_per_row
+        lines_per_row = self.geometry.lines_per_row
         # one slice of lines per (bank, row) entry: a whole row, or with
         # 8 KB rows the page's part of it
-        slices = page_lines.reshape(len(rows), self.geometry.lines_per_row // ppr,
+        slices = page_lines.reshape(len(rows), lines_per_row // ppr,
                                     self.geometry.words_per_line)
+        per_chunk = max(1, CHUNK_LINES // lines_per_row)
         for bank in np.unique(banks):
             idx = np.flatnonzero(banks == bank)
             if ppr > 1:
-                # Pages smaller than rows: assemble the bank's full rows,
-                # zero-filling slices whose page is not in this batch
-                # (population starts from cleansed memory, so absent
-                # slices are zero by definition).
+                # Pages smaller than rows: a chunk's full rows are
+                # assembled from its pages, zero-filling slices whose page
+                # is not in this batch (population starts from cleansed
+                # memory, so absent slices are zero by definition).  The
+                # entries go in row order, so a chunk's are one run.
+                idx = idx[np.argsort(rows[idx], kind="stable")]
                 bank_rows, row_of = np.unique(rows[idx], return_inverse=True)
-                row_lines = np.zeros(
-                    (len(bank_rows), ppr, slices.shape[1], slices.shape[2]),
-                    dtype=self.codec.dtype)
-                row_lines[row_of.ravel(), pages[idx] % ppr] = slices[idx]
-                row_lines = row_lines.reshape(len(bank_rows), -1, slices.shape[2])
             else:
-                bank_rows, row_lines = rows[idx], slices[idx]
-            self.device.populate_rows(int(bank), bank_rows,
-                                      self.codec.encode_rows(row_lines, bank_rows),
-                                      time_s, notify=notify)
+                bank_rows = rows[idx]
+            for start in range(0, len(bank_rows), per_chunk):
+                chunk_rows = bank_rows[start:start + per_chunk]
+                if ppr > 1:
+                    lo, hi = np.searchsorted(row_of, (start, start + per_chunk))
+                    row_lines = np.zeros((len(chunk_rows), ppr) + slices.shape[1:],
+                                         dtype=self.codec.dtype)
+                    row_lines[row_of[lo:hi] - start, pages[idx[lo:hi]] % ppr] = (
+                        slices[idx[lo:hi]])
+                    row_lines = row_lines.reshape(len(chunk_rows), lines_per_row,
+                                                  slices.shape[2])
+                else:
+                    row_lines = slices[idx[start:start + per_chunk]]
+                self.device.populate_rows(
+                    int(bank), chunk_rows,
+                    self.codec.encode_rows(row_lines, chunk_rows),
+                    time_s, notify=notify)
         if notify:
             self.ebdi_ops += pages.size * self.geometry.lines_per_page
             self.line_writes += pages.size * self.geometry.lines_per_page

@@ -89,14 +89,38 @@ class BitPlaneTransform:
     # ------------------------------------------------------------------
     def apply(self, lines: np.ndarray) -> np.ndarray:
         """Return lines with delta bit planes transposed (base untouched)."""
-        return self._run(lines, _forward)
+        lines = self._check(lines)
+        plan = self.plan()
+        out = np.empty_like(lines)
+        x, tmp = np.empty((2, plan.rows * min(len(lines), CHUNK_LINES)),
+                          np.uint64)
+        for start in range(0, len(lines), CHUNK_LINES):
+            part = slice(start, start + CHUNK_LINES)
+            chunk = lines[part].view(np.uint64)
+            shape = (plan.rows, len(chunk))
+            planes, _ = forward(plan, chunk, x[:chunk.size].reshape(shape),
+                                tmp[:chunk.size].reshape(shape))
+            out[part].view(np.uint64)[...] = planes.T
+        out[:, 0] |= lines[:, 0]
+        return out
 
     def invert(self, lines: np.ndarray) -> np.ndarray:
         """Invert :meth:`apply`."""
-        return self._run(lines, _inverse)
+        lines = self._check(lines)
+        plan = self.plan()
+        out = np.empty_like(lines)
+        for start in range(0, len(lines), CHUNK_LINES):
+            part = slice(start, start + CHUNK_LINES)
+            _inverse(plan, lines[part], out[part])
+        return out
+
+    def plan(self) -> "_Plan":
+        """The kernel's tables for this geometry; ``ValueError`` if the
+        kernel cannot transpose its lines."""
+        return _plan(self.word_bytes, self.line_bytes)
 
     # ------------------------------------------------------------------
-    def _run(self, lines: np.ndarray, kernel) -> np.ndarray:
+    def _check(self, lines: np.ndarray) -> np.ndarray:
         lines = np.asarray(lines)
         if lines.ndim != 2 or lines.shape[1] != self.words_per_line:
             raise ValueError(
@@ -104,13 +128,7 @@ class BitPlaneTransform:
             )
         if lines.dtype != self.dtype:
             raise TypeError(f"expected dtype {self.dtype}, got {lines.dtype}")
-        plan = _plan(self.word_bytes, self.line_bytes)
-        lines = np.ascontiguousarray(lines)
-        out = np.empty_like(lines)
-        for start in range(0, len(lines), CHUNK_LINES):
-            stop = start + CHUNK_LINES
-            kernel(plan, lines[start:stop], out[start:stop])
-        return out
+        return np.ascontiguousarray(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -237,9 +255,17 @@ def _transpose8(x: np.ndarray, tmp: np.ndarray) -> None:
         np.bitwise_xor(x, tmp, out=x)
 
 
-def _forward(plan: _Plan, lines: np.ndarray, out: np.ndarray) -> None:
-    n, shape = plan.n, (plan.rows, len(lines))
-    x, tmp = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+def forward(plan: _Plan, lines: np.ndarray, x: np.ndarray,
+            tmp: np.ndarray) -> tuple:
+    """Transpose the delta bit planes of a chunk, word-major.
+
+    ``lines`` is the chunk line-major as ``(chunk, rows)`` ``uint64``;
+    ``x`` and ``tmp`` are ``(rows, chunk)`` ``uint64`` buffers, which
+    the kernel overwrites.  Returns ``(planes, spare)``: the buffer
+    holding the transposed lines word-major, with the base word
+    cleared, and the other one.  ``lines`` is only read.
+    """
+    n = plan.n
     # rotate the bit index: byte permutation, bit transpose, byte permutation
     np.copyto(_word_bytes(x, n), _line_bytes(lines, n).transpose(plan.first))
     _transpose8(x, tmp)
@@ -259,8 +285,7 @@ def _forward(plan: _Plan, lines: np.ndarray, out: np.ndarray) -> None:
     tmp[1:] |= x[:-1] >> plan.into_next
     np.left_shift(x[0], plan.base_shift, out=tmp[0])
     tmp[0] &= plan.above_base
-    out.view(np.uint64)[...] = tmp.T
-    out[:, 0] |= lines[:, 0]
+    return tmp, x
 
 
 def _inverse(plan: _Plan, lines: np.ndarray, out: np.ndarray) -> None:

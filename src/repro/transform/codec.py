@@ -17,14 +17,20 @@ Stage order on the write path (LLC eviction -> DRAM):
 Reads apply the exact inverse, using the *same* cell-type prediction,
 so the round trip is exact even under misprediction (paper Sec. V-B).
 
-There is one batched path each way.
-:meth:`ValueTransformCodec.encode_row` walks ``(n, words)`` lines and a
-vector of their rows in chunks of :data:`CHUNK_LINES`: each chunk goes
-through :meth:`ValueTransformCodec.transform_lines` (steps 1-3) and
-:meth:`RotationMapper.scatter` (step 4) into one preallocated chip
-image, so the stages' temporaries never outgrow a chunk.
-:meth:`ValueTransformCodec.decode_row` is its inverse, and every other
-entry point (many rows) reshapes onto the pair.
+The write path is one word-major pass.
+:meth:`ValueTransformCodec.encode_row` (a row per line) and
+:meth:`ValueTransformCodec.encode_rows` (whole rows, in the layout
+banks store them in) walk their lines in chunks of :data:`CHUNK_LINES`.  Three chunk-sized buffers, allocated
+once per call, carry each chunk through the stages' kernels with word
+``w`` of every line in one contiguous run: EBDI's
+:func:`~repro.transform.ebdi.delta_code` in place, the bit-plane
+:func:`~repro.transform.bitplane.forward` kernel (from a line-major
+copy, which its first byte permutation reads fastest), the complement
+as one XOR per line, and :meth:`RotationMapper.deal` straight into the
+destination.  :meth:`ValueTransformCodec.transform_lines` composes the
+public stage methods on the same kernels.
+:meth:`ValueTransformCodec.decode_row` is the one read path, and
+:meth:`ValueTransformCodec.decode_rows` reshapes onto it.
 
 :class:`StageSelection` switches stages off individually, which is what
 the stage-contribution and cell-type ablation experiments use.
@@ -37,9 +43,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.transform.bitplane import CHUNK_LINES, BitPlaneTransform
+from repro.transform.bitplane import CHUNK_LINES, BitPlaneTransform, forward
 from repro.transform.celltype import CellType, CellTypePredictor
-from repro.transform.ebdi import EbdiCodec
+from repro.transform.ebdi import EbdiCodec, delta_code
 from repro.transform.rotation import RotationMapper
 
 
@@ -160,22 +166,73 @@ class ValueTransformCodec:
         rows); returns shape ``(num_chips, n_lines, words_per_chip)``
         of stored (bus-level) words, ready to be written into chip row
         ``row_index``.  The lines go through every stage in chunks of
-        :data:`CHUNK_LINES`, each written into the one result array.
+        :data:`CHUNK_LINES`, each dealt straight into the result.
         """
-        lines = np.asarray(lines)
+        lines = self._check(lines)
+        n_lines = len(lines)
         rows = np.asarray(row_index)
-        if rows.ndim and rows.shape != (len(lines),):
+        if rows.ndim and rows.shape != (n_lines,):
             raise ValueError(
-                f"expected one row or {len(lines)} rows, got shape {rows.shape}"
+                f"expected one row or {n_lines} rows, got shape {rows.shape}"
             )
-        out = np.empty((self.num_chips, len(lines), self.rotation.words_per_chip),
+        out = np.empty((self.num_chips, n_lines, self.rotation.words_per_chip),
                        dtype=self.dtype)
-        for start in range(0, len(lines), CHUNK_LINES):
-            part = slice(start, start + CHUNK_LINES)
-            chunk_rows = rows[part] if rows.ndim else rows
-            out[:, part] = self.rotation.scatter(
-                self.transform_lines(lines[part], chunk_rows), chunk_rows)
+        # every line is a group of one
+        self._encode(lines[:, None], rows, out[..., None], chips_first=True)
         return out
+
+    def _encode(self, lines: np.ndarray, rows: np.ndarray, out: np.ndarray,
+                chips_first: bool = False) -> None:
+        """The write path over groups of lines that share a row.
+
+        ``lines`` is ``(groups, size, words_per_line)`` and ``rows`` the
+        ``(groups,)`` rows (or one for all groups).  The stored words go
+        to ``out``, laid out as :meth:`RotationMapper.deal` takes it.
+        Whole groups of at most :data:`CHUNK_LINES` lines (at least one
+        group) make a chunk.
+        """
+        groups, size, words = lines.shape
+        per_chunk = max(1, CHUNK_LINES // max(size, 1))
+        buffers = np.empty((3, words * min(groups, per_chunk) * size),
+                           dtype=self.dtype)
+        for start in range(0, groups, per_chunk):
+            part = slice(start, start + per_chunk)
+            self._encode_chunk(lines[part], rows[part] if rows.ndim else rows,
+                               out[:, part] if chips_first else out[part],
+                               buffers, chips_first)
+
+    def _encode_chunk(self, lines, rows, out, buffers, chips_first) -> None:
+        groups, size, words = lines.shape
+        n = groups * size
+        a, b, c = buffers[:, :n * words]
+        # word-major: stage[w, g * size + i] is word w of line i of group g
+        stage = a.reshape(words, n)
+        np.copyto(stage.reshape(words, groups, size), lines.transpose(2, 0, 1))
+        if self.stages.ebdi:
+            delta_code(stage[1:], stage[0], c[n:].reshape(words - 1, n))
+        if self.stages.bitplane:
+            # the kernel reads a line-major copy as uint64 and leaves its
+            # result word-major in a or c, each uint64 packing k words
+            line_major = b.reshape(n, words)
+            np.copyto(line_major, stage.T)
+            k = 8 // self.word_bytes
+            shape = (words // k, n)
+            planes, free = forward(self.bitplane.plan(),
+                                   b.view(np.uint64).reshape(n, shape[0]),
+                                   a.view(np.uint64).reshape(shape),
+                                   c.view(np.uint64).reshape(shape))
+            stage = planes.view(self.dtype)
+            if k > 1:  # split every uint64 into its k words
+                packed = stage.reshape(shape[0], n, k).transpose(0, 2, 1)
+                stage = free.view(self.dtype).reshape(words, n)
+                np.copyto(stage.reshape(shape[0], k, n), packed)
+            # the kernel clears the base word; the line-major copy has it
+            stage[0] |= line_major[:, 0]
+        stage = stage.reshape(words, groups, size)
+        flip = self.stored_zero(rows)
+        if flip.any():
+            np.bitwise_xor(stage, flip[..., None], out=stage)
+        self.rotation.deal(stage, rows, out, chips_first)
 
     def decode_row(self, chip_data: np.ndarray, row_index) -> np.ndarray:
         """Invert :meth:`encode_row`, recovering the original lines."""
@@ -190,17 +247,23 @@ class ValueTransformCodec:
         """Vectorised :meth:`encode_row` over many logical rows.
 
         ``lines`` has shape ``(n_rows, lines_per_row, words_per_line)``
-        and ``row_indices`` the matching row numbers.  Returns shape
-        ``(n_rows, num_chips, lines_per_row, words_per_chip)`` — the
-        layout banks store rows in.
+        and ``row_indices`` the matching row numbers.  Returns a
+        C-contiguous array of shape ``(n_rows, num_chips,
+        lines_per_row, words_per_chip)`` — the layout banks store rows
+        in.  A chunk is as many whole rows as fit in
+        :data:`CHUNK_LINES` lines (at least one).
         """
-        lines = np.asarray(lines)
-        n_rows, lines_per_row, words = lines.shape
-        rows = np.repeat(row_indices, lines_per_row)
-        chips = self.encode_row(lines.reshape(-1, words), rows)
-        return chips.reshape(
-            self.num_chips, n_rows, lines_per_row, self.rotation.words_per_chip
-        ).swapaxes(0, 1)
+        lines = self._check(lines, leading=2)
+        n_rows, lines_per_row, _ = lines.shape
+        rows = np.ravel(row_indices)
+        if rows.shape != (n_rows,):
+            raise ValueError(
+                f"expected {n_rows} rows, got shape {rows.shape}"
+            )
+        out = np.empty((n_rows, self.num_chips, lines_per_row,
+                        self.rotation.words_per_chip), dtype=self.dtype)
+        self._encode(lines, rows, out.transpose(0, 1, 3, 2))
+        return out
 
     def decode_rows(self, chip_data: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
         """Invert :meth:`encode_rows`."""
@@ -211,6 +274,20 @@ class ValueTransformCodec:
             chip_data.swapaxes(0, 1).reshape(chips, -1, words_per_chip), rows
         )
         return lines.reshape(n_rows, lines_per_row, self.rotation.words_per_line)
+
+    def _check(self, lines, leading: int = 1) -> np.ndarray:
+        """``lines`` as an array of ``leading`` axes of lines; the write
+        path's shape and dtype checks."""
+        lines = np.asarray(lines)
+        words = self.rotation.words_per_line
+        if lines.ndim != leading + 1 or lines.shape[-1] != words:
+            raise ValueError(
+                f"expected {leading} axes of {words}-word lines, got shape "
+                f"{lines.shape}"
+            )
+        if lines.dtype != self.dtype:
+            raise TypeError(f"expected dtype {self.dtype}, got {lines.dtype}")
+        return lines
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -89,6 +89,25 @@ def zigzag_encode(values: np.ndarray) -> np.ndarray:
     return encoded.astype(_WORD_DTYPES[values.dtype.itemsize], copy=False)
 
 
+def delta_code(words: np.ndarray, base: np.ndarray, tmp: np.ndarray) -> None:
+    """Replace ``words`` with the true-cell code of their delta from
+    ``base``, in place: ``zigzag_encode(words - base)``.
+
+    ``words`` is unsigned and ``base`` broadcasts against it; ``tmp`` is
+    scratch of ``words``' shape and dtype.  This is the one EBDI
+    kernel: :meth:`EbdiCodec.encode` runs it on line-major delta
+    columns, the codec's write path on word-major chunks, where every
+    step is one contiguous pass over a chunk.
+    """
+    signed = _SIGNED_DTYPES[words.dtype.itemsize]
+    # unsigned wrap-around subtraction == two's-complement delta
+    np.subtract(words, base, out=words)
+    np.right_shift(words.view(signed), words.dtype.itemsize * 8 - 1,
+                   out=tmp.view(signed))
+    np.left_shift(words, 1, out=words)
+    np.bitwise_xor(words, tmp, out=words)
+
+
 def zigzag_decode(values: np.ndarray) -> np.ndarray:
     """Invert :func:`zigzag_encode`; returns a signed array."""
     signed_dtype = _SIGNED_DTYPES[values.dtype.itemsize]
@@ -136,12 +155,8 @@ class EbdiCodec:
         cells); words 1.. are zigzag-coded deltas from the base.
         """
         lines = self._check(lines)
-        base = lines[:, :1]
-        # Unsigned wrap-around subtraction == two's-complement delta.
-        deltas = (lines[:, 1:] - base).astype(self._signed, copy=False)
-        out = np.empty_like(lines)
-        out[:, :1] = base
-        out[:, 1:] = zigzag_encode(deltas)
+        out = np.array(lines, order="C")
+        delta_code(out[:, 1:], lines[:, :1], np.empty_like(out[:, 1:]))
         if cell_type is CellType.ANTI:
             np.invert(out, out=out)
         return out

@@ -29,8 +29,11 @@ chip row.
 
 A row's assignment depends only on its rotation class ``R mod
 num_chips``, so :class:`RotationMapper` builds every class's
-word-slot table once; scatter and gather are one indexing step through
-it, for one row or for a vector of rows.
+word-slot table once.  Dealing words out to the chips is one
+``np.take`` of whole blocks of word-major lines through it
+(:meth:`RotationMapper.deal`), which both :meth:`RotationMapper.scatter`
+and the codec's write path use; gather is one indexing step through
+the table, for one row or for a vector of rows.
 """
 
 from __future__ import annotations
@@ -119,8 +122,37 @@ class RotationMapper:
         stores, in (line, word-slot) order.
         """
         lines = self._check(lines)
-        slots = self._slots(rows, len(lines))
-        return lines[np.arange(len(lines))[:, None, None], slots].transpose(1, 0, 2)
+        n_lines = len(lines)
+        self._slots(rows, n_lines)  # validates the row vector
+        out = np.empty((self.num_chips, n_lines, self.words_per_chip),
+                       dtype=self.dtype)
+        self.deal(np.ascontiguousarray(lines.T)[:, :, None], rows,
+                  out[..., None], chips_first=True)
+        return out
+
+    def deal(self, words: np.ndarray, rows, out: np.ndarray,
+             chips_first: bool = False) -> None:
+        """Deal word-major lines out to the chips, into ``out``.
+
+        ``words`` is C-contiguous ``(words_per_line, groups, size)``:
+        word ``w`` of line ``i`` of group ``g`` is ``words[w, g, i]``,
+        and all lines of a group share a row.  ``rows`` has one row per
+        group (or is one int for all of them).  ``out`` is a writable
+        ``(groups, num_chips, words_per_chip, size)`` array, or
+        ``(num_chips, groups, words_per_chip, size)`` with
+        ``chips_first``; slot ``s`` of ``chip`` receives word
+        ``slot_table[row % num_chips, chip, s]`` of the group's lines.
+        It is one ``np.take`` of ``size``-word blocks, through an index
+        of one entry per (group, chip, slot), into ``out`` as laid out.
+        """
+        groups = words.shape[1]
+        classes = np.asarray(rows) % self.num_chips
+        blocks = (self.slot_table.take(classes, axis=0, mode="clip") * groups
+                  + np.arange(groups)[:, None, None])
+        if chips_first:
+            blocks = blocks.transpose(1, 0, 2)
+        np.take(words.reshape(-1, words.shape[2]), blocks, axis=0, out=out,
+                mode="clip")
 
     def gather(self, chip_data: np.ndarray, rows) -> np.ndarray:
         """Invert :meth:`scatter`: rebuild lines from per-chip data."""

@@ -3,28 +3,65 @@
 ``perfbench`` compares every integer counter of every engine job
 exactly against ``perfbench/expected.json``: a counter added to a job's
 metrics snapshot, or one that moves, fails every capacity-sweep and
-window-traffic operation.  This runs the first capacity-sweep job for
-seed 0 through the benchmark's own workload code, unedited, so such a
-change shows here as a diff that names the counter.
+window-traffic operation, and trace-replay compares its whole outputs.
+These tests run each workload at seed 0 through the benchmark's own
+workload code, unedited, so such a change shows here as a diff that
+names the counter: the first capacity-sweep job, every window-traffic
+job (in-process, one worker) and the trace replay.
 """
 
 import json
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_capacity_sweep_job_matches_expected(monkeypatch):
+@pytest.fixture
+def workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
+    return workloads
+
+
+def expected(workload: str) -> dict:
+    return json.loads((PERFBENCH / "expected.json").read_text())[workload]["0"]
+
+
+def test_capacity_sweep_job_matches_expected(workloads):
     workload = workloads.CapacitySweep(
         0, replace(workloads.SCALES["full"], capacities_mb=(4,)))
     workload.setup()
     outputs = workload.run()
 
-    expected = json.loads((PERFBENCH / "expected.json").read_text())
-    first_job = expected["capacity-sweep"]["0"]["jobs"][0]
+    first_job = expected("capacity-sweep")["jobs"][0]
     assert workloads.canonical(outputs["jobs"][0]) == workloads.canonical(
         first_job)
+
+
+def test_window_traffic_jobs_match_expected(workloads, tmp_path):
+    workload = workloads.WindowTraffic(0, workloads.SCALES["full"],
+                                       in_process=True, workdir=tmp_path)
+    workload.setup()
+    try:
+        outputs = workload.run()
+    finally:
+        workload.cleanup()
+
+    jobs = expected("window-traffic")["jobs"]
+    assert [job["key"] for job in outputs["jobs"]] == [job["key"] for job in jobs]
+    for got, want in zip(outputs["jobs"], jobs):
+        assert workloads.canonical(got) == workloads.canonical(want)
+
+
+def test_trace_replay_outputs_match_expected(workloads):
+    workload = workloads.TraceReplay(0, workloads.SCALES["full"])
+    workload.setup()
+    workload.make_inputs()
+    outputs = workload.run()
+
+    assert workloads.canonical(outputs) == workloads.canonical(
+        expected("trace-replay"))

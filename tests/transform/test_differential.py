@@ -177,6 +177,62 @@ class TestChunkedEncode:
             codec.encode_row(lines, np.arange(6))
 
 
+class TestFusedPass:
+    """The word-major write pass: ``encode_rows`` on both sides of its
+    chunk edge (whole rows per chunk), and inputs in any memory layout."""
+
+    @pytest.fixture(scope="class", params=[32, 64, 128])
+    def rows_case(self, request):
+        lines_per_row = request.param
+        per_chunk = CHUNK_LINES // lines_per_row
+        codec = make_codec(StageSelection.full(), error_rate=0.25, seed=3)
+        rows = (np.arange(per_chunk + 1) * 5 + 3) % NUM_ROWS
+        # the row after the chunk edge is stored complemented
+        anti = np.flatnonzero(codec.predictor.predict_anti(np.arange(NUM_ROWS)))
+        rows[per_chunk] = anti[-1]
+        assert 0 < codec.predictor.predict_anti(rows[:per_chunk]).sum() < per_chunk
+        lines = random_lines(8, len(rows) * lines_per_row, seed=lines_per_row)
+        lines = lines.reshape(len(rows), lines_per_row, -1)
+        expected = reference_encode(codec, lines.reshape(-1, lines.shape[2]),
+                                    np.repeat(rows, lines_per_row))
+        expected = expected.reshape(codec.num_chips, len(rows), lines_per_row,
+                                    -1).swapaxes(0, 1)
+        return codec, lines, rows, expected, per_chunk
+
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    def test_encode_rows_at_the_chunk_edge(self, rows_case, edge):
+        codec, lines, rows, expected, per_chunk = rows_case
+        n = per_chunk + edge
+        encoded = codec.encode_rows(lines[:n], rows[:n])
+        assert encoded.flags.c_contiguous
+        np.testing.assert_array_equal(encoded, expected[:n])
+        np.testing.assert_array_equal(codec.decode_rows(encoded, rows[:n]),
+                                      lines[:n])
+
+    def test_encode_rows_of_non_contiguous_lines(self, rows_case):
+        codec, lines, rows, expected, _ = rows_case
+        strided = codec.encode_rows(lines[::2], rows[::2])
+        assert strided.flags.c_contiguous
+        np.testing.assert_array_equal(strided, expected[::2])
+        fortran = np.asfortranarray(lines)
+        assert not fortran.flags.c_contiguous
+        np.testing.assert_array_equal(codec.encode_rows(fortran, rows), expected)
+
+    def test_encode_row_of_non_contiguous_lines(self, rows_case):
+        codec, lines, rows, expected, _ = rows_case
+        flat = lines.reshape(-1, lines.shape[2])
+        flat_rows = np.repeat(rows, lines.shape[1])
+        chips = expected.swapaxes(0, 1).reshape(codec.num_chips, len(flat), -1)
+        np.testing.assert_array_equal(
+            codec.encode_row(flat[::3], flat_rows[::3]), chips[:, ::3])
+        np.testing.assert_array_equal(
+            codec.encode_row(np.asfortranarray(flat), flat_rows), chips)
+        # strided words: every other column of a doubled line
+        doubled = np.repeat(flat, 2, axis=1)
+        np.testing.assert_array_equal(
+            codec.encode_row(doubled[:, ::2], flat_rows), chips)
+
+
 class TestBatchedCodec:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), stages=stage_selections,
