@@ -157,8 +157,7 @@ class MemoryController:
     # ------------------------------------------------------------------
     # page interface (used by the OS model and workload population)
     # ------------------------------------------------------------------
-    def write_page(self, page: int, lines: np.ndarray, time_s: float = 0.0,
-                   notify: bool = True) -> None:
+    def write_page(self, page: int, lines: np.ndarray, time_s: float = 0.0) -> None:
         """Write a full page (``lines_per_page`` x ``words_per_line``).
 
         A page spans one row with 4 KB rows, two with 2 KB rows; each
@@ -170,11 +169,8 @@ class MemoryController:
         for i, (bank, row) in enumerate(zip(banks, rows)):
             row_lines = lines[i * lines_per_row:(i + 1) * lines_per_row]
             chip_data = self.codec.encode_row(row_lines, int(row))
-            if len(row_lines) == lines_per_row and notify:
+            if len(row_lines) == lines_per_row:
                 self.device.write_row(int(bank), int(row), chip_data, time_s)
-            elif len(row_lines) == lines_per_row:
-                self.device.populate_rows(int(bank), np.array([row]),
-                                          chip_data[None], time_s, notify=False)
             else:
                 # Page smaller than the row (8 KB rows): write its slice.
                 self.device.write_line_range(int(bank), int(row), offset,
@@ -231,52 +227,31 @@ class MemoryController:
         the bank-side dirty flags.  EBDI op counts are *not* charged for
         unnotified population.
 
-        Each bank is encoded and stored a chunk of rows at a time (as
-        many whole rows as fill :data:`CHUNK_LINES` lines, one
-        ``encode_rows`` and one ``populate_rows`` call each), so what
-        population holds above its input is one chunk's lines and their
-        encoded image, never a bank's.
+        The pages' lines are encoded and stored in input order,
+        :data:`CHUNK_LINES` lines at a time: one ``encode_rows`` and one
+        rank-wide ``populate_rows`` call per chunk, which writes only
+        the given pages' lines (with 8 KB rows, a page's half of its
+        row).  What population holds above its input is one chunk's
+        encoded lines.
         """
         pages = np.ravel(pages)
-        page_lines = np.asarray(page_lines)
         banks, rows = self.mapper.page_rows(pages)
         banks = np.ravel(banks)
         rows = np.ravel(rows)
-        ppr = self.mapper.pages_per_row
-        lines_per_row = self.geometry.lines_per_row
         # one slice of lines per (bank, row) entry: a whole row, or with
         # 8 KB rows the page's part of it
-        slices = page_lines.reshape(len(rows), lines_per_row // ppr,
-                                    self.geometry.words_per_line)
-        per_chunk = max(1, CHUNK_LINES // lines_per_row)
-        for bank in np.unique(banks):
-            idx = np.flatnonzero(banks == bank)
-            if ppr > 1:
-                # Pages smaller than rows: a chunk's full rows are
-                # assembled from its pages, zero-filling slices whose page
-                # is not in this batch (population starts from cleansed
-                # memory, so absent slices are zero by definition).  The
-                # entries go in row order, so a chunk's are one run.
-                idx = idx[np.argsort(rows[idx], kind="stable")]
-                bank_rows, row_of = np.unique(rows[idx], return_inverse=True)
-            else:
-                bank_rows = rows[idx]
-            for start in range(0, len(bank_rows), per_chunk):
-                chunk_rows = bank_rows[start:start + per_chunk]
-                if ppr > 1:
-                    lo, hi = np.searchsorted(row_of, (start, start + per_chunk))
-                    row_lines = np.zeros((len(chunk_rows), ppr) + slices.shape[1:],
-                                         dtype=self.codec.dtype)
-                    row_lines[row_of[lo:hi] - start, pages[idx[lo:hi]] % ppr] = (
-                        slices[idx[lo:hi]])
-                    row_lines = row_lines.reshape(len(chunk_rows), lines_per_row,
-                                                  slices.shape[2])
-                else:
-                    row_lines = slices[idx[start:start + per_chunk]]
-                self.device.populate_rows(
-                    int(bank), chunk_rows,
-                    self.codec.encode_rows(row_lines, chunk_rows),
-                    time_s, notify=notify)
+        ppr = self.mapper.pages_per_row
+        size = self.geometry.lines_per_row // ppr
+        slices = np.asarray(page_lines).reshape(len(rows), size,
+                                                self.geometry.words_per_line)
+        parts = np.repeat(pages % ppr, self.mapper.rows_per_page)
+        step = max(1, CHUNK_LINES // size)
+        for start in range(0, len(rows), step):
+            chunk = slice(start, start + step)
+            self.device.populate_rows(
+                banks[chunk], rows[chunk],
+                self.codec.encode_rows(slices[chunk], rows[chunk]),
+                time_s, notify=notify, parts=parts[chunk])
         if notify:
             self.ebdi_ops += pages.size * self.geometry.lines_per_page
             self.line_writes += pages.size * self.geometry.lines_per_page

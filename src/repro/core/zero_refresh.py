@@ -179,10 +179,7 @@ class ZeroRefreshSystem:
         # anti-cell rows hold the complemented (all-ones) image.
         self._zero_fill_pages(self.allocator.free_pages)
         if len(pages):
-            content = profile.generate_pages(len(pages), self.rng,
-                                             self.config.geometry.lines_per_page)
-            self.controller.populate_pages(pages, self._as_words(content),
-                                           self.time_s, notify=False)
+            self.fill_pages(pages, profile, self.rng)
             self._record_classes(pages, profile)
         # A longer retention window sees proportionally more of the
         # program's footprint written between two refreshes of a row —
@@ -226,6 +223,24 @@ class ZeroRefreshSystem:
             )
         else:
             self._trace_generator = None
+
+    def fill_pages(self, pages: np.ndarray, profile: BenchmarkProfile,
+                   rng: np.random.Generator, notify: bool = False) -> None:
+        """Store ``profile``'s content, drawn from ``rng``, in ``pages``.
+
+        Each segment of :meth:`BenchmarkProfile.segments` is encoded and
+        stored before the next is drawn, so population holds one
+        segment of content, not a copy of all of it.  Storing draws
+        nothing, so the draws and the stored bits are those of drawing
+        every page first.
+        """
+        cursor = 0
+        for segment in profile.segments(len(pages), rng,
+                                        self.config.geometry.lines_per_page):
+            self.controller.populate_pages(pages[cursor:cursor + len(segment)],
+                                           self._as_words(segment),
+                                           self.time_s, notify=notify)
+            cursor += len(segment)
 
     def _allocate_units(self, fraction: float) -> np.ndarray:
         """Allocate a fraction of memory in contiguous 64-page units."""

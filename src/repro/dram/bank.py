@@ -168,14 +168,6 @@ class Bank:
         self.read_count += self.geometry.lines_per_row
         return self.data[row].copy()
 
-    def write_rows_bulk(self, rows: np.ndarray, chip_data: np.ndarray,
-                        time_s: float = 0.0) -> None:
-        """Vectorised multi-row write used for workload population."""
-        self.data[rows] = chip_data
-        self.dirty[rows] = True
-        self.last_refresh[rows] = time_s
-        self.write_count += len(rows) * self.geometry.lines_per_row
-
     def _touch(self, row: int, time_s: float) -> None:
         self.dirty[row] = True
         np.maximum(self.last_refresh[row], time_s, out=self.last_refresh[row])

@@ -172,20 +172,32 @@ class DramDevice:
         self._notify_access(bank, row)
         return data
 
-    def populate_rows(self, bank: int, rows: np.ndarray, chip_data: np.ndarray,
-                      time_s: float = 0.0, notify: bool = True) -> None:
-        """Bulk row fill for workload population.
+    def populate_rows(self, banks: np.ndarray, rows: np.ndarray,
+                      chip_data: np.ndarray, time_s: float = 0.0,
+                      notify: bool = True, parts=0) -> None:
+        """Bulk fill for workload population.
 
-        ``chip_data`` has shape ``(len(rows), chips, lines, words)``.
-        With ``notify=False`` the fill models pre-existing content that
-        settled before the measured windows (no access bits raised) —
-        the first refresh pass then derives its status from scratch
+        ``chip_data`` is ``(n, chips, lines, words)``: slice ``i`` fills
+        part ``parts[i]`` (or a scalar ``parts``) of row ``rows[i]`` of
+        bank ``banks[i]``, rows cut into parts of ``lines`` lines: 0 for
+        whole rows, 0 or 1 for a page of an 8 KB row.  No other line
+        changes.  With ``notify=False`` the fill models pre-existing
+        content that settled before the measured windows (no access bits
+        raised): the first refresh pass derives its status from scratch
         because rows start dirty.
         """
-        self.banks[bank].write_rows_bulk(rows, chip_data, time_s)
+        lines = chip_data.shape[2]
+        data = self.data.reshape(self.data.shape[:3] + (-1, lines)
+                                 + self.data.shape[4:])
+        # indices split by a slice put their axis first: the target is
+        # (n, chips, lines, words), like chip_data
+        data[banks, rows, :, parts] = chip_data
+        self.dirty[banks, rows] = True
+        self.last_refresh[banks, rows] = time_s
+        for bank, n in zip(self.banks, self._per_bank(banks)):
+            bank.write_count += n * lines
         if notify:
-            for row in np.asarray(rows):
-                self._notify(bank, int(row))
+            self._notify(banks, rows)
 
     # ------------------------------------------------------------------
     @property

@@ -92,13 +92,7 @@ class ProcessLifecycle:
             return None
         pages = self.system.allocator.allocate(size, self.system.time_s)
         pages = np.sort(pages)
-        content = self.profile.generate_pages(
-            len(pages), self.rng, self.system.config.geometry.lines_per_page
-        )
-        self.system.controller.populate_pages(
-            pages, self.system._as_words(content), self.system.time_s,
-            notify=True,
-        )
+        self.system.fill_pages(pages, self.profile, self.rng, notify=True)
         lifetime = 1 + int(self.rng.geometric(1.0 / self.mean_lifetime))
         process = Process(self._next_pid, pages, lifetime, self.profile.name)
         self._next_pid += 1

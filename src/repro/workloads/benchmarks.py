@@ -27,7 +27,7 @@ mixes classes, mirroring how multi-megabyte real segments behave.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -141,20 +141,23 @@ class BenchmarkProfile:
             remaining -= pages
         return segments
 
-    def generate_pages(self, n_pages: int, rng: np.random.Generator,
-                       lines_per_page: int = 64) -> np.ndarray:
-        """Generate page contents: shape (n_pages, lines_per_page, 8).
+    def segments(self, n_pages: int, rng: np.random.Generator,
+                 lines_per_page: int = 64) -> Iterator[np.ndarray]:
+        """Page contents one segment at a time, each ``(pages,
+        lines_per_page, 8)``, in page order.
 
-        Each non-zero segment draws a contamination level and sprinkles
-        that fraction of outlier (fully random) lines — the stray
-        pointers and headers that interrupt otherwise regular regions
-        in real memory images.
+        The draws come in a fixed order: the unit shuffle of
+        :meth:`segment_classes` first, then per segment its lines, its
+        contamination level and its outliers.  Each non-zero segment
+        sprinkles that fraction of outlier (fully random) lines — the
+        stray pointers and headers that interrupt otherwise regular
+        regions in real memory images.  A caller that stores a segment
+        before taking the next holds one segment of content, not all of
+        it.
         """
-        out = np.empty((n_pages, lines_per_page, WORDS_PER_LINE), dtype=np.uint64)
         shares = np.array([s for s, _ in self.contamination])
         epsilons = np.array([e for _, e in self.contamination])
         shares = shares / shares.sum()
-        cursor = 0
         for name, pages in self.segment_classes(n_pages, rng):
             count = pages * lines_per_page
             lines = generate_lines(name, count, rng)
@@ -166,8 +169,17 @@ class BenchmarkProfile:
                         lines[outliers] = generate_lines(
                             "random", len(outliers), rng
                         )
-            out[cursor:cursor + pages] = lines.reshape(pages, lines_per_page, -1)
-            cursor += pages
+            yield lines.reshape(pages, lines_per_page, -1)
+
+    def generate_pages(self, n_pages: int, rng: np.random.Generator,
+                       lines_per_page: int = 64) -> np.ndarray:
+        """Generate page contents: shape (n_pages, lines_per_page, 8),
+        the :meth:`segments` one after another."""
+        out = np.empty((n_pages, lines_per_page, WORDS_PER_LINE), dtype=np.uint64)
+        cursor = 0
+        for segment in self.segments(n_pages, rng, lines_per_page):
+            out[cursor:cursor + len(segment)] = segment
+            cursor += len(segment)
         return out
 
 

@@ -285,11 +285,51 @@ class TestBulkPopulate:
             ctrl_b.write_page(int(page), lines)
         np.testing.assert_array_equal(ctrl_a.device.data, ctrl_b.device.data)
 
+    @pytest.mark.parametrize("row_bytes", [2048, 4096, 8192])
+    def test_split_population_writes_only_its_pages(self, row_bytes):
+        """On memory that holds other content, a shuffled population
+        split into calls at arbitrary page boundaries (with 8 KB rows,
+        row-mates land in different calls) equals one call and page-by-
+        page writes: each call stores its own pages' lines and nothing
+        else of their rows."""
+        geom = make_controller(row_bytes).geometry
+        n_pages = geom.total_bytes // geom.page_bytes
+        rng = np.random.default_rng(row_bytes + 1)
+        old = rng.integers(0, 2**64, size=(n_pages, 64, 8), dtype=np.uint64)
+        pages = rng.permutation(n_pages)[:n_pages // 2]
+        content = rng.integers(0, 2**64, size=(len(pages), 64, 8),
+                               dtype=np.uint64)
+        cuts = np.sort(rng.choice(np.arange(1, len(pages)), 7, replace=False))
+        calls = np.split(np.arange(len(pages)), cuts)
+        call_of = np.empty(n_pages, dtype=int)
+        for k, call in enumerate(calls):
+            call_of[pages[call]] = k
+        if row_bytes == 8192:
+            mates = pages[np.isin(pages ^ 1, pages)]
+            assert (call_of[mates] != call_of[mates ^ 1]).any()
+        split, whole, by_page = (make_controller(row_bytes) for _ in range(3))
+        for ctrl in (split, whole, by_page):
+            ctrl.populate_pages(np.arange(n_pages), old)
+        for call in calls:
+            split.populate_pages(pages[call], content[call])
+        whole.populate_pages(pages, content)
+        for page, lines in zip(pages, content):
+            by_page.write_page(int(page), lines)
+        for name in ("data", "last_refresh", "dirty"):
+            np.testing.assert_array_equal(getattr(split.device, name),
+                                          getattr(whole.device, name))
+        assert ([bank.write_count for bank in split.device.banks]
+                == [bank.write_count for bank in whole.device.banks])
+        np.testing.assert_array_equal(split.device.data, by_page.device.data)
+        assert (split.read_page(int(pages[0]))
+                == content[0]).all()
+
     def test_population_holds_a_fixed_number_of_chunks(self):
         """Traced peak of a fully allocated 8 MB population above entry
         (banks of four chunks): at most 7 chunk-sized arrays, measured
-        at 6.3 (DESIGN.md, "Codec data path"), and nothing bank-sized.
-        A population beforehand keeps first-call imports out of it."""
+        at 5.3 (6.3 when each bank was walked apart), and nothing
+        bank-sized.  A population beforehand keeps first-call imports
+        out of it."""
         make_controller().populate_pages(np.arange(16),
                                          np.zeros((16, 64, 8), np.uint64))
         ctrl = make_controller()

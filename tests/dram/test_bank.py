@@ -58,15 +58,6 @@ class TestStorage:
         assert not bank.dirty[5]
         assert (bank.last_refresh[5] == 0.25).all()
 
-    def test_bulk_write(self, bank, geom):
-        rows = np.array([1, 4, 6])
-        data = np.ones(
-            (3, geom.num_chips, geom.lines_per_row, geom.words_per_line_per_chip),
-            dtype=np.uint64)
-        bank.write_rows_bulk(rows, data, time_s=0.1)
-        assert (bank.data[rows] == 1).all()
-        assert bank.dirty[rows].all()
-
 
 class TestDischargedDetection:
     def test_zero_true_row_is_discharged(self, bank):

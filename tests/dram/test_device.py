@@ -54,13 +54,46 @@ class TestObservers:
 
     def test_populate_notify_flag(self, device, geom):
         seen = []
-        device.add_write_observer(lambda b, r: seen.append((b, r)))
+        device.add_write_observer(
+            lambda b, r: seen.append((b.tolist(), r.tolist())))
         data = np.zeros(
             (2, geom.num_chips, geom.lines_per_row, 1), dtype=np.uint64)
-        device.populate_rows(0, np.array([1, 2]), data, notify=False)
+        device.populate_rows(np.array([0, 0]), np.array([1, 2]), data,
+                             notify=False)
         assert seen == []
-        device.populate_rows(0, np.array([3, 4]), data, notify=True)
-        assert seen == [(0, 3), (0, 4)]
+        device.populate_rows(np.array([0, 5]), np.array([3, 4]), data,
+                             notify=True)
+        assert seen == [([0, 5], [3, 4])]
+
+
+class TestPopulate:
+    def test_bulk_write(self, device, geom):
+        banks, rows = np.array([0, 3, 3]), np.array([1, 4, 6])
+        data = np.ones(
+            (3, geom.num_chips, geom.lines_per_row, geom.words_per_line_per_chip),
+            dtype=np.uint64)
+        device.dirty[:] = False
+        device.populate_rows(banks, rows, data, time_s=0.1)
+        assert (device.data[banks, rows] == 1).all()
+        assert device.dirty[banks, rows].all() and device.dirty.sum() == 3
+        assert (device.last_refresh[banks, rows] == 0.1).all()
+        assert [bank.write_count for bank in device.banks] == (
+            [geom.lines_per_row, 0, 0, 2 * geom.lines_per_row, 0, 0, 0, 0])
+
+    def test_parts_fill_only_their_lines(self, device, geom):
+        """A slice of half a row's lines fills its half; the row's other
+        half keeps what it held."""
+        half = geom.lines_per_row // 2
+        device.data[2, 7] = 5
+        data = np.full((2, geom.num_chips, half, geom.words_per_line_per_chip),
+                       9, dtype=np.uint64)
+        device.populate_rows(np.array([2, 2]), np.array([7, 8]), data,
+                             parts=np.array([1, 0]))
+        assert (device.data[2, 7, :, :half] == 5).all()
+        assert (device.data[2, 7, :, half:] == 9).all()
+        assert (device.data[2, 8, :, :half] == 9).all()
+        assert not device.data[2, 8, :, half:].any()
+        assert device.banks[2].write_count == 2 * half
 
 
 class TestAggregates:

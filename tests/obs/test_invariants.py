@@ -121,3 +121,32 @@ class TestComponentsPickUpWatchdog:
         assert {"refresh.no_discharged_refresh",
                 "refresh.skip_safety"} <= fired
         assert bus.counters["invariant.violations"] == bus.violation_count
+
+    def test_watchdog_detects_a_dropped_refresh_command(self):
+        """Plant a fault for ``refresh.window_conservation``: one window's
+        pass loses its last (bank, set) command, so that set's groups
+        are neither refreshed nor skipped."""
+        from repro.core.config import SystemConfig
+        from repro.core.zero_refresh import ZeroRefreshSystem
+        from repro.workloads.benchmarks import benchmark_profile
+
+        config = SystemConfig.scaled(total_bytes=4 << 20)
+        bus = ProbeBus(checks=True)
+        system = ZeroRefreshSystem(config, probes=bus)
+        system.populate(benchmark_profile("mcf"), allocated_fraction=1.0)
+        engine = system.engine
+        run_ars = engine._run_ars
+        engine._run_ars = lambda banks, sets, times: run_ars(
+            banks[:-1], sets[:-1], times[:-1])
+        stats = engine.run_window(0.0)
+        geometry = engine.geometry
+        expected = (geometry.num_banks * geometry.ar_sets_per_bank
+                    * geometry.rows_per_ar)
+        assert stats.groups_total == expected - geometry.rows_per_ar
+        assert [v["check"] for v in bus.violations] == [
+            "refresh.window_conservation"]
+        assert bus.violations[0]["groups_total"] == stats.groups_total
+        # the next, whole window conserves again
+        del engine._run_ars
+        engine.run_window(config.timing.tret_s)
+        assert bus.violation_count == 1
