@@ -40,7 +40,6 @@ import numpy as np
 from repro.dram.device import DramDevice
 from repro.dram.refresh import RefreshEngine
 from repro.dram.timing import TimingParams
-from repro.dram.tracking import TrackingCosts
 
 
 class HybridRefreshEngine(RefreshEngine):
@@ -68,12 +67,6 @@ class HybridRefreshEngine(RefreshEngine):
         """An activation recharged this row (or these rows); it may skip
         the next slot."""
         self._recency[bank, row] = 1
-
-    @property
-    def recency_costs(self) -> TrackingCosts:
-        """Extra SRAM for the recency counters (2 bits/row, like Smart
-        Refresh's table)."""
-        return TrackingCosts(sram_bits=self._recency.size * 2)
 
     # ------------------------------------------------------------------
     def _recent_groups(self, banks: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -39,10 +39,6 @@ class AddressMapper:
         """Line address -> (bank, row, line-in-row)."""
         return self.geometry.decompose_line(line_addr)
 
-    def line_address(self, bank, row, line_in_row):
-        """Inverse of :meth:`line_location`."""
-        return self.geometry.compose_line(bank, row, line_in_row)
-
     # ------------------------------------------------------------------
     def page_rows(self, page) -> Tuple[np.ndarray, np.ndarray]:
         """Page index -> (banks, rows) of the logical rows backing it.

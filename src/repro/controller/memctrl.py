@@ -8,11 +8,14 @@ operation counts the energy model needs:
 
 * ``ebdi_ops`` — one per line read *and* write (the EBDI module sits on
   both paths, paper Sec. VI-B);
-* line/page read/write counts for DRAM activity power.
+* line read/write counts for DRAM activity power.
 
-Page-level helpers (:meth:`write_page`, :meth:`zero_pages`) exist
-because the OS model and workload population work in pages; they use
-the codec's bulk interface.
+Lines go to the device through one batch path each way
+(:meth:`~MemoryController.write_lines` and
+:meth:`~MemoryController.read_lines`).  The OS model and workload
+population work in pages: :meth:`~MemoryController.populate_pages` is
+the only page write (:meth:`~MemoryController.zero_pages` is one call
+of it), and :meth:`~MemoryController.read_page` reads a page's lines.
 """
 
 from __future__ import annotations
@@ -50,21 +53,6 @@ class MemoryController:
     # ------------------------------------------------------------------
     # line interface (cacheline granularity)
     # ------------------------------------------------------------------
-    def write_line(self, line_addr: int, line: np.ndarray, time_s: float = 0.0) -> None:
-        """Transform and store one cacheline.
-
-        ``line`` holds ``words_per_line`` unsigned words (the logical,
-        untransformed value).
-        """
-        bank, row, line_in_row = self.mapper.line_location(line_addr)
-        chip_words = self.codec.encode_row(line.reshape(1, -1), int(row))[:, 0, :]
-        self.device.write_line(int(bank), int(row), int(line_in_row),
-                               chip_words, time_s)
-        self.ebdi_ops += 1
-        self.line_writes += 1
-        self.probes.count("ctrl.ebdi_ops")
-        self.probes.count("ctrl.line_writes")
-
     def read_line(self, line_addr: int, time_s: float = 0.0) -> np.ndarray:
         """Fetch and untransform one cacheline."""
         return self.read_lines(np.array([line_addr]), time_s)[0]
@@ -155,77 +143,19 @@ class MemoryController:
                      self.mapper.line_location(np.asarray(line_addrs)))
 
     # ------------------------------------------------------------------
-    # page interface (used by the OS model and workload population)
-    # ------------------------------------------------------------------
-    def write_page(self, page: int, lines: np.ndarray, time_s: float = 0.0) -> None:
-        """Write a full page (``lines_per_page`` x ``words_per_line``).
-
-        A page spans one row with 4 KB rows, two with 2 KB rows; each
-        backing row gets its slice of the page's lines.
-        """
-        banks, rows = self._page_location(page)
-        lines_per_row = self.geometry.lines_per_row
-        offset = int(self.mapper.page_line_offset(page))
-        for i, (bank, row) in enumerate(zip(banks, rows)):
-            row_lines = lines[i * lines_per_row:(i + 1) * lines_per_row]
-            chip_data = self.codec.encode_row(row_lines, int(row))
-            if len(row_lines) == lines_per_row:
-                self.device.write_row(int(bank), int(row), chip_data, time_s)
-            else:
-                # Page smaller than the row (8 KB rows): write its slice.
-                self.device.write_line_range(int(bank), int(row), offset,
-                                             chip_data, time_s)
-        self.ebdi_ops += self.geometry.lines_per_page
-        self.line_writes += self.geometry.lines_per_page
-        self.probes.count("ctrl.ebdi_ops", self.geometry.lines_per_page)
-        self.probes.count("ctrl.line_writes", self.geometry.lines_per_page)
-
-    def read_page(self, page: int, time_s: float = 0.0) -> np.ndarray:
-        banks, rows = self._page_location(page)
-        offset = int(self.mapper.page_line_offset(page))
-        parts = []
-        for bank, row in zip(banks, rows):
-            chip_data = self.device.read_row(int(bank), int(row), time_s)
-            decoded = self.codec.decode_row(chip_data, int(row))
-            if len(decoded) > self.geometry.lines_per_page:
-                decoded = decoded[offset:offset + self.geometry.lines_per_page]
-            parts.append(decoded)
-        self.ebdi_ops += self.geometry.lines_per_page
-        self.line_reads += self.geometry.lines_per_page
-        self.probes.count("ctrl.ebdi_ops", self.geometry.lines_per_page)
-        self.probes.count("ctrl.line_reads", self.geometry.lines_per_page)
-        return np.concatenate(parts, axis=0)
-
-    def _page_location(self, page: int):
-        """Backing (banks, rows) of one page, always 1-D arrays."""
-        banks, rows = self.mapper.page_rows(page)
-        return np.atleast_1d(banks), np.atleast_1d(rows)
-
-    def zero_page(self, page: int, time_s: float = 0.0) -> None:
-        """OS page cleansing: fill a page with zeros (Sec. III-B)."""
-        lines = np.zeros(
-            (self.geometry.lines_per_page, self.geometry.words_per_line),
-            dtype=self.codec.dtype,
-        )
-        self.write_page(page, lines, time_s)
-
-    def zero_pages(self, pages: np.ndarray, time_s: float = 0.0) -> None:
-        for page in np.asarray(pages).ravel():
-            self.zero_page(int(page), time_s)
-
-    # ------------------------------------------------------------------
-    # bulk population (initial workload contents)
+    # page interface (the OS model and workload population)
     # ------------------------------------------------------------------
     def populate_pages(self, pages: np.ndarray, page_lines: np.ndarray,
                        time_s: float = 0.0, notify: bool = False) -> None:
-        """Fill many pages at once using the codec's bulk path.
+        """Transform and store whole pages: the only page write.
 
-        ``page_lines`` has shape ``(n_pages, lines_per_page,
-        words_per_line)``.  With ``notify=False`` (default) the fill
-        models content that existed before measurement starts: access
-        bits stay clear and the first refresh window derives status from
-        the bank-side dirty flags.  EBDI op counts are *not* charged for
-        unnotified population.
+        ``page_lines`` must have shape ``(n_pages, lines_per_page,
+        words_per_line)``.  With ``notify=True`` this is a write like
+        any other: observers see it and it counts its EBDI ops and line
+        writes.  With ``notify=False`` (default) the fill models content
+        that existed before measurement starts: access bits stay clear,
+        the first refresh window derives status from the rows' dirty
+        flags, and no EBDI ops are charged.
 
         The pages' lines are encoded and stored in input order,
         :data:`CHUNK_LINES` lines at a time: one ``encode_rows`` and one
@@ -235,15 +165,20 @@ class MemoryController:
         encoded lines.
         """
         pages = np.ravel(pages)
+        geometry = self.geometry
+        shape = (len(pages), geometry.lines_per_page, geometry.words_per_line)
+        page_lines = np.asarray(page_lines)
+        if page_lines.shape != shape:
+            raise ValueError(f"expected page lines of shape {shape}, "
+                             f"got {page_lines.shape}")
         banks, rows = self.mapper.page_rows(pages)
         banks = np.ravel(banks)
         rows = np.ravel(rows)
         # one slice of lines per (bank, row) entry: a whole row, or with
         # 8 KB rows the page's part of it
         ppr = self.mapper.pages_per_row
-        size = self.geometry.lines_per_row // ppr
-        slices = np.asarray(page_lines).reshape(len(rows), size,
-                                                self.geometry.words_per_line)
+        size = geometry.lines_per_row // ppr
+        slices = page_lines.reshape(len(rows), size, geometry.words_per_line)
         parts = np.repeat(pages % ppr, self.mapper.rows_per_page)
         step = max(1, CHUNK_LINES // size)
         for start in range(0, len(rows), step):
@@ -253,9 +188,22 @@ class MemoryController:
                 self.codec.encode_rows(slices[chunk], rows[chunk]),
                 time_s, notify=notify, parts=parts[chunk])
         if notify:
-            self.ebdi_ops += pages.size * self.geometry.lines_per_page
-            self.line_writes += pages.size * self.geometry.lines_per_page
-            self.probes.count("ctrl.ebdi_ops",
-                              pages.size * self.geometry.lines_per_page)
-            self.probes.count("ctrl.line_writes",
-                              pages.size * self.geometry.lines_per_page)
+            n = pages.size * geometry.lines_per_page
+            self.ebdi_ops += n
+            self.line_writes += n
+            self.probes.count("ctrl.ebdi_ops", n)
+            self.probes.count("ctrl.line_writes", n)
+
+    def zero_pages(self, pages: np.ndarray, time_s: float = 0.0) -> None:
+        """OS page cleansing: fill pages with zeros (Sec. III-B), as one
+        notified page write."""
+        pages = np.ravel(pages)
+        geometry = self.geometry
+        zeros = np.zeros((len(pages), geometry.lines_per_page,
+                          geometry.words_per_line), dtype=self.codec.dtype)
+        self.populate_pages(pages, zeros, time_s, notify=True)
+
+    def read_page(self, page: int, time_s: float = 0.0) -> np.ndarray:
+        """Fetch and untransform one page's lines, ``(lines_per_page,
+        words_per_line)``."""
+        return self.read_lines(self.mapper.page_lines(page), time_s)

@@ -36,8 +36,7 @@ from repro.controller.scheduler import BankAvailabilityModel
 from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult
 from repro.cpu.core import AnalyticalCoreModel
-from repro.dram.bank import discharged_value
-from repro.dram.device import DramDevice
+from repro.dram.device import DramDevice, discharged_value
 from repro.dram.geometry import DramGeometry
 from repro.dram.refresh import RefreshEngine
 from repro.dram.retention import RetentionTracker

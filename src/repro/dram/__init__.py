@@ -7,11 +7,11 @@ The model is bit-accurate where it matters for the paper's claims:
   the normal (64 ms) and extended (32 ms) temperature modes.
 * :mod:`repro.dram.geometry` — rank/chip/bank/row/line geometry and
   address decomposition; refresh-set and rotation-block layout.
-* :mod:`repro.dram.bank` — per-bank storage of bus-level (stored-bit)
-  words, per-chip-row charge state derivation, and retention
-  timestamps.
-* :mod:`repro.dram.device` — a rank of banks with the read/write
-  interface used by the memory controller.
+* :mod:`repro.dram.device` — a rank's state in rank-wide arrays, bank
+  axis first: bus-level (stored-bit) words, retention timestamps and
+  dirty flags, the wire-OR discharged detector, and one batch access
+  path per granularity (lines, and rows or pages) for the memory
+  controller.
 * :mod:`repro.dram.refresh` — the per-bank auto-refresh engine with
   staggered per-chip refresh counters (Fig. 8) and charge-aware skip.
 * :mod:`repro.dram.tracking` — the discharged-status table (stored in
@@ -21,7 +21,6 @@ The model is bit-accurate where it matters for the paper's claims:
   used by the failure-injection tests.
 """
 
-from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandTimer, TimingViolation
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
@@ -37,7 +36,6 @@ from repro.dram.tracking import (
 
 __all__ = [
     "AccessBitTable",
-    "Bank",
     "Command",
     "CommandTimer",
     "RetentionProfile",

@@ -1,29 +1,107 @@
-"""A DRAM rank: banks plus the bus-level read/write interface.
+"""A DRAM rank: its state in rank-wide arrays and the bus-level interface.
 
-:class:`DramDevice` keeps the rank's state in rank-wide arrays, bank
-axis first (:func:`~repro.dram.bank.rank_state`), so its batch paths
-index every bank at once; each :class:`~repro.dram.bank.Bank` holds
-views of its slice, and nothing may rebind them.  The device fans
-writes out to registered *write observers* — the access-bit table of
-the optimised tracking design, or the naive SRAM tracker, depending on
-configuration.  It works purely in the stored-bit domain; value
-transformation happens in the memory controller above it.
+:class:`DramDevice` stores the *bus-level* words of every chip row —
+the bits as they travel on the data bus, after the CPU-side value
+transformation.  Whether a stored bit corresponds to a charged or
+discharged cell depends on the row's cell type (see
+:mod:`repro.transform.celltype`): a chip row is *discharged* when all
+its stored bits equal the cell type's discharged read value (all 0 for
+true-cell rows, all 1 for anti-cell rows).
+
+The device also keeps, per logical row:
+
+* ``last_refresh`` — per chip slice, the most recent time the row's
+  cells were recharged, either by a refresh operation or by a row
+  activation (reads and writes open the row through the sense
+  amplifiers, which restores the charge — the property Smart Refresh
+  exploits).
+* a *dirty* flag — content changed since the discharged status was last
+  derived, consumed by the refresh engine when it renews the
+  discharged-status table.
+
+All of it lives in rank-wide arrays, bank axis first
+(:func:`rank_state`), and the rank has one access path per
+granularity: lines go through :meth:`DramDevice.write_lines`,
+:meth:`~DramDevice.read_lines` and :meth:`~DramDevice.activate_rows`,
+pages and rows through :meth:`~DramDevice.populate_rows`.  Every one of
+them indexes all banks at once and recharges a row to the latest of
+its stamps.  The device fans writes out to registered *write
+observers* — the access-bit table of the optimised tracking design, or
+the naive SRAM tracker, depending on configuration.  It works purely in
+the stored-bit domain; value transformation happens in the memory
+controller above it.
+
+The wire-OR discharged detector of Sec. IV-B is :func:`discharged`;
+the refresh engine invokes it only for rows it is refreshing anyway
+(detection is free during refresh).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dram.bank import Bank, discharged, rank_state
 from repro.dram.geometry import DramGeometry
 from repro.transform.celltype import CellTypeLayout
+from repro.transform.ebdi import word_dtype
 
-WriteObserver = Callable[[int, int], None]
-"""Callback ``(bank, row)`` invoked after each line or row write; a bulk
-write or read passes equal-length arrays instead, once for all its
-lines."""
+WriteObserver = Callable[[np.ndarray, np.ndarray], None]
+"""Callback ``(banks, rows)`` invoked once per write or activation
+batch with equal-length arrays, one entry per line or row slice."""
+
+
+def rank_state(geometry: DramGeometry,
+               layouts: Sequence[CellTypeLayout]) -> Tuple[np.ndarray, ...]:
+    """Fresh state of a rank with one bank per layout, bank axis first:
+    ``(data, last_refresh, dirty, anti, spared)``.  Stored words are
+    ``(banks, rows, chips, lines, words)``; ``last_refresh`` is per
+    (bank, row, chip), since staggered counters recharge a row's chip
+    slices at different steps (Sec. IV-C); the flags are per (bank,
+    row), with every row dirty."""
+    rows = np.arange(geometry.rows_per_bank)
+    shape = (len(layouts), geometry.rows_per_bank)
+    return (
+        np.zeros(shape + (geometry.num_chips, geometry.lines_per_row,
+                          geometry.words_per_line_per_chip),
+                 dtype=word_dtype(geometry.word_bytes)),
+        np.zeros(shape + (geometry.num_chips,), dtype=np.float64),
+        np.ones(shape, dtype=bool),
+        np.stack([layout.cell_types(rows).astype(bool) for layout in layouts]),
+        np.zeros(shape, dtype=bool),
+    )
+
+
+def discharged_value(anti: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The word a fully discharged row reads back, per row: all 0s on
+    true-cell rows, all 1s on anti-cell rows."""
+    return np.where(anti, dtype.type(np.iinfo(dtype).max), 0).astype(dtype)
+
+
+def discharged(content: np.ndarray, anti: np.ndarray,
+               spared: np.ndarray) -> np.ndarray:
+    """Wire-OR detector: is each chip row slice of ``content`` (its last
+    two axes, lines and words) discharged?  ``anti`` and ``spared`` are
+    the flags of the slices' rows, shaped like ``content``'s row axes.
+    A slice is discharged when every stored bit equals its row's
+    discharged read value; spared rows (row sparing, Sec. IV-B) always
+    report charged."""
+    target = discharged_value(anti, content.dtype)
+    lines, words = content.shape[-2:]
+    flat = content.reshape(content.shape[:-2] + (lines * words,))
+    target = target.reshape(target.shape + (1,) * (flat.ndim - target.ndim))
+    out = (flat == target).all(axis=-1)
+    out[spared] = False
+    return out
+
+
+def overdue_slices(last_refresh: np.ndarray, time_s: float,
+                   tret_s: float) -> np.ndarray:
+    """Indices of the slices of ``last_refresh`` overdue at ``time_s``,
+    in index order.  A small relative tolerance absorbs floating-point
+    drift: a slice refreshed exactly one window ago is on time."""
+    deadline = tret_s * (1.0 + 1e-9)
+    return np.argwhere(time_s - last_refresh > deadline)
 
 
 class LineWrites(NamedTuple):
@@ -43,6 +121,10 @@ class LineWrites(NamedTuple):
 
 class DramDevice:
     """One rank of DRAM built from :class:`DramGeometry`.
+
+    ``data``, ``last_refresh``, ``dirty``, ``anti`` and ``spared`` are
+    the rank's :func:`rank_state` arrays.  Code writes into them in
+    place and never rebinds them.
 
     Parameters
     ----------
@@ -66,18 +148,14 @@ class DramDevice:
             layouts = [layout] * geometry.num_banks
         if len(layouts) != geometry.num_banks:
             raise ValueError("need one layout per bank")
-        state = rank_state(geometry, layouts)
-        self.data, self.last_refresh, self.dirty, self.anti, self.spared = state
-        self.banks: List[Bank] = [
-            Bank(geometry, layouts[b], index=b, state=[array[b] for array in state])
-            for b in range(geometry.num_banks)
-        ]
+        (self.data, self.last_refresh, self.dirty, self.anti,
+         self.spared) = rank_state(geometry, layouts)
         self._write_observers: List[WriteObserver] = []
         self._access_observers: List[WriteObserver] = []
 
     # ------------------------------------------------------------------
     def add_write_observer(self, observer: WriteObserver) -> None:
-        """Register a callback invoked as ``observer(bank, row)`` on writes."""
+        """Register a callback invoked as ``observer(banks, rows)`` on writes."""
         self._write_observers.append(observer)
 
     def add_access_observer(self, observer: WriteObserver) -> None:
@@ -85,27 +163,19 @@ class DramDevice:
         writes) — what access-recency schemes like Smart Refresh see."""
         self._access_observers.append(observer)
 
-    def _notify(self, bank: int, row: int) -> None:
+    def _notify(self, banks: np.ndarray, rows: np.ndarray) -> None:
         for observer in self._write_observers:
-            observer(bank, row)
-        for observer in self._access_observers:
-            observer(bank, row)
+            observer(banks, rows)
+        self._notify_access(banks, rows)
 
-    def _notify_access(self, bank: int, row: int) -> None:
+    def _notify_access(self, banks: np.ndarray, rows: np.ndarray) -> None:
         for observer in self._access_observers:
-            observer(bank, row)
+            observer(banks, rows)
 
     # ------------------------------------------------------------------
-    def write_line(self, bank: int, row: int, line_in_row: int,
-                   chip_words: np.ndarray, time_s: float = 0.0) -> None:
-        """Write one transformed cacheline (per-chip words) to the array."""
-        self.banks[bank].write_line(row, line_in_row, chip_words, time_s)
-        self._notify(bank, row)
-
     def write_lines(self, writes: LineWrites, time_s=0.0) -> None:
-        """Write many transformed cachelines at once, at ``time_s`` (one
-        time, or one per line): the same state as :meth:`write_line`
-        line by line, in order."""
+        """Write transformed cachelines at ``time_s`` (one time, or one
+        per line); the last write to a line wins."""
         banks, rows, lines = writes.banks, writes.rows, writes.lines_in_row
         if not len(banks):
             return
@@ -118,23 +188,13 @@ class DramDevice:
             writes.chip_words[:, last])
         self.dirty[banks, rows] = True
         self._recharge(banks, rows, time_s)
-        for bank, n in zip(self.banks, self._per_bank(banks)):
-            bank.write_count += n
         self._notify(banks, rows)
-
-    def read_line(self, bank: int, row: int, line_in_row: int,
-                  time_s: float = 0.0) -> np.ndarray:
-        data = self.banks[bank].read_line(row, line_in_row, time_s)
-        self._notify_access(bank, row)
-        return data
 
     def read_lines(self, banks: np.ndarray, rows: np.ndarray,
                    lines_in_row: np.ndarray, time_s=0.0) -> np.ndarray:
-        """Vectorised :meth:`read_line` at ``time_s`` (one time, or one
-        per line); returns ``(num_chips, n, words_per_chip)`` words."""
+        """Read cachelines at ``time_s`` (one time, or one per line);
+        returns ``(num_chips, n, words_per_chip)`` words."""
         out = np.moveaxis(self.data, 2, 0)[:, banks, rows, lines_in_row]
-        for bank, n in zip(self.banks, self._per_bank(banks)):
-            bank.read_count += n
         self.activate_rows(banks, rows, time_s)
         return out
 
@@ -152,39 +212,20 @@ class DramDevice:
         stamps = np.broadcast_to(np.asarray(time_s, dtype=float), np.shape(banks))
         np.maximum.at(self.last_refresh, (banks, rows), stamps[:, None])
 
-    def _per_bank(self, banks: np.ndarray) -> list:
-        """How many of ``banks`` name each bank of the rank."""
-        return np.bincount(banks, minlength=self.geometry.num_banks).tolist()
-
-    def write_row(self, bank: int, row: int, chip_data: np.ndarray,
-                  time_s: float = 0.0) -> None:
-        self.banks[bank].write_row(row, chip_data, time_s)
-        self._notify(bank, row)
-
-    def write_line_range(self, bank: int, row: int, start_line: int,
-                         chip_data: np.ndarray, time_s: float = 0.0) -> None:
-        """Write a run of lines within one row (partial-row pages)."""
-        self.banks[bank].write_line_range(row, start_line, chip_data, time_s)
-        self._notify(bank, row)
-
-    def read_row(self, bank: int, row: int, time_s: float = 0.0) -> np.ndarray:
-        data = self.banks[bank].read_row(row, time_s)
-        self._notify_access(bank, row)
-        return data
-
     def populate_rows(self, banks: np.ndarray, rows: np.ndarray,
                       chip_data: np.ndarray, time_s: float = 0.0,
                       notify: bool = True, parts=0) -> None:
-        """Bulk fill for workload population.
+        """Bulk fill of rows or pages.
 
         ``chip_data`` is ``(n, chips, lines, words)``: slice ``i`` fills
         part ``parts[i]`` (or a scalar ``parts``) of row ``rows[i]`` of
         bank ``banks[i]``, rows cut into parts of ``lines`` lines: 0 for
         whole rows, 0 or 1 for a page of an 8 KB row.  No other line
-        changes.  With ``notify=False`` the fill models pre-existing
-        content that settled before the measured windows (no access bits
-        raised): the first refresh pass derives its status from scratch
-        because rows start dirty.
+        changes, and each row recharges as any write recharges it.
+        With ``notify=False`` the fill models pre-existing content that
+        settled before the measured windows (no access bits raised):
+        the first refresh pass derives its status from scratch because
+        rows start dirty.
         """
         lines = chip_data.shape[2]
         data = self.data.reshape(self.data.shape[:3] + (-1, lines)
@@ -193,21 +234,11 @@ class DramDevice:
         # (n, chips, lines, words), like chip_data
         data[banks, rows, :, parts] = chip_data
         self.dirty[banks, rows] = True
-        self.last_refresh[banks, rows] = time_s
-        for bank, n in zip(self.banks, self._per_bank(banks)):
-            bank.write_count += n * lines
+        self._recharge(banks, rows, time_s)
         if notify:
             self._notify(banks, rows)
 
     # ------------------------------------------------------------------
-    @property
-    def total_writes(self) -> int:
-        return sum(bank.write_count for bank in self.banks)
-
-    @property
-    def total_reads(self) -> int:
-        return sum(bank.read_count for bank in self.banks)
-
     def detect_discharged_per_chip(self, banks: np.ndarray,
                                    rows: np.ndarray) -> np.ndarray:
         """Per-(row, chip) discharged status of row ``rows[...]`` of bank

@@ -25,8 +25,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.dram.bank import discharged, discharged_value, overdue_slices
-from repro.dram.device import DramDevice
+from repro.dram.device import (
+    DramDevice,
+    discharged,
+    discharged_value,
+    overdue_slices,
+)
 
 
 @dataclass

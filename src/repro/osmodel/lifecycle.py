@@ -36,10 +36,6 @@ class Process:
     windows_left: int
     profile_name: str
 
-    @property
-    def size_pages(self) -> int:
-        return len(self.pages)
-
 
 class ProcessLifecycle:
     """Birth/death allocation churn over a running system.

@@ -84,9 +84,6 @@ class CellTypeLayout:
         rows = np.asarray(rows)
         return ((rows // self.interleave) + self.phase) % 2
 
-    def is_anti(self, row: int) -> bool:
-        return self.cell_type(row) is CellType.ANTI
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CellTypeLayout)

@@ -31,11 +31,17 @@ def parts(geom):
 def populate_random(device, codec, seed=0):
     geom = device.geometry
     rng = np.random.default_rng(seed)
-    for bank in range(geom.num_banks):
-        for row in range(geom.rows_per_bank):
-            lines = rng.integers(0, 2**64, size=(geom.lines_per_row, 8),
-                                 dtype=np.uint64)
-            device.write_row(bank, row, codec.encode_row(lines, row))
+    banks, rows = np.divmod(np.arange(geom.total_rows), geom.rows_per_bank)
+    lines = rng.integers(0, 2**64, size=(geom.total_rows, geom.lines_per_row, 8),
+                         dtype=np.uint64)
+    device.populate_rows(banks, rows, codec.encode_rows(lines, rows))
+
+
+def read_rows(device, rows, time_s):
+    """Demand reads of line 0 of ``rows`` of bank 0: row activations."""
+    rows = np.asarray(rows)
+    zeros = np.zeros_like(rows)
+    device.read_lines(zeros, rows, zeros, time_s)
 
 
 class TestHybridEngine:
@@ -49,8 +55,8 @@ class TestHybridEngine:
         base = engine.run_window(engine.timing.tret_s)
         assert base.groups_skipped == 0  # pure charge-awareness: nothing
         # activate every row of bank 0 (e.g. a streaming scan)
-        for row in range(geom.rows_per_bank):
-            device.read_line(0, row, 0, 2 * engine.timing.tret_s)
+        read_rows(device, np.arange(geom.rows_per_bank),
+                  2 * engine.timing.tret_s)
         stats = engine.run_window(2 * engine.timing.tret_s)
         assert stats.groups_skipped == geom.rows_per_bank
         assert engine.recency_skips == geom.rows_per_bank
@@ -62,8 +68,7 @@ class TestHybridEngine:
         engine = HybridRefreshEngine(device)
         engine.run_window(0.0)
         # touch 7 of the 8 rows of the first block
-        for row in range(geom.num_chips - 1):
-            device.read_line(0, row, 0, engine.timing.tret_s)
+        read_rows(device, np.arange(geom.num_chips - 1), engine.timing.tret_s)
         stats = engine.run_window(engine.timing.tret_s)
         assert stats.groups_skipped == 0
 
@@ -72,8 +77,7 @@ class TestHybridEngine:
         populate_random(device, codec)
         engine = HybridRefreshEngine(device)
         engine.run_window(0.0)
-        for row in range(geom.rows_per_bank):
-            device.read_line(0, row, 0, engine.timing.tret_s)
+        read_rows(device, np.arange(geom.rows_per_bank), engine.timing.tret_s)
         engine.run_window(engine.timing.tret_s)
         stats = engine.run_window(2 * engine.timing.tret_s)
         assert stats.groups_skipped == 0
@@ -87,8 +91,7 @@ class TestHybridEngine:
         tracker = RetentionTracker(device, 2 * engine.timing.tret_s)
         t = 0.0
         for i in range(4):
-            for row in range(geom.rows_per_bank):
-                device.read_line(0, row, 0, t + 0.001)
+            read_rows(device, np.arange(geom.rows_per_bank), t + 0.001)
             engine.run_window(t)
             t += engine.timing.tret_s
             assert not tracker.decay(t).data_loss
@@ -103,8 +106,7 @@ class TestHybridEngine:
         window = engine.timing.tret_s
         engine.run_window(0.0)
         # A late burst of activations in window 1...
-        for row in range(geom.rows_per_bank):
-            device.read_line(0, row, 0, 0.99 * window)
+        read_rows(device, np.arange(geom.rows_per_bank), 0.99 * window)
         # ...lets window 2 skip those rows for recency.  Their recharge
         # gap now runs from 0.99 W to their window-3 slot: > 1 window.
         engine.run_window(window)

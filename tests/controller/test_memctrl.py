@@ -8,12 +8,14 @@ import pytest
 from repro.controller.memctrl import MemoryController
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
+from repro.dram.refresh import RefreshEngine
 from repro.obs.probes import ProbeBus
 from repro.transform.bitplane import CHUNK_LINES
 from repro.transform.celltype import CellType
 from repro.transform.celltype import CellTypeLayout, CellTypePredictor
 from repro.transform.codec import StageSelection, ValueTransformCodec
 from repro.workloads.benchmarks import benchmark_profile
+from tests.dram import reference
 
 
 def make_controller(row_bytes=4096, stages=StageSelection.full(),
@@ -29,18 +31,43 @@ def make_controller(row_bytes=4096, stages=StageSelection.full(),
     return MemoryController(device, codec, probes=probes)
 
 
+def write_page(ctrl, page, lines, time_s=0.0):
+    """One page write: a notified ``populate_pages`` of one page."""
+    ctrl.populate_pages(np.array([page]), lines[None], time_s, notify=True)
+
+
+def observed(device):
+    """Observer calls as ``(kind, [(bank, row), ...])``, one per call."""
+    log = []
+    for kind, add in (("write", device.add_write_observer),
+                      ("access", device.add_access_observer)):
+        add(lambda banks, rows, kind=kind: log.append(
+            (kind, list(zip(np.atleast_1d(banks).tolist(),
+                            np.atleast_1d(rows).tolist())))))
+    return log
+
+
+def fold(log, start):
+    """Merge the observer calls from ``start`` on into one per kind, in
+    order of first call: one controller call's view of its batches."""
+    merged = {}
+    for kind, pairs in log[start:]:
+        merged.setdefault(kind, []).extend(pairs)
+    log[start:] = list(merged.items())
+
+
 class TestLineInterface:
     def test_roundtrip_single_line(self):
         ctrl = make_controller()
         rng = np.random.default_rng(0)
         line = rng.integers(0, 2**64, size=8, dtype=np.uint64)
-        ctrl.write_line(1234, line)
+        ctrl.write_lines(np.array([1234]), line[None])
         np.testing.assert_array_equal(ctrl.read_line(1234), line)
 
     def test_counts_ebdi_ops_on_both_paths(self):
         ctrl = make_controller()
         line = np.zeros(8, dtype=np.uint64)
-        ctrl.write_line(0, line)
+        ctrl.write_lines(np.array([0]), line[None])
         ctrl.read_line(0)
         assert ctrl.ebdi_ops == 2
         assert ctrl.line_writes == 1
@@ -51,9 +78,9 @@ class TestLineInterface:
         ctrl = make_controller()
         rng = np.random.default_rng(1)
         line = rng.integers(1, 2**63, size=8, dtype=np.uint64)
-        ctrl.write_line(0, line)
+        ctrl.write_lines(np.array([0]), line[None])
         bank, row, lir = ctrl.mapper.line_location(0)
-        raw = ctrl.device.read_line(int(bank), int(row), int(lir))
+        raw = ctrl.device.data[bank, row, :, lir]
         assert not np.array_equal(raw.ravel(), line)
 
     def test_batch_write_matches_single_writes(self):
@@ -64,9 +91,8 @@ class TestLineInterface:
         lines = rng.integers(0, 2**64, size=(5, 8), dtype=np.uint64)
         ctrl_a.write_lines(addrs, lines)
         for addr, line in zip(addrs, lines):
-            ctrl_b.write_line(int(addr), line)
-        for bank_a, bank_b in zip(ctrl_a.device.banks, ctrl_b.device.banks):
-            np.testing.assert_array_equal(bank_a.data, bank_b.data)
+            ctrl_b.write_lines(addr[None], line[None])
+        np.testing.assert_array_equal(ctrl_a.device.data, ctrl_b.device.data)
 
     def test_batch_write_roundtrip(self):
         ctrl = make_controller()
@@ -206,7 +232,7 @@ class TestPageInterface:
         ctrl = make_controller(row_bytes)
         rng = np.random.default_rng(4)
         lines = rng.integers(0, 2**64, size=(64, 8), dtype=np.uint64)
-        ctrl.write_page(3, lines)
+        write_page(ctrl, 3, lines)
         np.testing.assert_array_equal(ctrl.read_page(3), lines)
 
     @pytest.mark.parametrize("row_bytes", [2048, 4096, 8192])
@@ -215,27 +241,27 @@ class TestPageInterface:
         rng = np.random.default_rng(5)
         a = rng.integers(0, 2**64, size=(64, 8), dtype=np.uint64)
         b = rng.integers(0, 2**64, size=(64, 8), dtype=np.uint64)
-        ctrl.write_page(0, a)
-        ctrl.write_page(1, b)
+        write_page(ctrl, 0, a)
+        write_page(ctrl, 1, b)
         np.testing.assert_array_equal(ctrl.read_page(0), a)
         np.testing.assert_array_equal(ctrl.read_page(1), b)
 
     def test_zero_page_stores_discharged_bits(self):
         ctrl = make_controller()
-        ctrl.zero_page(0)  # true-cell row
-        bank, row = 0, 0
-        assert not ctrl.device.banks[bank].data[row].any()
+        ctrl.device.data[...] = 7
+        ctrl.zero_pages(np.array([0]))  # true-cell row
+        assert not ctrl.device.data[0, 0].any()
         # find an anti-cell page: row 32 with interleave 32 -> page 32*8
         anti_page = 32 * 8
-        ctrl.zero_page(anti_page)
-        assert (ctrl.device.banks[0].data[32]
-                == np.uint64(0xFFFFFFFFFFFFFFFF)).all()
+        ctrl.zero_pages(np.array([anti_page]))
+        assert (ctrl.device.data[0, 32] == np.uint64(0xFFFFFFFFFFFFFFFF)).all()
+        assert (ctrl.device.data[0, 1] == 7).all()
 
     def test_page_and_line_views_agree(self):
         ctrl = make_controller()
         rng = np.random.default_rng(6)
         lines = rng.integers(0, 2**64, size=(64, 8), dtype=np.uint64)
-        ctrl.write_page(2, lines)
+        write_page(ctrl, 2, lines)
         for i, addr in enumerate(ctrl.mapper.page_lines(2)[:8]):
             np.testing.assert_array_equal(ctrl.read_line(int(addr)), lines[i])
 
@@ -250,9 +276,10 @@ class TestBulkPopulate:
         content = rng.integers(0, 2**64, size=(16, 64, 8), dtype=np.uint64)
         ctrl_a.populate_pages(pages, content)
         for page in pages:
-            ctrl_b.write_page(int(page), content[page])
-        for bank_a, bank_b in zip(ctrl_a.device.banks, ctrl_b.device.banks):
-            np.testing.assert_array_equal(bank_a.data, bank_b.data)
+            reference.write_page(ctrl_b, int(page), content[page])
+        for name in ("data", "last_refresh", "dirty"):
+            np.testing.assert_array_equal(getattr(ctrl_a.device, name),
+                                          getattr(ctrl_b.device, name))
 
     def test_unnotified_populate_keeps_access_bits_clear(self):
         ctrl = make_controller()
@@ -282,7 +309,7 @@ class TestBulkPopulate:
             ctrl.zero_pages(np.arange(n_pages))
         ctrl_a.populate_pages(pages, content)
         for page, lines in zip(pages, content):
-            ctrl_b.write_page(int(page), lines)
+            reference.write_page(ctrl_b, int(page), lines)
         np.testing.assert_array_equal(ctrl_a.device.data, ctrl_b.device.data)
 
     @pytest.mark.parametrize("row_bytes", [2048, 4096, 8192])
@@ -314,12 +341,10 @@ class TestBulkPopulate:
             split.populate_pages(pages[call], content[call])
         whole.populate_pages(pages, content)
         for page, lines in zip(pages, content):
-            by_page.write_page(int(page), lines)
+            reference.write_page(by_page, int(page), lines)
         for name in ("data", "last_refresh", "dirty"):
             np.testing.assert_array_equal(getattr(split.device, name),
                                           getattr(whole.device, name))
-        assert ([bank.write_count for bank in split.device.banks]
-                == [bank.write_count for bank in whole.device.banks])
         np.testing.assert_array_equal(split.device.data, by_page.device.data)
         assert (split.read_page(int(pages[0]))
                 == content[0]).all()
@@ -349,6 +374,23 @@ class TestBulkPopulate:
         assert geom.total_bytes == 8 << 20 and bank_bytes == 4 * chunk_bytes
         assert peak <= 7 * chunk_bytes
 
+    @pytest.mark.parametrize("row_bytes,pages,shape", [
+        (4096, [0], (1, 32, 8)),  # half a page
+        (4096, [0], (1, 100, 8)),  # more lines than a page holds
+        (4096, [0, 1], (4, 32, 8)),  # four half pages as two pages
+        (4096, [5], (64, 8)),  # a page without its page axis
+        (2048, [0, 1], (2, 64, 4)),  # half of every line's words
+        (8192, [0, 1], (1, 128, 8)),  # one row's lines as two pages
+    ])
+    def test_rejects_page_lines_of_the_wrong_shape(self, row_bytes, pages,
+                                                   shape):
+        ctrl = make_controller(row_bytes)
+        with pytest.raises(ValueError, match="expected page lines of shape"):
+            ctrl.populate_pages(np.array(pages), np.ones(shape, np.uint64),
+                                notify=True)
+        assert ctrl.ebdi_ops == ctrl.line_writes == 0
+        assert not ctrl.device.data.any()
+
     def test_mismatched_codec_rejected(self):
         geom = DramGeometry(rows_per_bank=256, rows_per_ar=32,
                             cell_interleave=32)
@@ -358,3 +400,81 @@ class TestBulkPopulate:
         codec = ValueTransformCodec(predictor, num_chips=4, line_bytes=32)
         with pytest.raises(ValueError):
             MemoryController(device, codec)
+
+
+class TestPageDifferential:
+    """The controller's page paths against the reference's page
+    helpers, which encode a page row by row and store and read it
+    through the per-line and per-row stores: ``zero_pages`` against
+    ``zero_page`` per page, notified ``populate_pages`` against
+    ``write_page`` per page and ``read_page`` against line-by-line
+    reads, over memory holding random words, stamps and dirty flags."""
+
+    @staticmethod
+    def apply(ctrl, oracle, kind, pages, content, t):
+        if kind == "read":
+            return (reference.read_page(ctrl, pages, t) if oracle
+                    else ctrl.read_page(pages, t))
+        if not oracle:
+            if kind == "zero":
+                ctrl.zero_pages(pages, t)
+            else:
+                ctrl.populate_pages(pages, content, t, notify=True)
+            return None
+        for page, lines in zip(pages.tolist(), content):
+            if kind == "zero":
+                reference.zero_page(ctrl, page, t)
+            else:
+                reference.write_page(ctrl, page, lines, t)
+        return None
+
+    @pytest.mark.parametrize("row_bytes", [2048, 4096, 8192])
+    def test_page_paths_match_the_oracle(self, row_bytes):
+        sides = [make_controller(row_bytes, probes=ProbeBus())
+                 for _ in range(2)]
+        logs, engines = [], []
+        for ctrl in sides:
+            device = ctrl.device
+            seed = np.random.default_rng(3)
+            device.data[...] = seed.integers(0, 2**64, size=device.data.shape,
+                                             dtype=np.uint64)
+            device.last_refresh[...] = seed.choice(
+                [0.0, 2.0, 6.0], size=device.last_refresh.shape)
+            device.dirty[...] = seed.random(device.dirty.shape) < 0.5
+            engines.append(RefreshEngine(device, mode="naive"))
+            logs.append(observed(device))
+        rng = np.random.default_rng(row_bytes)
+        ops = [
+            ("zero", rng.permutation(sides[0].mapper.total_pages)[:150],
+             3.0),  # three chunks of rows
+            ("write", np.array([3, 2, 10]), 5.0),  # 2 and 3 share 8 KB rows
+            ("write", np.array([3]), 1.0),  # before its rows' last recharge
+            ("read", 3, 0.5),
+            ("read", 10, 7.0),
+            ("zero", np.array([2, 1000]), 4.0),
+            ("read", 2, 4.0),
+        ]
+        for kind, pages, t in ops:
+            content = rng.integers(0, 2**64, size=(np.size(pages), 64, 8),
+                                   dtype=np.uint64)
+            got = []
+            for oracle, ctrl in enumerate(sides):
+                start = len(logs[oracle])
+                got.append(self.apply(ctrl, oracle, kind, pages, content, t))
+                fold(logs[oracle], start)
+            if kind == "read":
+                np.testing.assert_array_equal(got[0], got[1])
+            for name in ("data", "last_refresh", "dirty"):
+                np.testing.assert_array_equal(
+                    getattr(sides[0].device, name),
+                    getattr(sides[1].device, name), err_msg=f"{kind} {name}")
+            assert logs[0] == logs[1]
+            new, old = ((ctrl.ebdi_ops, ctrl.line_writes, ctrl.line_reads,
+                         ctrl.probes.counters) for ctrl in sides)
+            assert new == old
+            assert (engines[0].naive_tracker.updates
+                    == engines[1].naive_tracker.updates)
+        banks, rows = sides[0].mapper.page_rows(3)
+        assert (sides[0].device.last_refresh[banks, rows] >= 5.0).all()
+        assert engines[0].naive_tracker.updates == (
+            (150 + 3 + 1 + 2) * sides[0].mapper.rows_per_page)

@@ -62,7 +62,7 @@ class TestMultiRankSystem:
         dimm.run_windows(1)
         rank0, rank1 = dimm.ranks
         page = int(rank0.allocator.allocated_pages[0])
-        rank0.controller.zero_page(page, rank0.time_s)
+        rank0.controller.zero_pages([page], rank0.time_s)
         before = (rank0.engine.stats.dirty_ars, rank1.engine.stats.dirty_ars)
         dimm.run_windows(1, warmup_windows=0)
         assert rank0.engine.stats.dirty_ars > before[0]

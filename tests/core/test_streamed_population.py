@@ -55,9 +55,6 @@ def fill_all_at_once(system):
         np.moveaxis(device.data, 2, 0)[:, banks, rows, lines] = words
         device.dirty[banks, rows] = True
         device.last_refresh[banks, rows] = system.time_s
-        for bank, n in zip(device.banks,
-                           np.bincount(banks, minlength=geometry.num_banks)):
-            bank.write_count += int(n)
 
     system.fill_pages = fill_pages
     return system
@@ -89,12 +86,10 @@ def test_streamed_population_equals_drawing_everything_first(
     for field in ("data", "last_refresh", "dirty"):
         np.testing.assert_array_equal(getattr(streamed.device, field),
                                       getattr(oracle.device, field))
-    assert ([bank.write_count for bank in streamed.device.banks]
-            == [bank.write_count for bank in oracle.device.banks])
     np.testing.assert_array_equal(streamed._page_class, oracle._page_class)
     assert streamed.rng.bit_generator.state == oracle.rng.bit_generator.state
     # the content is in memory, and its classes reached the page table
-    assert streamed.device.total_writes > 0
+    assert streamed.device.data.any()
     assert len(np.unique(streamed._page_class)) > 2
 
 

@@ -34,8 +34,7 @@ class TestPopulate:
         geometry = system.config.geometry
         zero = np.zeros((len(rows), geometry.lines_per_row,
                          geometry.words_per_line), dtype=np.uint64)
-        stored = np.stack([system.device.banks[bank].data[row]
-                           for bank, row in zip(banks, rows)])
+        stored = system.device.data[banks, rows]
         np.testing.assert_array_equal(stored,
                                       system.codec.encode_rows(zero, rows))
 
@@ -89,7 +88,8 @@ class TestRunWindows:
         rng = np.random.default_rng(0)
         page = int(system.allocator.allocated_pages[3])
         lines = rng.integers(0, 2**64, size=(64, 8), dtype=np.uint64)
-        system.controller.write_page(page, lines, system.time_s)
+        system.controller.populate_pages([page], lines[None], system.time_s,
+                                         notify=True)
         system.run_windows(3)
         np.testing.assert_array_equal(system.read_page(page), lines)
 

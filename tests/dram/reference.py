@@ -1,5 +1,5 @@
-"""The refresh engine and window traffic as they were before the window
-pass: the oracle the array pass is tested against.
+"""The refresh engine, the rank's stores and window traffic as they were
+before the batch paths: the oracle the array pass is tested against.
 
 :class:`ReferenceRefreshEngine` walks a retention window slot by slot.
 Before each AR slot it calls the window's write hook with the span since
@@ -16,6 +16,16 @@ writes that fall before each slot in one controller batch
 (:func:`write_lines`, which stores line by line), with content drawn
 line by line.  :func:`run_windows` drives a system through the kernel
 that way.
+
+The rank's per-line and per-row stores write one row at a time into the
+device's arrays in place (:func:`store_lines`, :func:`load_line`,
+:func:`activate_row`): a write dirties its row, every activation raises
+the row's ``last_refresh`` to its stamp with a maximum, and each call
+hands ``(bank, row)`` to the device's observers, write observers first.
+:func:`discharged_per_chip` is the wire-OR detector one bank at a time.
+The page helpers (:func:`write_page`, :func:`zero_page`,
+:func:`read_page`) encode a page row by row and read it line by line
+through them.  None of this calls the device's batch paths.
 """
 
 import numpy as np
@@ -23,6 +33,52 @@ import numpy as np
 from repro.dram.refresh import RefreshEngine, RefreshStats
 from repro.sim.kernel import SimKernel
 from repro.workloads.synthetic import CLASS_NAMES, generate_lines
+
+
+# ----------------------------------------------------------------------
+# the rank's per-line and per-row stores
+# ----------------------------------------------------------------------
+def activate_row(device, bank: int, row: int, time_s: float = 0.0) -> None:
+    """Open one row without a content change: its slices recharge to
+    ``time_s`` unless already later, and access observers see it."""
+    slices = device.last_refresh[bank, row]
+    np.maximum(slices, time_s, out=slices)
+    for observer in device._access_observers:
+        observer(bank, row)
+
+
+def store_lines(device, bank: int, row: int, start_line: int,
+                chip_data: np.ndarray, time_s: float = 0.0) -> None:
+    """Store a run of one row's lines, ``(num_chips, n, words)`` from
+    ``start_line`` on: the row turns dirty, recharges like an
+    activation, and every write and access observer sees it."""
+    n = chip_data.shape[1]
+    device.data[bank, row, :, start_line:start_line + n] = chip_data
+    device.dirty[bank, row] = True
+    slices = device.last_refresh[bank, row]
+    np.maximum(slices, time_s, out=slices)
+    for observer in device._write_observers + device._access_observers:
+        observer(bank, row)
+
+
+def load_line(device, bank: int, row: int, line_in_row: int,
+              time_s: float = 0.0) -> np.ndarray:
+    """One line's per-chip words, ``(num_chips, words)``; the read
+    activates its row."""
+    activate_row(device, bank, row, time_s)
+    return device.data[bank, row, :, line_in_row].copy()
+
+
+def discharged_per_chip(device, bank: int, rows) -> np.ndarray:
+    """Per-(row, chip) wire-OR status of ``rows`` of one bank: every
+    stored bit reads as its row's discharged value (all 0s on true-cell
+    rows, all 1s on anti-cell rows); spared rows report charged."""
+    content = device.data[bank, rows]
+    zero = content.dtype.type(0)
+    target = np.where(device.anti[bank, rows], ~zero, zero)
+    out = (content == target[:, None, None, None]).all(axis=(2, 3))
+    out[device.spared[bank, rows]] = False
+    return out
 
 
 class ReferenceRefreshEngine(RefreshEngine):
@@ -45,7 +101,7 @@ class ReferenceRefreshEngine(RefreshEngine):
         steps = self.group_steps(ar_set)
         rows_matrix = self.counters.rows_for_steps(steps)  # (chips, k)
         set_rows = self.geometry.rows_of_ar_set(ar_set)
-        per_chip = self.device.banks[bank].detect_discharged_per_chip(set_rows)
+        per_chip = discharged_per_chip(self.device, bank, set_rows)
         rel = rows_matrix - set_rows[0]
         chips = np.arange(self.geometry.num_chips)[:, None]
         return per_chip[rel, chips].all(axis=0)
@@ -58,12 +114,11 @@ class ReferenceRefreshEngine(RefreshEngine):
             )
         elif self.mode == "naive":
             set_rows = self.geometry.rows_of_ar_set(ar_set)
-            bank_obj = self.device.banks[bank]
-            if bank_obj.dirty[set_rows].any():
+            if self.device.dirty[bank, set_rows].any():
                 self.naive_tracker.set_vector(
                     bank, ar_set, self.derive_group_status(bank, ar_set)
                 )
-                bank_obj.dirty[set_rows] = False
+                self.device.dirty[bank, set_rows] = False
             group_status = self.naive_tracker.vector(bank, ar_set)
             refreshed = self._refresh_groups(bank, ar_set, ~group_status, time_s)
             skipped = int(group_status.sum())
@@ -83,7 +138,7 @@ class ReferenceRefreshEngine(RefreshEngine):
     def _process_zero_refresh(self, bank: int, ar_set: int, time_s: float) -> int:
         set_rows = self.geometry.rows_of_ar_set(ar_set)
         dirty = self.access_bits.test_and_clear(bank, ar_set)
-        dirty = dirty or bool(self.device.banks[bank].dirty[set_rows].any())
+        dirty = dirty or bool(self.device.dirty[bank, set_rows].any())
         if dirty:
             self.stats.dirty_ars += 1
             self.probes.count("refresh.dirty_ars")
@@ -98,7 +153,7 @@ class ReferenceRefreshEngine(RefreshEngine):
                 self.probes.event("refresh.status_renewal", bank=bank,
                                   ar_set=ar_set, t=time_s,
                                   discharged=int(status.sum()))
-            self.device.banks[bank].dirty[set_rows] = False
+            self.device.dirty[bank, set_rows] = False
         else:
             self.stats.clean_ars += 1
             self.probes.count("refresh.clean_ars")
@@ -138,19 +193,13 @@ class ReferenceRefreshEngine(RefreshEngine):
             rows_matrix = self.counters.rows_for_steps(steps)  # (chips, n)
             if self.probes.enabled:
                 chip_col = np.arange(self.geometry.num_chips)[:, None]
-                last = self.device.banks[bank].last_refresh[
-                    rows_matrix, chip_col
-                ]
+                last = self.device.last_refresh[bank][rows_matrix, chip_col]
                 self.probes.observe_many(
                     "refresh.row_charge_lifetime_s",
                     time_s - last.min(axis=0),
                 )
-            chips = np.repeat(
-                np.arange(self.geometry.num_chips), rows_matrix.shape[1]
-            )
-            self.device.banks[bank].refresh_slices(
-                rows_matrix.ravel(), chips, time_s
-            )
+            chips = np.arange(self.geometry.num_chips)[:, None]
+            self.device.last_refresh[bank, rows_matrix, chips] = time_s
         refreshed = int(refresh_mask.sum())
         self.stats.groups_refreshed += refreshed
         self.probes.count("refresh.groups_refreshed", refreshed)
@@ -229,7 +278,7 @@ class ReferenceHybridEngine(ReferenceRefreshEngine):
         recent = self._recency_group_status(bank, ar_set)
         set_rows = self.geometry.rows_of_ar_set(ar_set)
         dirty = self.access_bits.test_and_clear(bank, ar_set)
-        dirty = dirty or bool(self.device.banks[bank].dirty[set_rows].any())
+        dirty = dirty or bool(self.device.dirty[bank, set_rows].any())
         if dirty:
             self.stats.dirty_ars += 1
             self.probes.count("refresh.dirty_ars")
@@ -243,7 +292,7 @@ class ReferenceHybridEngine(ReferenceRefreshEngine):
                 self.probes.event("refresh.status_renewal", bank=bank,
                                   ar_set=ar_set, t=time_s,
                                   discharged=int(derived.sum()))
-            self.device.banks[bank].dirty[set_rows] = False
+            self.device.dirty[bank, set_rows] = False
             skipped = int(recent.sum())
             self.stats.groups_skipped += skipped
             self.probes.count("refresh.groups_skipped", skipped)
@@ -328,8 +377,8 @@ def write_lines(ctrl, line_addrs, lines, time_s=0.0) -> None:
             row=row0, t=round(time_s, 6),
         )
     for i in range(len(line_addrs)):
-        ctrl.device.write_line(int(banks[i]), int(rows[i]),
-                               int(lines_in_row[i]), chip_words[:, i], time_s)
+        store_lines(ctrl.device, int(banks[i]), int(rows[i]),
+                    int(lines_in_row[i]), chip_words[:, i:i + 1], time_s)
     ctrl.ebdi_ops += len(line_addrs)
     ctrl.line_writes += len(line_addrs)
     ctrl.probes.count("ctrl.ebdi_ops", len(line_addrs))
@@ -341,13 +390,45 @@ def write_lines(ctrl, line_addrs, lines, time_s=0.0) -> None:
 def read_line(ctrl, line_addr, time_s=0.0) -> np.ndarray:
     """The controller's one-line read."""
     bank, row, line_in_row = ctrl.mapper.line_location(line_addr)
-    chip_words = ctrl.device.read_line(int(bank), int(row), int(line_in_row),
-                                       time_s)
+    chip_words = load_line(ctrl.device, int(bank), int(row), int(line_in_row),
+                           time_s)
     ctrl.ebdi_ops += 1
     ctrl.line_reads += 1
     ctrl.probes.count("ctrl.ebdi_ops")
     ctrl.probes.count("ctrl.line_reads")
     return ctrl.codec.decode_row(chip_words[:, None, :], int(row))[0]
+
+
+def write_page(ctrl, page, lines, time_s=0.0) -> None:
+    """The controller's page write: each backing row gets its slice of
+    the page's ``(lines_per_page, words_per_line)`` lines, encoded and
+    stored row by row (with 8 KB rows, the page's half of its row)."""
+    geometry = ctrl.geometry
+    banks, rows = ctrl.mapper.page_rows(page)
+    size = min(geometry.lines_per_row, geometry.lines_per_page)
+    start = page % ctrl.mapper.pages_per_row * geometry.lines_per_page
+    for i, (bank, row) in enumerate(zip(np.atleast_1d(banks).tolist(),
+                                        np.atleast_1d(rows).tolist())):
+        chip_data = ctrl.codec.encode_row(lines[i * size:(i + 1) * size], row)
+        store_lines(ctrl.device, bank, row, start, chip_data, time_s)
+    ctrl.ebdi_ops += geometry.lines_per_page
+    ctrl.line_writes += geometry.lines_per_page
+    ctrl.probes.count("ctrl.ebdi_ops", geometry.lines_per_page)
+    ctrl.probes.count("ctrl.line_writes", geometry.lines_per_page)
+
+
+def zero_page(ctrl, page, time_s=0.0) -> None:
+    """OS page cleansing, one page at a time."""
+    geometry = ctrl.geometry
+    write_page(ctrl, page, np.zeros((geometry.lines_per_page,
+                                     geometry.words_per_line),
+                                    dtype=ctrl.codec.dtype), time_s)
+
+
+def read_page(ctrl, page, time_s=0.0) -> np.ndarray:
+    """A page's lines, read line by line."""
+    return np.stack([read_line(ctrl, addr, time_s)
+                     for addr in ctrl.mapper.page_lines(page).tolist()])
 
 
 def apply_writes(system, line_addrs, time_s) -> None:
@@ -363,16 +444,12 @@ def apply_writes(system, line_addrs, time_s) -> None:
 def apply_reads(system, line_addrs, time_s) -> None:
     """Row activations from demand reads: recharge + recency note."""
     banks, rows, _ = system.controller.mapper.line_location(line_addrs)
-    banks = np.atleast_1d(banks)
-    rows = np.atleast_1d(rows)
-    for bank_idx in np.unique(banks):
-        bank_rows = np.unique(rows[banks == bank_idx])
-        bank = system.device.banks[int(bank_idx)]
-        bank.last_refresh[bank_rows] = np.maximum(
-            bank.last_refresh[bank_rows], time_s
-        )
-        for row in bank_rows:
-            system.engine.note_access(int(bank_idx), int(row))
+    opened = np.unique(np.stack([np.atleast_1d(banks), np.atleast_1d(rows)],
+                                axis=1), axis=0)
+    for bank, row in opened.tolist():
+        slices = system.device.last_refresh[bank, row]
+        np.maximum(slices, time_s, out=slices)
+        system.engine.note_access(bank, row)
 
 
 def window_hook(system, t0: float):

@@ -1,17 +1,17 @@
 """The rank's batch paths and its rank-wide detector.
 
 ``DramDevice`` keeps the rank's state in rank-wide arrays and updates
-every bank of a batch with one flat index; each ``Bank`` holds views of
-its slice.  These tests hold the batch paths to the per-line API:
+every bank of a batch with one flat index.  These tests hold the batch
+paths to the per-line and per-row stores of ``tests/dram/reference.py``:
 
 * ``TestBatchesMatchPerLineAccess``: Hypothesis batches of
   ``write_lines``, ``read_lines`` and ``activate_rows`` over all banks
-  against in-order ``write_line``/``read_line`` calls and a per-row
-  ``last_refresh`` maximum, with equal state, counts, returned words
-  and observer arguments.
+  against in-order ``store_lines``/``load_line``/``activate_row``
+  calls, with equal state, returned words and observer arguments.
 * ``TestRankDetector``: per-bank cell layouts and spared rows, which
   no simulation path builds, through the engine's rank-wide detector,
-  the per-bank reference engine and a zero-refresh window.
+  the per-bank reference detector and engine, and a zero-refresh
+  window.
 """
 
 import numpy as np
@@ -19,8 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dram.bank import discharged_value
-from repro.dram.device import DramDevice, LineWrites
+from repro.dram.device import DramDevice, LineWrites, discharged_value
 from repro.dram.geometry import DramGeometry
 from repro.dram.refresh import RefreshEngine
 from repro.transform.celltype import CellTypeLayout
@@ -60,9 +59,7 @@ def logged(device):
 
 
 def device_state(device):
-    return (device.data.copy(), device.last_refresh.copy(),
-            device.dirty.copy(),
-            [(bank.write_count, bank.read_count) for bank in device.banks])
+    return device.data.copy(), device.last_refresh.copy(), device.dirty.copy()
 
 
 # a small pool of places, so one (row, line) in two banks and one line
@@ -78,9 +75,9 @@ BATCH = st.tuples(st.sampled_from(["write", "read", "activate"]),
 
 def run_batches(batches, per_line):
     """Apply ``batches`` through the batch paths, or through the
-    per-line API with ``per_line``; returns the device's state, the
-    words every read returned and the observer log, one entry per
-    non-empty batch and observer."""
+    reference's per-line stores with ``per_line``; returns the device's
+    state, the words every read returned and the observer log, one entry
+    per non-empty batch and observer."""
     device = seeded_device()
     log = logged(device)
     rng = np.random.default_rng(1)
@@ -105,13 +102,13 @@ def run_batches(batches, per_line):
         for i, (b, r, line) in enumerate(zip(banks.tolist(), rows.tolist(),
                                              lines.tolist())):
             if kind == "write":
-                device.write_line(b, r, line, words[:, i], per_stamp[i])
+                reference.store_lines(device, b, r, line, words[:, i:i + 1],
+                                      per_stamp[i])
             elif kind == "read":
-                calls.append(device.read_line(b, r, line, per_stamp[i]))
+                calls.append(reference.load_line(device, b, r, line,
+                                                 per_stamp[i]))
             else:
-                slices = device.banks[b].last_refresh[r]
-                np.maximum(slices, per_stamp[i], out=slices)
-                log.append(("access", [(b, r)]))
+                reference.activate_row(device, b, r, per_stamp[i])
         if kind == "read":
             reads.append(np.stack(calls, axis=1) if calls else
                          np.empty((CHIPS, 0, WORDS), dtype=np.uint64))
@@ -137,29 +134,17 @@ class TestBatchesMatchPerLineAccess:
         ("write", [], 0.25), ("read", [], None), ("activate", [], 0.75),
         ("activate", [((1, 0, 0), 0.0), ((1, 0, 7), 0.0)], 0.75)])
     def test_batches_match_line_by_line(self, batches):
-        (data, stamps, dirty, counts), reads, log = run_batches(batches, False)
-        (want_data, want_stamps, want_dirty, want_counts), want_reads, \
-            want_log = run_batches(batches, True)
+        (data, stamps, dirty), reads, log = run_batches(batches, False)
+        (want_data, want_stamps, want_dirty), want_reads, want_log = (
+            run_batches(batches, True))
         np.testing.assert_array_equal(data, want_data)
         np.testing.assert_array_equal(stamps, want_stamps)
         np.testing.assert_array_equal(dirty, want_dirty)
-        assert counts == want_counts
         assert len(reads) == len(want_reads)
         for got, want in zip(reads, want_reads):
             np.testing.assert_array_equal(got, want)
             assert got.shape == want.shape and got.dtype == want.dtype
         assert log == want_log
-
-    def test_banks_view_the_rank(self):
-        device = seeded_device()
-        for b, bank in enumerate(device.banks):
-            for name in ("data", "last_refresh", "dirty"):
-                assert getattr(bank, name).base is getattr(device, name)
-            np.testing.assert_array_equal(bank.data, device.data[b])
-        device.banks[2].write_line(5, 7, np.zeros((CHIPS, WORDS), np.uint64),
-                                   0.9)
-        assert not device.data[2, 5, :, 7].any()
-        assert (device.last_refresh[2, 5] == 0.9).all()
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +172,7 @@ def blocked_device(seed):
                 np.uint64(1) << rng.integers(0, 64, size=len(r)).astype(np.uint64))
         else:
             row = int(rows[rng.integers(0, CHIPS)])
-            device.banks[bank].spare_row(row)
+            device.spared[bank, row] = True
             spared.append((bank, row))
     return device, spared
 
@@ -208,10 +193,10 @@ class TestRankDetector:
                 derived[i], oracle.derive_group_status(bank, ar_set))
         assert derived.any() and not derived.all()
         rows = np.arange(GEOMETRY.rows_per_bank)
-        for b, bank in enumerate(device.banks):
+        for b in range(GEOMETRY.num_banks):
             np.testing.assert_array_equal(
                 device.detect_discharged_per_chip(np.full_like(rows, b), rows),
-                bank.detect_discharged_per_chip(rows))
+                reference.discharged_per_chip(device, b, rows))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("policy", ["per-bank", "all-bank"])

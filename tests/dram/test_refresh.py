@@ -33,10 +33,17 @@ def codec(geom, layout):
 
 def populate_zero(device, codec):
     geom = device.geometry
-    lines = np.zeros((geom.lines_per_row, geom.words_per_line), dtype=np.uint64)
-    for bank in range(geom.num_banks):
-        for row in range(geom.rows_per_bank):
-            device.write_row(bank, row, codec.encode_row(lines, row))
+    banks, rows = np.divmod(np.arange(geom.total_rows), geom.rows_per_bank)
+    lines = np.zeros((geom.total_rows, geom.lines_per_row, geom.words_per_line),
+                     dtype=np.uint64)
+    device.populate_rows(banks, rows, codec.encode_rows(lines, rows))
+
+
+def write_line(device, codec, bank, row, line_in_row, line, time_s):
+    """One line's write at ``time_s``."""
+    device.write_lines(LineWrites(np.array([bank]), np.array([row]),
+                                  np.array([line_in_row]),
+                                  codec.encode_row(line, row)), time_s)
 
 
 class TestRefreshCounters:
@@ -118,8 +125,7 @@ class TestZeroRefreshMode:
         # Write a random line into bank 0, row 5 (AR set 0).
         rng = np.random.default_rng(0)
         lines = rng.integers(0, 2**64, size=(1, 8), dtype=np.uint64)
-        device.write_line(0, 5, 3, codec.encode_row(lines, 5)[:, 0, :],
-                          engine.timing.tret_s)
+        write_line(device, codec, 0, 5, 3, lines, engine.timing.tret_s)
         stats = engine.run_window(engine.timing.tret_s)
         assert stats.dirty_ars == 1
         # the dirty AR refreshes its full 128 groups
@@ -133,8 +139,7 @@ class TestZeroRefreshMode:
         engine.run_window(0.0)
         rng = np.random.default_rng(1)
         lines = rng.integers(0, 2**64, size=(1, 8), dtype=np.uint64)
-        device.write_line(0, 5, 3, codec.encode_row(lines, 5)[:, 0, :],
-                          engine.timing.tret_s)
+        write_line(device, codec, 0, 5, 3, lines, engine.timing.tret_s)
         engine.run_window(engine.timing.tret_s)  # dirty pass re-derives
         stats = engine.run_window(2 * engine.timing.tret_s)
         assert stats.groups_refreshed == geom.num_chips
@@ -147,8 +152,7 @@ class TestZeroRefreshMode:
         engine = RefreshEngine(device)
         engine.run_window(0.0)
         lines = np.zeros((1, 8), dtype=np.uint64)
-        device.write_line(0, 5, 3, codec.encode_row(lines, 5)[:, 0, :],
-                          engine.timing.tret_s)
+        write_line(device, codec, 0, 5, 3, lines, engine.timing.tret_s)
         engine.run_window(engine.timing.tret_s)
         stats = engine.run_window(2 * engine.timing.tret_s)
         assert stats.groups_refreshed == 0
@@ -165,11 +169,11 @@ class TestZeroRefreshMode:
 
     def test_random_content_never_skipped(self, device, codec, geom):
         rng = np.random.default_rng(7)
-        for bank in range(geom.num_banks):
-            for row in range(geom.rows_per_bank):
-                lines = rng.integers(0, 2**64, size=(geom.lines_per_row, 8),
-                                     dtype=np.uint64)
-                device.write_row(bank, row, codec.encode_row(lines, row))
+        banks, rows = np.divmod(np.arange(geom.total_rows), geom.rows_per_bank)
+        lines = rng.integers(0, 2**64,
+                             size=(geom.total_rows, geom.lines_per_row, 8),
+                             dtype=np.uint64)
+        device.populate_rows(banks, rows, codec.encode_rows(lines, rows))
         engine = RefreshEngine(device)
         engine.run_window(0.0)
         stats = engine.run_window(engine.timing.tret_s)
@@ -180,10 +184,7 @@ class TestNaiveMode:
     def test_naive_tracker_skips_like_optimised(self, geom, layout, codec):
         device = DramDevice(geom, layout)
         engine = RefreshEngine(device, mode="naive")
-        lines = np.zeros((geom.lines_per_row, geom.words_per_line), dtype=np.uint64)
-        for bank in range(geom.num_banks):
-            for row in range(geom.rows_per_bank):
-                device.write_row(bank, row, codec.encode_row(lines, row))
+        populate_zero(device, codec)
         stats = engine.run_window(0.0)
         # naive tracking is per-write: skipping starts immediately
         assert stats.groups_skipped == geom.total_rows
@@ -245,7 +246,7 @@ class TestRunWindow:
         assert engine.access_bits.peek(1, 0)
         second = engine.run_window(2 * t0)
         assert second.dirty_ars == 1
-        assert device.banks[1].last_refresh[5].min() >= slots[0, 1]
+        assert device.last_refresh[1, 5].min() >= slots[0, 1]
 
     def test_run_window_takes_no_write_hook(self, device):
         engine = RefreshEngine(device, mode="conventional")

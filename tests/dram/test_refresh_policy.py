@@ -23,14 +23,11 @@ def layout():
 def populate(device, codec, pattern="zero", seed=0):
     geom = device.geometry
     rng = np.random.default_rng(seed)
-    for bank in range(geom.num_banks):
-        for row in range(geom.rows_per_bank):
-            if pattern == "zero":
-                lines = np.zeros((geom.lines_per_row, 8), dtype=np.uint64)
-            else:
-                lines = rng.integers(0, 2**64, size=(geom.lines_per_row, 8),
-                                     dtype=np.uint64)
-            device.write_row(bank, row, codec.encode_row(lines, row))
+    banks, rows = np.divmod(np.arange(geom.total_rows), geom.rows_per_bank)
+    shape = (geom.total_rows, geom.lines_per_row, 8)
+    lines = (np.zeros(shape, dtype=np.uint64) if pattern == "zero" else
+             rng.integers(0, 2**64, size=shape, dtype=np.uint64))
+    device.populate_rows(banks, rows, codec.encode_rows(lines, rows))
 
 
 class TestAllBankPolicy:
@@ -63,10 +60,11 @@ class TestAllBankPolicy:
         populate(device, codec, "zero")
         # make bank 3 fully charged (random content)
         rng = np.random.default_rng(1)
-        for row in range(geom.rows_per_bank):
-            lines = rng.integers(0, 2**64, size=(geom.lines_per_row, 8),
-                                 dtype=np.uint64)
-            device.write_row(3, row, codec.encode_row(lines, row))
+        rows = np.arange(geom.rows_per_bank)
+        lines = rng.integers(0, 2**64, size=(len(rows), geom.lines_per_row, 8),
+                             dtype=np.uint64)
+        device.populate_rows(np.full_like(rows, 3), rows,
+                             codec.encode_rows(lines, rows))
         engine = RefreshEngine(device, policy="all-bank")
         engine.run_window(0.0)
         stats = engine.run_window(engine.timing.tret_s)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.dram.bank import discharged_value
-from repro.dram.device import DramDevice
+from repro.dram.device import DramDevice, discharged_value
 from repro.dram.geometry import DramGeometry
 from repro.dram.refresh import RefreshEngine
 from repro.dram.retention import RetentionTracker
 from repro.transform.celltype import CellTypeLayout, CellTypePredictor
 from repro.transform.codec import ValueTransformCodec
+from tests.dram import reference
 
 
 @pytest.fixture
@@ -44,8 +44,7 @@ class TestRetentionTracker:
 
     def test_no_overdue_right_after_refresh(self, device):
         tracker = RetentionTracker(device, TRET)
-        for bank in device.banks:
-            bank.refresh_rows(np.arange(device.geometry.rows_per_bank), 0.0)
+        device.last_refresh[...] = 0.0
         assert tracker.overdue(TRET * 0.9) == []
         assert tracker.verify_no_loss(TRET * 0.9)
 
@@ -56,9 +55,10 @@ class TestRetentionTracker:
     def test_discharged_rows_survive_decay(self, device, codec):
         """Zero content decays to itself: skipping discharged rows is safe."""
         geom = device.geometry
-        lines = np.zeros((geom.lines_per_row, 8), dtype=np.uint64)
-        for row in range(geom.rows_per_bank):
-            device.write_row(0, row, codec.encode_row(lines, row))
+        rows = np.arange(geom.rows_per_bank)
+        lines = np.zeros((len(rows), geom.lines_per_row, 8), dtype=np.uint64)
+        device.populate_rows(np.zeros_like(rows), rows,
+                             codec.encode_rows(lines, rows))
         tracker = RetentionTracker(device, TRET)
         report = tracker.decay(TRET * 2)
         assert report.overdue_slices > 0
@@ -69,7 +69,7 @@ class TestRetentionTracker:
         rng = np.random.default_rng(0)
         lines = rng.integers(0, 2**64, size=(device.geometry.lines_per_row, 8),
                              dtype=np.uint64)
-        device.write_row(0, 5, codec.encode_row(lines, 5))
+        device.populate_rows([0], [5], codec.encode_rows(lines[None], [5]))
         tracker = RetentionTracker(device, TRET)
         report = tracker.decay(TRET * 2)
         assert any(e.bank == 0 and e.row == 5 for e in report.corrupted)
@@ -78,36 +78,37 @@ class TestRetentionTracker:
         rng = np.random.default_rng(1)
         lines = rng.integers(0, 2**64, size=(device.geometry.lines_per_row, 8),
                              dtype=np.uint64)
-        device.write_row(0, 40, codec.encode_row(lines, 40))  # anti row (32..63)
-        assert device.banks[0].is_anti_row(40)
+        device.populate_rows([0], [40],  # anti row (32..63)
+                             codec.encode_rows(lines[None], [40]))
+        assert device.anti[0, 40]
         tracker = RetentionTracker(device, TRET)
         tracker.decay(TRET * 2)
         # anti row decays to all-one stored bits
-        assert (device.banks[0].data[40] == np.uint64(0xFFFFFFFFFFFFFFFF)).all()
+        assert (device.data[0, 40] == np.uint64(0xFFFFFFFFFFFFFFFF)).all()
 
     def test_decayed_row_reads_back_wrong(self, device, codec):
         """Corruption is visible through the codec round trip."""
         rng = np.random.default_rng(2)
         lines = rng.integers(0, 2**64, size=(device.geometry.lines_per_row, 8),
                              dtype=np.uint64)
-        device.write_row(0, 5, codec.encode_row(lines, 5))
+        device.populate_rows([0], [5], codec.encode_rows(lines[None], [5]))
         tracker = RetentionTracker(device, TRET)
         tracker.decay(TRET * 2)
-        decoded = codec.decode_row(device.read_row(0, 5), 5)
+        decoded = codec.decode_rows(device.data[0, 5][None], [5])[0]
         assert not np.array_equal(decoded, lines)
 
 
 class TestIntegrityWithEngine:
     def _populate(self, device, codec, rng, zero_fraction=0.5):
         geom = device.geometry
-        for bank in range(geom.num_banks):
-            for row in range(geom.rows_per_bank):
-                if rng.random() < zero_fraction:
-                    lines = np.zeros((geom.lines_per_row, 8), dtype=np.uint64)
-                else:
-                    lines = rng.integers(0, 2**64, size=(geom.lines_per_row, 8),
-                                         dtype=np.uint64)
-                device.write_row(bank, row, codec.encode_row(lines, row))
+        banks, rows = np.divmod(np.arange(geom.total_rows), geom.rows_per_bank)
+        lines = np.zeros((geom.total_rows, geom.lines_per_row, 8),
+                         dtype=np.uint64)
+        for i in range(geom.total_rows):
+            if rng.random() >= zero_fraction:
+                lines[i] = rng.integers(0, 2**64, size=lines.shape[1:],
+                                        dtype=np.uint64)
+        device.populate_rows(banks, rows, codec.encode_rows(lines, rows))
 
     def test_zero_refresh_never_loses_data(self, device, codec):
         """End-to-end invariant: skipping must never corrupt memory."""
@@ -146,21 +147,22 @@ class TestRankScanMatchesBankScan:
 
     @staticmethod
     def bank_by_bank(device, time_s):
-        """The per-bank decay: each bank's overdue slices, its
-        detector, then every slice in (row, chip) order."""
+        """The per-bank decay: each bank's overdue slices, the
+        reference detector, then every slice in (row, chip) order."""
         overdue, corrupted = [], []
-        for b, bank in enumerate(device.banks):
-            pairs = bank.overdue_slices(time_s, TRET)
+        for b in range(device.geometry.num_banks):
+            late = time_s - device.last_refresh[b] > TRET * (1.0 + 1e-9)
+            pairs = np.argwhere(late)
             if not len(pairs):
                 continue
-            per_chip = bank.detect_discharged_per_chip(pairs[:, 0])
+            per_chip = reference.discharged_per_chip(device, b, pairs[:, 0])
             for (row, chip), discharged_row in zip(pairs.tolist(), per_chip):
                 overdue.append((b, row, chip))
                 if not discharged_row[chip]:
                     corrupted.append((b, row, chip))
-                bank.data[row, chip] = (np.iinfo(np.uint64).max
-                                        if bank.is_anti_row(row) else 0)
-                bank.last_refresh[row, chip] = time_s
+                device.data[b, row, chip] = (np.iinfo(np.uint64).max
+                                             if device.anti[b, row] else 0)
+                device.last_refresh[b, row, chip] = time_s
         return overdue, corrupted
 
     @pytest.mark.parametrize("seed", range(3))
@@ -176,7 +178,7 @@ class TestRankScanMatchesBankScan:
             device.last_refresh[...] = rng.choice([0.0, TRET],
                                                   size=device.last_refresh.shape)
             for bank, row in rng.integers(0, [geom.num_banks, 128], size=(6, 2)):
-                device.banks[bank].spare_row(row)
+                device.spared[bank, row] = True
             return device
 
         device, twin = build(), build()

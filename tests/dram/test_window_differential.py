@@ -3,7 +3,7 @@
 ``tests/dram/reference.py`` keeps the old engine: a write hook called
 before every AR slot and one ``process_ar`` per (bank, set).  These
 tests drive it and the array pass from identical seeds and require the
-same state after every window: the stats delta, the bank arrays, the
+same state after every window: the stats delta, the rank's arrays, the
 tracking tables, the controller counts, the probe snapshot (histogram
 sums and invariant checks included) and the trace events.
 
@@ -38,8 +38,7 @@ MODES = ("zero-refresh", "conventional", "naive", "hybrid")
 
 
 def device_state(device):
-    return [(bank.data.copy(), bank.last_refresh.copy(), bank.dirty.copy(),
-             bank.write_count, bank.read_count) for bank in device.banks]
+    return device.data.copy(), device.last_refresh.copy(), device.dirty.copy()
 
 
 def engine_state(engine):
@@ -60,8 +59,7 @@ def engine_state(engine):
         geometry = engine.geometry
         shape = (geometry.num_banks, geometry.ar_sets_per_bank,
                  geometry.rows_per_ar)
-        settled = ~np.stack([bank.dirty for bank in engine.device.banks]
-                            ).reshape(shape).any(axis=2)
+        settled = ~engine.device.dirty.reshape(shape).any(axis=2)
         vectors = engine.naive_tracker._status.reshape(shape)
         state["naive"] = (vectors[settled], engine.naive_tracker.updates)
     if hasattr(engine, "_recency"):
@@ -176,7 +174,8 @@ def build(old: bool, mode: str, policy: str, staggered: bool):
                 lines = rng.integers(0, 2**64, size=lines.shape, dtype=np.uint64)
             elif kind == 2 and row % GEOMETRY.num_chips == 3:
                 lines[:3] = rng.integers(0, 2**64, size=(3, 8), dtype=np.uint64)
-            device.write_row(bank, row, codec.encode_row(lines, row))
+            reference.store_lines(device, bank, row, 0,
+                                  codec.encode_row(lines, row))
     sink = ListTraceSink()
     bus = ProbeBus(trace=sink, checks=True)
     kwargs = dict(staggered=staggered, policy=policy, probes=bus)
@@ -237,16 +236,14 @@ def run_posted(old, mode, policy, staggered, windows):
         if old:
             def apply_writes(index, stamp):
                 for i in index:
-                    device.write_line(int(banks[i]), int(rows[i]),
-                                      int(lines_in_row[i]),
-                                      chip_words[:, i], stamp)
+                    reference.store_lines(device, int(banks[i]), int(rows[i]),
+                                          int(lines_in_row[i]),
+                                          chip_words[:, i:i + 1], stamp)
 
             def apply_reads(index, stamp):
                 for i in index:
-                    bank = device.banks[int(rbanks[i])]
-                    bank.last_refresh[rrows[i]] = np.maximum(
-                        bank.last_refresh[rrows[i]], stamp)
-                    engine.note_access(int(rbanks[i]), int(rrows[i]))
+                    reference.activate_row(device, int(rbanks[i]),
+                                           int(rrows[i]), stamp)
 
             hook = reference.make_write_hook(
                 apply_writes, apply_reads, np.arange(len(writes)), wtimes,

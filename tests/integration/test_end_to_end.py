@@ -41,7 +41,8 @@ class TestCacheToDramPath:
                 if event.is_write:
                     line = generate_lines("smallint16", 1, rng)[0]
                     store[event.line_addr] = line
-                    system.controller.write_line(event.line_addr, line)
+                    system.controller.write_lines([event.line_addr],
+                                                  line[None])
         for event in hierarchy.drain():
             if event.is_write and event.line_addr not in store:
                 store[event.line_addr] = np.zeros(8, dtype=np.uint64)

@@ -36,7 +36,7 @@ class TestMemorySemantics:
         lines = rng.integers(0, 2**64, size=(n, 8), dtype=np.uint64)
         expected = {}
         for addr, line in zip(addrs, lines):
-            ctrl.write_line(int(addr), line)
+            ctrl.write_lines(addr[None], line[None])
             expected[int(addr)] = line
         for addr, line in expected.items():
             np.testing.assert_array_equal(ctrl.read_line(addr), line)
@@ -63,7 +63,7 @@ class TestMemorySemantics:
         pages = rng.choice(ctrl.mapper.total_pages, size=4, replace=False)
         contents = rng.integers(0, 2**64, size=(4, 64, 8), dtype=np.uint64)
         for page, content in zip(pages, contents):
-            ctrl.write_page(int(page), content)
+            ctrl.populate_pages([page], content[None], notify=True)
         for page, content in zip(pages, contents):
             np.testing.assert_array_equal(ctrl.read_page(int(page)), content)
 

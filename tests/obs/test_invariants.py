@@ -112,7 +112,7 @@ class TestComponentsPickUpWatchdog:
         # planted vector before anyone trusts it
         engine.access_bits.test_and_clear(0, 0)
         set_rows = engine.geometry.rows_of_ar_set(0)
-        engine.device.banks[0].dirty[set_rows] = False
+        engine.device.dirty[0, set_rows] = False
         engine.process_ar(0, 0, time_s=1.0)
         assert bus.violation_count > 0
         # the planted vector both refreshes groups the detector says

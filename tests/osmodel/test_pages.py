@@ -69,7 +69,7 @@ class TestCleansePolicies:
     def _dirty_page(self, controller, page):
         rng = np.random.default_rng(3)
         lines = rng.integers(1, 2**64, size=(64, 8), dtype=np.uint64)
-        controller.write_page(page, lines)
+        controller.populate_pages([page], lines[None], notify=True)
 
     def test_zero_on_free_cleanses_at_free_time(self, controller):
         allocator = PageAllocator(controller, CleansePolicy.ZERO_ON_FREE)
@@ -106,8 +106,5 @@ class TestCleansePolicies:
             self._dirty_page(controller, int(page))
         allocator.free(pages)
         banks, rows = controller.mapper.page_rows(pages)
-        for bank, row in zip(np.ravel(banks), np.ravel(rows)):
-            discharged = controller.device.banks[int(bank)].detect_discharged(
-                np.array([int(row)])
-            )
-            assert discharged[0]
+        per_chip = controller.device.detect_discharged_per_chip(banks, rows)
+        assert per_chip.all()

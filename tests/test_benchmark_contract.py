@@ -8,6 +8,11 @@ These tests run each workload at seed 0 through the benchmark's own
 workload code, unedited, so such a change shows here as a diff that
 names the counter: the first capacity-sweep job, every window-traffic
 job (in-process, one worker) and the trace replay.
+
+The benchmark's tracer patches ``repro`` methods where they are defined,
+so a traced method that ``src`` no longer calls must still exist: the
+last test enters and leaves the tracer and requires every original
+back.
 """
 
 import json
@@ -25,6 +30,14 @@ def workloads(monkeypatch):
     import workloads
 
     return workloads
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    return tracing
 
 
 def expected(workload: str) -> dict:
@@ -65,3 +78,25 @@ def test_trace_replay_outputs_match_expected(workloads):
 
     assert workloads.canonical(outputs) == workloads.canonical(
         expected("trace-replay"))
+
+
+def test_tracer_patches_and_restores_every_traced_name(tracing):
+    targets = [(module, path) for module, path, _, _ in tracing.LAYER_SPANS]
+    targets += [tracing.REFRESH_TARGET, tracing.PROCESS_AR_TARGET,
+                tracing.JOB_TARGET]
+
+    def current():
+        """What each traced name is bound to now, looked up as the
+        tracer looks it up: a class's own attribute, or a module's.  A
+        missing one reads ``None`` here and fails the tracer's entry."""
+        bound = []
+        for module, path in targets:
+            owner, attr = tracing._resolve(module, path)
+            bound.append(vars(owner).get(attr))
+        return bound
+
+    before = current()
+    with tracing.Tracer():
+        during = current()
+    assert [a is not b for a, b in zip(before, during)] == [True] * len(targets)
+    assert [a is b for a, b in zip(before, current())] == [True] * len(targets)
